@@ -14,12 +14,15 @@ Each presentation carries oriented rewrite rules, all of the shape
   QuadricBundle(n)  Z[h,f] over the Chern classes of a maximal isotropic
                     subbundle F and of V/F (h^n and f^2 rewrite)
 
-The generator alpha has cohomological degree 3 and f has degree n; all
-rewrite rules are homogeneous for those weights.  Rewriting terminates (each
-rule strictly decreases a per-presentation measure) and the multiplication
-table induced on the basis is closed and associative; verify_presentation
-certifies all of that, which is what makes a normal form here a genuine
-canonical form.
+Each presentation declares the degrees of its main variables (alpha has
+cohomological degree 3, f has degree n, the rest 1), and everything else
+follows from them and the rules.  Monomials are ordered by weighted degree,
+then by the exponents of the rule variables in rule order; the constructor
+rejects rules whose right-hand side is not below the left-hand side, so
+rewriting terminates, and the basis is the standard monomials.  The
+multiplication table induced on the basis is closed and associative;
+verify_presentation certifies that, which is what makes a normal form here a
+genuine canonical form.
 
 Integral presentations never divide: a normal form with a non-integer
 coefficient means the input was not in the integral span, and is reported as
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from heapq import heappop, heappush
+from itertools import combinations_with_replacement, product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import weyl
@@ -40,7 +44,7 @@ from .exactalg import (
     elementary_symmetric,
     solve_linear,
 )
-from .exactalg.mpoly import VAR_INDEX, ExpKey
+from .exactalg.mpoly import NVARS, VAR_INDEX, ExpKey
 from .schubert import SchubertFamily
 
 X1 = MPoly.var("x1")
@@ -72,48 +76,73 @@ class Rule:
 
 
 class Presentation:
-    """A named quotient ring with rewrite rules and a finite monomial basis."""
+    """A named quotient ring with rewrite rules and a finite monomial basis.
+
+    `degrees` gives the degree of each main variable that is not 1, which
+    fixes the rewrite order.  ValueError unless every main variable has
+    exactly one rule and every right-hand side term is below its left-hand
+    side.  The leading terms are then pairwise coprime pure powers, so the
+    rules are a Groebner basis (Buchberger's first criterion) and the
+    standard monomials, each exponent below its rule's power, are a basis.
+    """
 
     def __init__(self, name: str, main_vars: Sequence[str],
-                 base_vars: Sequence[str], rules: Sequence[Rule],
-                 basis: Sequence[Dict[str, int]], ring: str,
-                 expected_rank: int):
+                 base_vars: Sequence[str], rules: Sequence[Rule], ring: str,
+                 expected_rank: int, degrees: Optional[Mapping[str, int]] = None):
         self.name = name
         self.main_vars = tuple(main_vars)
         self.base_vars = tuple(base_vars)
         self.rules = tuple(rules)
         self.ring = ring  # "Z", "Z_half", or "Q"
         self.expected_rank = expected_rank
+        self.degrees = {v: (degrees or {}).get(v, 1) for v in self.main_vars}
         self._main_idx = tuple(VAR_INDEX[v] for v in self.main_vars)
+        self._degree_idx = tuple(zip(self._main_idx, self.degrees.values()))
         self._rule_idx = tuple((VAR_INDEX[r.var], r.power, r.rhs) for r in rules)
         self._allowed = set(self.main_vars) | set(self.base_vars)
-        self._weights = {"alpha": 3, "f": expected_rank // 2}
+        self._check_rules()
+        # fewest standard exponents outermost, so the basis lists the x2 = 0
+        # (f = 0) block first, each block by degree
+        power = {r.var: r.power for r in self.rules}
+        nesting = sorted(self.main_vars, key=lambda v: (power[v], self.degrees[v]))
+        slots = [nesting.index(v) for v in self.main_vars]
         self.basis: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(b.get(v, 0) for v in self.main_vars) for b in basis)
-        self._basis_index = {key: i for i, key in enumerate(self.basis)}
+            tuple(exps[i] for i in slots)
+            for exps in product(*(range(power[v]) for v in nesting)))
+        self.top = max(self.basis, key=self.key_degree)
+        self._top_degree = self.key_degree(self.top)
+        # homogeneous rules keep the degree, so nothing above the top survives
+        self._homogeneous = all(self._degree(exp) == r.power * self.degrees[r.var]
+                                for r in self.rules for exp, _ in r.rhs.items())
         self._memo: Dict[ExpKey, MPoly] = {}
         self._table: Optional[Dict[Tuple[int, int], "NormalForm"]] = None
 
-    def key_degree(self, key: Tuple[int, ...]) -> int:
-        """Cohomological degree of a basis monomial (alpha counts 3, f counts n)."""
-        return sum(e * self._weights.get(v, 1)
-                   for v, e in zip(self.main_vars, key))
+    def _check_rules(self):
+        rule_vars = [r.var for r in self.rules]
+        if sorted(rule_vars) != sorted(self.main_vars):
+            raise ValueError(f"{self.name}: need exactly one rule for each of "
+                             f"{self.main_vars}, got {rule_vars}")
+        for rule, (idx, power, rhs) in zip(self.rules, self._rule_idx):
+            lhs = [0] * NVARS
+            lhs[idx] = power
+            lhs_key = self._heap_key(tuple(lhs))
+            for exp, _ in rhs.items():
+                if self._heap_key(exp) <= lhs_key:
+                    raise ValueError(
+                        f"{self.name}: {MPoly({exp: 1})} is not below "
+                        f"{rule.var}^{power}, so rewriting need not terminate")
 
-    # measure used to pick the next monomial to rewrite; rewriting a maximal
-    # monomial strictly decreases the pending multiset, so reduction halts
-    def _measure(self, exp: ExpKey):
-        degs = [exp[i] for i in self._main_idx]
-        if self.main_vars == ("x1", "x2", "alpha"):
-            a, b, c = degs
-            return (b, a + 3 * c, a)
-        if self.main_vars == ("x1", "x2"):
-            a, b = degs
-            return (a + b, b, a)
-        if self.main_vars == ("h", "f"):
-            a, b = degs
-            n = self.expected_rank // 2
-            return (a + n * b, a)
-        return tuple(reversed(degs))
+    def key_degree(self, key: Tuple[int, ...]) -> int:
+        """Cohomological degree of a basis monomial."""
+        return sum(e * self.degrees[v] for v, e in zip(self.main_vars, key))
+
+    def _degree(self, exp: ExpKey) -> int:
+        return sum(exp[i] * d for i, d in self._degree_idx)
+
+    def _heap_key(self, exp: ExpKey):
+        """The rewrite order, negated so that a min-heap pops the highest
+        monomial first."""
+        return (-self._degree(exp),) + tuple(-exp[i] for i, _, _ in self._rule_idx)
 
     def _find_rule(self, exp: ExpKey):
         for idx, power, rhs in self._rule_idx:
@@ -127,52 +156,57 @@ class Presentation:
         cached = memo.get(exp)
         if cached is not None:
             return cached
+        if self._homogeneous and self._degree(exp) > self._top_degree:
+            result = MPoly.zero()
+        else:
+            result = self._rewrite(exp)
+        memo[exp] = result
+        return result
+
+    def _rewrite(self, exp: ExpKey) -> MPoly:
+        # every rewrite step yields strictly lower monomials, so a monomial
+        # popped from the heap is never pushed again
+        memo = self._memo
         pending: Dict[ExpKey, Fraction] = {exp: Fraction(1)}
+        heap = [(self._heap_key(exp), exp)]
         done: Dict[ExpKey, Fraction] = {}
-        guard = 0
-        while pending:
-            guard += 1
-            if guard > 500000:
+        steps = 0
+        while heap:
+            steps += 1
+            if steps > 500000:
                 raise ArithmeticError(f"rewriting diverged in {self.name}")
-            m = max(pending, key=self._measure)
+            m = heappop(heap)[1]
             coef = pending.pop(m)
+            if not coef:
+                continue
             cached = memo.get(m)
             if cached is not None:
                 for k, v in cached.items():
-                    val = done.get(k, Fraction(0)) + coef * v
-                    if val == 0:
-                        done.pop(k, None)
-                    else:
-                        done[k] = val
+                    done[k] = done.get(k, 0) + coef * v
                 continue
             hit = self._find_rule(m)
             if hit is None:
-                val = done.get(m, Fraction(0)) + coef
-                if val == 0:
-                    done.pop(m, None)
-                else:
-                    done[m] = val
+                done[m] = done.get(m, 0) + coef
                 continue
             idx, power, rhs = hit
             rest = list(m)
             rest[idx] -= power
             for rexp, rcoef in rhs.items():
                 key = tuple(x + y for x, y in zip(rexp, rest))
-                val = pending.get(key, Fraction(0)) + coef * rcoef
-                if val == 0:
-                    pending.pop(key, None)
+                if key in pending:
+                    pending[key] += coef * rcoef
                 else:
-                    pending[key] = val
-        result = MPoly(done)
-        memo[exp] = result
-        return result
+                    pending[key] = coef * rcoef
+                    heappush(heap, (self._heap_key(key), key))
+        return MPoly(done)
 
     def reduce_poly(self, poly: MPoly) -> MPoly:
         """Rewrite to the (unique) irreducible representative."""
-        out = MPoly.zero()
+        out: Dict[ExpKey, Fraction] = {}
         for exp, coef in poly.items():
-            out = out + coef * self.reduce_monomial(exp)
-        return out
+            for k, v in self.reduce_monomial(exp).items():
+                out[k] = out.get(k, 0) + coef * v
+        return MPoly(out)
 
     def check_variables(self, poly: MPoly):
         bad = [v for v in poly.variables() if v not in self._allowed]
@@ -187,15 +221,11 @@ class Presentation:
         coeffs: Dict[Tuple[int, ...], Dict[ExpKey, Fraction]] = {}
         for exp, coef in reduced.items():
             main_key = tuple(exp[i] for i in self._main_idx)
-            if main_key not in self._basis_index:
-                raise ArithmeticError(
-                    f"irreducible monomial outside basis in {self.name}: {exp}")
             base_exp = list(exp)
             for i in self._main_idx:
                 base_exp[i] = 0
             coeffs.setdefault(main_key, {})[tuple(base_exp)] = coef
-        nf = NormalForm(self, {k: MPoly(v) for k, v in coeffs.items()
-                               if any(c != 0 for c in v.values())})
+        nf = NormalForm(self, {k: MPoly(v) for k, v in coeffs.items()})
         if self.ring in ("Z", "Z_half"):
             for poly_c in nf.coeffs.values():
                 for _, c in poly_c.items():
@@ -251,12 +281,16 @@ class NormalForm:
         return self.coeffs.get(key, MPoly.zero())
 
     def as_poly(self) -> MPoly:
-        total = MPoly.zero()
+        main_idx = self.presentation._main_idx
+        terms: Dict[ExpKey, Fraction] = {}
         for key, coef in self.coeffs.items():
-            exps = {v: e for v, e in zip(self.presentation.main_vars, key) if e}
-            mono = MPoly.monomial(exps) if exps else MPoly.one()
-            total = total + coef * mono
-        return total
+            for exp, c in coef.items():
+                full = list(exp)
+                for i, e in zip(main_idx, key):
+                    full[i] += e
+                full = tuple(full)
+                terms[full] = terms.get(full, 0) + c
+        return MPoly(terms)
 
     def __repr__(self):
         return f"NormalForm({self.presentation.name}: {self.as_poly()})"
@@ -265,16 +299,6 @@ class NormalForm:
 # ---------------------------------------------------------------------------
 # the catalogue
 
-def _fl_basis() -> List[Dict[str, int]]:
-    # 1, x1, x1^2, alpha, x1 alpha, x1^2 alpha, then everything times x2
-    out = []
-    for b in (0, 1):
-        for c in (0, 1):
-            for a in (0, 1, 2):
-                out.append({"x1": a, "x2": b, "alpha": c})
-    return out
-
-
 def fl_integral_point() -> Presentation:
     rules = [
         Rule("x2", 2, X1 * X2 - X1 ** 2),
@@ -282,7 +306,7 @@ def fl_integral_point() -> Presentation:
         Rule("alpha", 2, MPoly.zero()),
     ]
     return Presentation("FlIntegralPoint", ("x1", "x2", "alpha"), (),
-                        rules, _fl_basis(), "Z", 12)
+                        rules, "Z", 12, {"alpha": 3})
 
 
 def fl_integral_bundle(base: str = "symbolic") -> Presentation:
@@ -327,24 +351,18 @@ def fl_integral_bundle(base: str = "symbolic") -> Presentation:
         Rule("alpha", 2, (c3q + c1q * X1 ** 2) * ALPHA),
     ]
     return Presentation(name, ("x1", "x2", "alpha"), base_vars,
-                        rules, _fl_basis(), "Z", 12)
+                        rules, "Z", 12, {"alpha": 3})
 
 
 def fl_equivariant() -> Presentation:
     return fl_integral_bundle("t")
 
 
-def _half_basis() -> List[Dict[str, int]]:
-    return [{"x1": a, "x2": b} for b in (0, 1) for a in range(6)]
-
-
 def _derive_degree6_rule(x2_rule: Rule, rhs_target: MPoly) -> Rule:
     """Solve the degree-6 relation (x1 x2 (x1-x2))^2 = rhs_target for x1^6,
     reducing with the x2 rule alone."""
-    scratch = Presentation("scratch", ("x1", "x2"), ("y1", "y2", "t1", "t2"),
-                           [x2_rule],
-                           [{"x1": a, "x2": b} for a in range(13) for b in (0, 1)],
-                           "Q", 26)
+    scratch = Presentation("scratch", ("x2",), ("x1", "y1", "y2", "t1", "t2"),
+                           [x2_rule], "Q", 2)
     lhs = scratch.reduce_poly((X1 * X2 * (X1 - X2)) ** 2)
     x16 = {"x1": 6}
     lead = lhs.coeff(x16)
@@ -356,8 +374,7 @@ def _derive_degree6_rule(x2_rule: Rule, rhs_target: MPoly) -> Rule:
 
 def fl_half_point() -> Presentation:
     rules = [Rule("x2", 2, X1 * X2 - X1 ** 2), Rule("x1", 6, MPoly.zero())]
-    return Presentation("FlHalfPoint", ("x1", "x2"), (),
-                        rules, _half_basis(), "Z_half", 12)
+    return Presentation("FlHalfPoint", ("x1", "x2"), (), rules, "Z_half", 12)
 
 
 def fl_half_bundle(base: str = "y") -> Presentation:
@@ -377,7 +394,7 @@ def fl_half_bundle(base: str = "y") -> Presentation:
     x2_rule = Rule("x2", 2, X1 * X2 - X1 ** 2 + quad)
     x1_rule = _derive_degree6_rule(x2_rule, (b1 * b2 * (b1 - b2)) ** 2)
     return Presentation(name, ("x1", "x2"), base_vars,
-                        [x2_rule, x1_rule], _half_basis(), "Z_half", 12)
+                        [x2_rule, x1_rule], "Z_half", 12)
 
 
 def quadric_bundle(n: int = 3, c_sub: Optional[Sequence[MPoly]] = None,
@@ -388,7 +405,8 @@ def quadric_bundle(n: int = 3, c_sub: Optional[Sequence[MPoly]] = None,
 
     c_sub = [c_1(F)..c_n(F)] and c_quot = [c_1(V/F)..c_n(V/F)]; both default
     to the symbolic Chern variables (n <= 3).  Rank is 2n with basis
-    h^i and f h^i, 0 <= i < n.
+    h^i and f h^i, 0 <= i < n.  Even n raises ValueError: the h^n f term of
+    the f^2 rule ties f^2 in degree and lies above it in the order.
     """
     if c_sub is None or c_quot is None:
         if n > 3:
@@ -415,10 +433,9 @@ def quadric_bundle(n: int = 3, c_sub: Optional[Sequence[MPoly]] = None,
         k -= 2
     if k == 0:
         f_factor = f_factor + H ** n
-    rules = [Rule("f", 2, f_factor * F), Rule("h", n, h_rhs)]
-    basis = [{"h": i, "f": b} for b in (0, 1) for i in range(n)]
+    rules = [Rule("h", n, h_rhs), Rule("f", 2, f_factor * F)]
     return Presentation(name or f"QuadricBundle{n}", ("h", "f"),
-                        tuple(base_vars), rules, basis, "Z", 2 * n)
+                        tuple(base_vars), rules, "Z", 2 * n, {"f": n})
 
 
 def quadric_bundle_fiber(n: int = 3) -> Presentation:
@@ -726,14 +743,12 @@ def duality_pairing(family: SchubertFamily,
     class (half the top basis monomial) in the reduced product P_u P_w."""
     if p is None:
         p = fl_half_point()
-    top_key = tuple(5 if v == "x1" else 1 if v == "x2" else 0
-                    for v in p.main_vars)
     elements = weyl.all_elements()
     nfs = {w: p.normal_form(family.table[w]) for w in elements}
     pairing: Dict[Tuple[weyl.WeylElt, weyl.WeylElt], Fraction] = {}
     for u in elements:
         for w in elements:
             prod = p.normal_form(nfs[u].as_poly() * nfs[w].as_poly())
-            coef = prod.coeffs.get(top_key, MPoly.zero())
+            coef = prod.coeffs.get(p.top, MPoly.zero())
             pairing[(u, w)] = 2 * coef.constant_value()
     return pairing

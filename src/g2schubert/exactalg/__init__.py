@@ -9,8 +9,6 @@ from .mpoly import (
     VARIABLES,
     elementary_symmetric,
     exact_divide,
-    mpoly_arith,
-    substitute,
 )
 from .parse import PolySyntaxError, UnknownVariable, parse_poly
 from .linsolve import (
@@ -28,7 +26,7 @@ from .lp import LpFeasibility, LpInfeasible, LpPoint, lp_feasible
 __all__ = [
     "GaussRat", "Rat", "rat", "I",
     "MPoly", "NotDivisible", "UnboundVariable", "VARIABLES",
-    "elementary_symmetric", "exact_divide", "mpoly_arith", "substitute",
+    "elementary_symmetric", "exact_divide",
     "PolySyntaxError", "UnknownVariable", "parse_poly",
     "LinInconsistency", "LinSolution", "LinSystem",
     "determinant", "matrix_inverse", "nullspace", "rank", "solve_linear",

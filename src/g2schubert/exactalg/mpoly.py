@@ -185,11 +185,7 @@ class MPoly:
             return NotImplemented
         t = dict(self._t)
         for exp, c in o._t.items():
-            s = t.get(exp, 0) + c
-            if s == 0:
-                t.pop(exp, None)
-            else:
-                t[exp] = s
+            t[exp] = t.get(exp, 0) + c
         return MPoly(t)
 
     __radd__ = __add__
@@ -218,19 +214,11 @@ class MPoly:
         for e2, c2 in small.items():
             if not any(e2):
                 for e1, c1 in big.items():
-                    s = t.get(e1, 0) + c1 * c2
-                    if s == 0:
-                        t.pop(e1, None)
-                    else:
-                        t[e1] = s
+                    t[e1] = t.get(e1, 0) + c1 * c2
                 continue
             for e1, c1 in big.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(key, 0) + c1 * c2
-                if s == 0:
-                    t.pop(key, None)
-                else:
-                    t[key] = s
+                t[key] = t.get(key, 0) + c1 * c2
         return MPoly(t)
 
     __rmul__ = __mul__
@@ -345,17 +333,6 @@ _VAR_CACHE = {
 }
 
 
-def mpoly_arith(f: MPoly, g: MPoly, op: str) -> MPoly:
-    """Dispatch add/sub/mul by name (the CLI-facing entry point)."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:
     """Return q with f = q*g, or raise NotDivisible.
 
@@ -379,11 +356,6 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
         quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_coef
         rem = rem - MPoly({q_exp: q_coef}) * g
     return MPoly(quotient)
-
-
-def substitute(f: MPoly, assignment: Mapping[str, MPoly]) -> MPoly:
-    """Total substitution: every variable of f must be assigned."""
-    return f.subs(assignment, strict=True)
 
 
 def elementary_symmetric(i: int, values: Iterable[MPoly]) -> MPoly:

@@ -137,26 +137,9 @@ def element(key) -> WeylElt:
     raise ValueError(f"cannot parse Weyl element {key!r}")
 
 
-def mul(u: WeylElt, w: WeylElt) -> WeylElt:
-    return u * w
-
-
-def inv(w: WeylElt) -> WeylElt:
-    return w.inverse()
-
-
-def length(w: WeylElt) -> int:
-    return w.length
-
-
 def reduced_words(w: WeylElt) -> Tuple[str, ...]:
     """All reduced words of w (one except for the longest element)."""
     return LONGEST_WORDS if w is longest() else (w.word,)
-
-
-def embed_s7(w: WeylElt) -> Perm7:
-    """The image of w under the embedding into S7."""
-    return w.perm
 
 
 def bruhat_leq(u: WeylElt, w: WeylElt) -> bool:
@@ -193,7 +176,7 @@ def extend_pair(i: int, j: int,
     w(3) is the remaining member of the isotropic 3-space triple through
     f_i, and w(4)..w(7) are forced by w(k) + w(8-k) = 8.  The triples come
     from the octonion kernels, so this is independent of the group law; it is
-    cross-checked against embed_s7 in the test suite.
+    cross-checked against WeylElt.perm in the test suite.
     """
     if triples is None:
         from .octonion import standard_forms, fixed_point_triples

@@ -128,6 +128,12 @@ class TestReduce:
                            "FlIntegralPoint", "1/3 x1")
         assert code == 2
 
+    def test_power_above_top_degree_is_zero(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--presentation",
+                           "FlIntegralPoint", "x1^1600000")
+        assert code == 0
+        assert out.strip() == "0"
+
 
 class TestExpand:
     def test_degree_one(self, capsys):

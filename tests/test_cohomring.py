@@ -6,7 +6,7 @@ import pytest
 from g2schubert import cohomring as c
 from g2schubert import schubert as s
 from g2schubert import weyl
-from g2schubert.exactalg import MPoly
+from g2schubert.exactalg import MPoly, VARIABLES
 
 X1, X2, ALPHA, H, F = c.X1, c.X2, c.ALPHA, c.H, c.F
 Y1, Y2 = c.Y1, c.Y2
@@ -86,6 +86,49 @@ class TestVerifyPresentations:
         assert polys == ["1", "x1", "x1^2", "alpha", "x1 alpha", "x1^2 alpha",
                          "x2", "x1 x2", "x1^2 x2", "x2 alpha", "x1 x2 alpha",
                          "x1^2 x2 alpha"]
+
+    @pytest.mark.parametrize("name,expected", [
+        ("FlHalfPoint", ["1", "x1", "x1^2", "x1^3", "x1^4", "x1^5",
+                         "x2", "x1 x2", "x1^2 x2", "x1^3 x2", "x1^4 x2",
+                         "x1^5 x2"]),
+        ("QuadricBundle3", ["1", "h", "h^2", "f", "h f", "h^2 f"]),
+    ])
+    def test_basis_lists(self, name, expected):
+        p = c.get_presentation(name)
+        assert [str(b) for b in p.basis_polys()] == expected
+
+    @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
+    def test_rules_decrease_and_degrees_match(self, name):
+        p = c.get_presentation(name)
+        n = p.expected_rank // 2
+        weight = {"alpha": 3, "f": n}
+
+        def degree(exp):
+            return sum(e * weight.get(v, 1)
+                       for v, e in zip(VARIABLES, exp) if v in p.main_vars)
+
+        def order(exp):
+            return (degree(exp),) + tuple(exp[VARIABLES.index(r.var)]
+                                          for r in p.rules)
+
+        for rule in p.rules:
+            (lhs, _), = (MPoly.var(rule.var) ** rule.power).items()
+            for exp, _ in rule.rhs.items():
+                assert order(exp) < order(lhs), (rule.var, exp)
+        for key, poly in zip(p.basis, p.basis_polys()):
+            (exp, _), = poly.items()
+            assert p.key_degree(key) == degree(exp)
+
+    def test_non_terminating_rules_rejected(self):
+        with pytest.raises(ValueError):
+            c.quadric_bundle_fiber(2)
+        with pytest.raises(ValueError):  # x1 x2 ties x1^2 and lies above it
+            c.Presentation("up", ("x1", "x2"), (),
+                           [c.Rule("x2", 2, MPoly.zero()), c.Rule("x1", 2, X1 * X2)],
+                           "Q", 4)
+        with pytest.raises(ValueError):  # no rule for x2
+            c.Presentation("short", ("x1", "x2"), (),
+                           [c.Rule("x1", 2, MPoly.zero())], "Q", 4)
 
     def test_fiber_ring(self):
         fiber = c.quadric_bundle_fiber(3)
