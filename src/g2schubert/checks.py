@@ -3,12 +3,15 @@
 Each suite re-derives a slice of the library's guarantees from scratch:
 identities are checked exactly (tolerance zero), and randomized checks draw
 from a seeded generator so runs are reproducible.  The CLI `verify` verb is
-a thin wrapper around run_suite.
+a thin wrapper around run_suite.  A suite that raises keeps the checks it
+recorded and gains one failed check naming the exception.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
@@ -694,7 +697,15 @@ def run_suite(name: str, seed: Optional[int] = None) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}; known: "
                          f"{', '.join(SUITE_NAMES)} or 'all'")
     report = SuiteReport(suite=name, seed=seed)
-    _SUITES[name](report, random.Random(seed))
+    try:
+        _SUITES[name](report, random.Random(seed))
+    except Exception as exc:
+        # one failed check, so that the checks already recorded and the
+        # other suites are still reported
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        report.add(f"{name} raised {type(exc).__name__}: {exc}", False,
+                   f"at {os.path.basename(frame.filename)}:{frame.lineno} "
+                   f"in {frame.name}")
     return report
 
 

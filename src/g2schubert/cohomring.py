@@ -24,6 +24,13 @@ multiplication table induced on the basis is closed and associative;
 verify_presentation certifies that, which is what makes a normal form here a
 genuine canonical form.
 
+Rewriting is linear over the base ring: every left-hand side is a power of a
+main variable and the order reads only main exponents, so nf(b m) = b nf(m)
+for a monomial b in the other variables.  The memo is therefore keyed by the
+main part of a monomial alone, and a rewrite carries each main monomial's
+base coefficient as one group.  One rewrite may produce at most
+MAX_REWRITE_TERMS terms; past that it raises RewriteBudgetExceeded.
+
 Integral presentations never divide: a normal form with a non-integer
 coefficient means the input was not in the integral span, and is reported as
 NonIntegralReduction rather than silently rescaled.
@@ -35,6 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, product
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import weyl
@@ -44,7 +52,7 @@ from .exactalg import (
     elementary_symmetric,
     solve_linear,
 )
-from .exactalg.mpoly import NVARS, VAR_INDEX, ExpKey
+from .exactalg.mpoly import _ZERO_EXP, NVARS, VAR_INDEX, ExpKey
 from .schubert import SchubertFamily
 
 X1 = MPoly.var("x1")
@@ -56,6 +64,16 @@ T2 = MPoly.var("t2")
 ALPHA = MPoly.var("alpha")
 H = MPoly.var("h")
 F = MPoly.var("f")
+
+
+# Rewriting always terminates, but a high power in a bundle ring expands into
+# more base monomials than fit in memory or time; one rewrite may produce at
+# most this many terms.
+MAX_REWRITE_TERMS = 300_000
+
+
+class RewriteBudgetExceeded(ArithmeticError):
+    """A rewrite would produce more than MAX_REWRITE_TERMS terms."""
 
 
 class NonIntegralReduction(ArithmeticError):
@@ -98,7 +116,8 @@ class Presentation:
         self.degrees = {v: (degrees or {}).get(v, 1) for v in self.main_vars}
         self._main_idx = tuple(VAR_INDEX[v] for v in self.main_vars)
         self._degree_idx = tuple(zip(self._main_idx, self.degrees.values()))
-        self._rule_idx = tuple((VAR_INDEX[r.var], r.power, r.rhs) for r in rules)
+        self._rule_idx = tuple((VAR_INDEX[r.var], r.power, self._group_by_main(r.rhs))
+                               for r in rules)
         self._allowed = set(self.main_vars) | set(self.base_vars)
         self._check_rules()
         # fewest standard exponents outermost, so the basis lists the x2 = 0
@@ -122,11 +141,11 @@ class Presentation:
         if sorted(rule_vars) != sorted(self.main_vars):
             raise ValueError(f"{self.name}: need exactly one rule for each of "
                              f"{self.main_vars}, got {rule_vars}")
-        for rule, (idx, power, rhs) in zip(self.rules, self._rule_idx):
+        for rule, (idx, power, _) in zip(self.rules, self._rule_idx):
             lhs = [0] * NVARS
             lhs[idx] = power
             lhs_key = self._heap_key(tuple(lhs))
-            for exp, _ in rhs.items():
+            for exp, _ in rule.rhs.items():
                 if self._heap_key(exp) <= lhs_key:
                     raise ValueError(
                         f"{self.name}: {MPoly({exp: 1})} is not below "
@@ -150,54 +169,88 @@ class Presentation:
                 return idx, power, rhs
         return None
 
+    def _split(self, exp: ExpKey) -> Tuple[ExpKey, ExpKey]:
+        """(main part, base part) of an exponent: the base part is every
+        exponent that is not of a main variable."""
+        main = [0] * NVARS
+        base = list(exp)
+        for i in self._main_idx:
+            main[i] = exp[i]
+            base[i] = 0
+        return tuple(main), tuple(base)
+
+    def _group_by_main(self, poly: MPoly):
+        """poly as ((main part, ((base part, coef), ...)), ...)."""
+        groups: Dict[ExpKey, List[Tuple[ExpKey, Fraction]]] = {}
+        for exp, coef in poly.items():
+            main, base = self._split(exp)
+            groups.setdefault(main, []).append((base, coef))
+        return tuple((main, tuple(terms)) for main, terms in groups.items())
+
     def reduce_monomial(self, exp: ExpKey) -> MPoly:
-        """Fully reduce a single monomial (memoized)."""
-        memo = self._memo
-        cached = memo.get(exp)
-        if cached is not None:
-            return cached
-        if self._homogeneous and self._degree(exp) > self._top_degree:
-            result = MPoly.zero()
-        else:
-            result = self._rewrite(exp)
-        memo[exp] = result
+        """Fully reduce a single monomial.
+
+        Rewriting is linear over the base ring, nf(b m) = b nf(m) for a base
+        monomial b, so only the main part m is rewritten and memoized.
+        """
+        main, base = self._split(exp)
+        result = self._memo.get(main)
+        if result is None:
+            if self._homogeneous and self._degree(main) > self._top_degree:
+                result = MPoly.zero()
+            else:
+                result = self._rewrite(main)
+            self._memo[main] = result
+        if any(base):
+            result = MPoly({tuple(map(add, k, base)): c for k, c in result.items()})
         return result
 
     def _rewrite(self, exp: ExpKey) -> MPoly:
-        # every rewrite step yields strictly lower monomials, so a monomial
-        # popped from the heap is never pushed again
+        # Rules and order read only main exponents, so pending groups terms
+        # by main monomial, each with its base coefficient {base part: coef}.
+        # Every rewrite step yields strictly lower main monomials, so a
+        # monomial popped from the heap is never pushed again.
         memo = self._memo
-        pending: Dict[ExpKey, Fraction] = {exp: Fraction(1)}
+        pending: Dict[ExpKey, Dict[ExpKey, Fraction]] = {exp: {_ZERO_EXP: Fraction(1)}}
         heap = [(self._heap_key(exp), exp)]
         done: Dict[ExpKey, Fraction] = {}
-        steps = 0
+        terms = 0  # produced so far
         while heap:
-            steps += 1
-            if steps > 500000:
-                raise ArithmeticError(f"rewriting diverged in {self.name}")
+            if terms > MAX_REWRITE_TERMS:
+                raise RewriteBudgetExceeded(
+                    f"{self.name}: rewriting {MPoly({exp: 1})} produces more "
+                    f"than MAX_REWRITE_TERMS = {MAX_REWRITE_TERMS} terms")
             m = heappop(heap)[1]
-            coef = pending.pop(m)
-            if not coef:
-                continue
+            coef = [(base, c) for base, c in pending.pop(m).items() if c]
             cached = memo.get(m)
             if cached is not None:
-                for k, v in cached.items():
-                    done[k] = done.get(k, 0) + coef * v
+                terms += len(coef) * len(cached)
+                for base, c in coef:
+                    for k, v in cached.items():
+                        key = tuple(map(add, k, base))
+                        done[key] = done.get(key, 0) + c * v
                 continue
             hit = self._find_rule(m)
             if hit is None:
-                done[m] = done.get(m, 0) + coef
+                terms += len(coef)
+                for base, c in coef:
+                    key = tuple(map(add, m, base))
+                    done[key] = done.get(key, 0) + c
                 continue
             idx, power, rhs = hit
             rest = list(m)
             rest[idx] -= power
-            for rexp, rcoef in rhs.items():
-                key = tuple(x + y for x, y in zip(rexp, rest))
-                if key in pending:
-                    pending[key] += coef * rcoef
-                else:
-                    pending[key] = coef * rcoef
+            for rmain, rterms in rhs:
+                terms += len(coef) * len(rterms)
+                key = tuple(map(add, rmain, rest))
+                group = pending.get(key)
+                if group is None:
+                    group = pending[key] = {}
                     heappush(heap, (self._heap_key(key), key))
+                for base, c in coef:
+                    for rbase, rcoef in rterms:
+                        b = tuple(map(add, base, rbase))
+                        group[b] = group.get(b, 0) + c * rcoef
         return MPoly(done)
 
     def reduce_poly(self, poly: MPoly) -> MPoly:
@@ -220,11 +273,8 @@ class Presentation:
         reduced = self.reduce_poly(poly)
         coeffs: Dict[Tuple[int, ...], Dict[ExpKey, Fraction]] = {}
         for exp, coef in reduced.items():
-            main_key = tuple(exp[i] for i in self._main_idx)
-            base_exp = list(exp)
-            for i in self._main_idx:
-                base_exp[i] = 0
-            coeffs.setdefault(main_key, {})[tuple(base_exp)] = coef
+            main, base = self._split(exp)
+            coeffs.setdefault(tuple(main[i] for i in self._main_idx), {})[base] = coef
         nf = NormalForm(self, {k: MPoly(v) for k, v in coeffs.items()})
         if self.ring in ("Z", "Z_half"):
             for poly_c in nf.coeffs.values():

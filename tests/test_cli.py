@@ -1,7 +1,10 @@
+import hashlib
 import json
 import os
 
+from g2schubert import checks
 from g2schubert.cli import main
+from g2schubert.cohomring import MAX_REWRITE_TERMS
 from g2schubert.exactalg import parse_poly
 
 
@@ -35,6 +38,23 @@ class TestVerify:
         payload = json.loads(out)
         assert payload[0]["suite"] == "impossibility"
         assert payload[0]["passed"] is True
+
+    def test_raising_suite_is_one_failed_check(self, capsys, monkeypatch):
+        def broken(report, rng):
+            report.add("recorded before the error", True)
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setitem(checks._SUITES, "ring", broken)
+        code, out, _ = run(capsys, "verify", "all", "--format", "json")
+        assert code == 1
+        reports = {rep["suite"]: rep for rep in json.loads(out)}
+        assert list(reports) == list(checks.SUITE_NAMES)
+        ring = reports.pop("ring")
+        assert [(r["name"], r["passed"]) for r in ring["results"]] == [
+            ("recorded before the error", True),
+            ("ring raised ZeroDivisionError: boom", False)]
+        assert ring["results"][1]["detail"].endswith("in broken")
+        assert all(rep["passed"] and rep["results"] for rep in reports.values())
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "divdiff", "--seed", "5")
@@ -133,6 +153,21 @@ class TestReduce:
                            "FlIntegralPoint", "x1^1600000")
         assert code == 0
         assert out.strip() == "0"
+
+    def test_bundle_power_within_term_budget(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--presentation",
+                           "FlIntegralBundle", "x1^30")
+        assert code == 0
+        # the 6377-term normal form, pinned by its sha256
+        assert hashlib.sha256(out.strip().encode()).hexdigest() == (
+            "e598941c4519bd1498e367eb708d105a409ad2f07674520607354e41c8fcde24")
+
+    def test_bundle_power_beyond_term_budget(self, capsys):
+        code, out, err = run(capsys, "reduce", "--presentation",
+                             "FlIntegralBundle", "x1^200")
+        assert code == 2
+        assert out == ""
+        assert f"MAX_REWRITE_TERMS = {MAX_REWRITE_TERMS}" in err
 
 
 class TestExpand:

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -64,6 +65,14 @@ def _rand(rng, names, max_deg=5, terms=5):
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _verified(name):
+    """A fresh presentation after verify_presentation, and its report;
+    shared by the tests that need both, since verifying is the slow part."""
+    p = c.get_presentation(name)
+    return p, c.verify_presentation(p)
+
+
 class TestVerifyPresentations:
     @pytest.mark.parametrize("name,rank", [
         ("FlIntegralPoint", 12),
@@ -76,9 +85,28 @@ class TestVerifyPresentations:
         ("QuadricBundle3Fiber", 6),
     ])
     def test_full_reports(self, name, rank):
-        rep = c.verify_presentation(c.get_presentation(name))
+        _, rep = _verified(name)
         assert rep.rank == rank
         assert rep.ok, rep.failures
+
+    def test_memo_is_keyed_by_main_part(self):
+        p, _ = _verified("FlIntegralBundle")
+        main = {VARIABLES.index(v) for v in p.main_vars}
+        assert all(not e for key in p._memo for i, e in enumerate(key)
+                   if i not in main)
+        assert len(p._memo) <= 112
+
+    @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
+    def test_reduction_is_linear_over_the_base(self, name):
+        # every variable that is not a main variable is inert under rewriting
+        p = c.get_presentation(name)
+        others = [v for v in VARIABLES if v not in p.main_vars]
+        rng = random.Random(f"{SEED}-{name}")
+        for _ in range(6):
+            m = MPoly.monomial({v: rng.randint(0, 3) for v in p.main_vars})
+            b = MPoly.monomial({v: rng.randint(1, 3)
+                                for v in rng.sample(others, 2)})
+            assert p.reduce_poly(b * m) == b * p.reduce_poly(m)
 
     def test_basis_matches_published_list(self):
         p = c.fl_integral_point()
