@@ -22,14 +22,20 @@ rejects rules whose right-hand side is not below the left-hand side, so
 rewriting terminates, and the basis is the standard monomials.  The
 multiplication table induced on the basis is closed and associative;
 verify_presentation certifies that, which is what makes a normal form here a
-genuine canonical form.
+genuine canonical form.  The table entry of a pair depends only on its
+product monomial, so the certificate checks each entry against the first
+pair with the same product and then multiplies each distinct product by
+every basis element once: that covers both association orders of every
+basis triple, and no product is reduced twice.
 
 Rewriting is linear over the base ring: every left-hand side is a power of a
 main variable and the order reads only main exponents, so nf(b m) = b nf(m)
 for a monomial b in the other variables.  The memo is therefore keyed by the
-main part of a monomial alone, and a rewrite carries each main monomial's
-base coefficient as one group.  One rewrite may produce at most
-MAX_REWRITE_TERMS terms; past that it raises RewriteBudgetExceeded.
+main part of a monomial alone, a rewrite carries each main monomial's base
+coefficient as one group, and reduce_poly shifts the normal form of each
+term's main part by its base part as it accumulates.  One rewrite may
+produce at most MAX_REWRITE_TERMS terms; past that it raises
+RewriteBudgetExceeded.
 
 Integral presentations never divide: a normal form with a non-integer
 coefficient means the input was not in the integral span, and is reported as
@@ -41,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, product
+from itertools import product
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -134,7 +140,6 @@ class Presentation:
         self._homogeneous = all(self._degree(exp) == r.power * self.degrees[r.var]
                                 for r in self.rules for exp, _ in r.rhs.items())
         self._memo: Dict[ExpKey, MPoly] = {}
-        self._table: Optional[Dict[Tuple[int, int], "NormalForm"]] = None
 
     def _check_rules(self):
         rule_vars = [r.var for r in self.rules]
@@ -254,10 +259,18 @@ class Presentation:
         return MPoly(done)
 
     def reduce_poly(self, poly: MPoly) -> MPoly:
-        """Rewrite to the (unique) irreducible representative."""
+        """Rewrite to the (unique) irreducible representative.
+
+        Each term is split as in reduce_monomial, and the normal form of its
+        main part is shifted by the base part while it is accumulated.
+        """
         out: Dict[ExpKey, Fraction] = {}
         for exp, coef in poly.items():
-            for k, v in self.reduce_monomial(exp).items():
+            main, base = self._split(exp)
+            shift = any(base)
+            for k, v in self.reduce_monomial(main).items():
+                if shift:
+                    k = tuple(map(add, k, base))
                 out[k] = out.get(k, 0) + coef * v
         return MPoly(out)
 
@@ -297,15 +310,19 @@ class Presentation:
         return out
 
     def mult_table(self) -> Dict[Tuple[int, int], "NormalForm"]:
-        if self._table is None:
-            polys = self.basis_polys()
-            table = {}
-            for i in range(len(polys)):
-                for j in range(i, len(polys)):
-                    table[(i, j)] = self.normal_form(polys[i] * polys[j])
-                    table[(j, i)] = table[(i, j)]
-            self._table = table
-        return self._table
+        """Normal form of each product of two basis monomials, by index pair.
+
+        Not kept on the presentation: every NormalForm refers back to it, so
+        a stored table would make a reference cycle, and the presentation
+        with its memo would outlive its last use until the cyclic garbage
+        collector ran."""
+        polys = self.basis_polys()
+        table = {}
+        for i in range(len(polys)):
+            for j in range(i, len(polys)):
+                table[(i, j)] = self.normal_form(polys[i] * polys[j])
+                table[(j, i)] = table[(i, j)]
+        return table
 
 
 class NormalForm:
@@ -567,7 +584,13 @@ class PresentationReport:
 
 
 def verify_presentation(p: Presentation) -> PresentationReport:
-    """Closure, associativity, rank, defining relations, idempotence."""
+    """Closure, associativity, rank, defining relations, idempotence.
+
+    Associativity is certified exhaustively by _check_associativity; a
+    failure names the table pair, or the basis triple with both reduced
+    sides.  Nothing it computes outlives the call except the presentation's
+    own rewrite memo.
+    """
     failures: List[str] = []
     rank_ok = len(p.basis) == p.expected_rank
 
@@ -595,23 +618,7 @@ def verify_presentation(p: Presentation) -> PresentationReport:
             idempotent_ok = False
             failures.append(f"normal form not idempotent on {s}")
 
-    # associativity of the induced table: since reduction is linear over the
-    # base ring, nf(nf(ab) c) is the table product (a*b)*c; comparing both
-    # association orders against nf(abc) certifies the table is a ring
-    associativity_ok = True
-    if table is not None:
-        polys = p.basis_polys()
-        nb = len(polys)
-        for i, j, k in combinations_with_replacement(range(nb), 3):
-            direct = p.normal_form(polys[i] * polys[j] * polys[k])
-            for (x, y, z) in ((i, j, k), (i, k, j), (j, k, i)):
-                assoc = p.normal_form(table[(x, y)].as_poly() * polys[z])
-                if assoc != direct:
-                    associativity_ok = False
-                    failures.append(f"associativity fails at basis {(x, y, z)}")
-                    break
-            if not associativity_ok:
-                break
+    associativity_ok = table is None or _check_associativity(p, table, failures)
 
     specialization_ok = None
     if p.name == "FlIntegralBundle":
@@ -622,6 +629,44 @@ def verify_presentation(p: Presentation) -> PresentationReport:
     return PresentationReport(p.name, len(p.basis), rank_ok, closure_ok,
                               associativity_ok, relations_ok, idempotent_ok,
                               specialization_ok, failures)
+
+
+def _check_associativity(p: Presentation, table, failures) -> bool:
+    """Certify that the induced multiplication table is associative.
+
+    Reduction is linear over the base ring, so nf(table[x, y] e_z) is the
+    table product (e_x e_y) e_z, and both association orders of a triple
+    are certified by comparing them with nf(e_x e_y e_z).  The entry for
+    (x, y) depends only on the product monomial e_x e_y, so each entry is
+    first checked against the first pair with the same product; then each
+    distinct product is multiplied by every basis element once.  The
+    association orders (e_a e_b) e_c, (e_a e_c) e_b and (e_b e_c) e_a of
+    every triple are among those (product, e_z) pairs, and no product is
+    reduced twice.  A failure names the pair or the triple and carries both
+    sides.
+    """
+    first: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    ok = True
+    for pair in sorted(table):
+        x, y = pair
+        rep = first.setdefault(tuple(map(add, p.basis[x], p.basis[y])), pair)
+        if table[pair] != table[rep]:
+            ok = False
+            failures.append(f"associativity: table entry {pair} is "
+                            f"{table[pair].as_poly()} but {rep}, with the same "
+                            f"product, is {table[rep].as_poly()}")
+    polys = p.basis_polys()
+    for x, y in first.values():
+        side = table[(x, y)].as_poly()
+        mono = polys[x] * polys[y]
+        for z, e_z in enumerate(polys):
+            assoc = p.reduce_poly(side * e_z)
+            direct = p.reduce_poly(mono * e_z)
+            if assoc != direct:
+                failures.append(f"associativity fails at basis {(x, y, z)}: "
+                                f"table side {assoc}, direct {direct}")
+                return False
+    return ok
 
 
 def _check_bundle_point_specialization(p: Presentation, failures) -> bool:

@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial is a mapping from exponent vectors to nonzero Fraction
-coefficients.  The variable universe is closed and fixed:
+coefficients; the constructors take int or Fraction coefficients and raise
+TypeError on a float, which is never exact.  The variable universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
 
@@ -45,6 +46,14 @@ class NotDivisible(ArithmeticError):
     """exact_divide found no exact quotient."""
 
 
+def _exact(value) -> Fraction:
+    """value as a Fraction; TypeError on a float, which is never exact."""
+    if isinstance(value, float):
+        raise TypeError(f"coefficient {value!r} is a float; MPoly coefficients "
+                        f"are int or Fraction")
+    return Fraction(value)
+
+
 def _order_key(exp: ExpKey):
     # graded-lex: total degree, then lexicographic with x1 most significant
     return (sum(exp), exp)
@@ -59,8 +68,10 @@ class MPoly:
         t = {}
         if terms:
             for exp, coef in terms.items():
-                if coef != 0:
-                    t[exp] = coef if isinstance(coef, Fraction) else Fraction(coef)
+                if not isinstance(coef, Fraction):
+                    coef = _exact(coef)
+                if coef:
+                    t[exp] = coef
         object.__setattr__(self, "_t", t)
 
     def __setattr__(self, name, value):
@@ -78,7 +89,7 @@ class MPoly:
 
     @staticmethod
     def const(value) -> "MPoly":
-        c = Fraction(value)
+        c = value if isinstance(value, Fraction) else _exact(value)
         if c == 0:
             return _ZERO
         return MPoly({_ZERO_EXP: c})
@@ -99,7 +110,7 @@ class MPoly:
             if e < 0:
                 raise ValueError("negative exponent")
             key[VAR_INDEX[name]] += e
-        return MPoly({tuple(key): Fraction(coef)})
+        return MPoly({tuple(key): coef})
 
     @staticmethod
     def _lift(other) -> "MPoly | None":

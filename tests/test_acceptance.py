@@ -162,12 +162,12 @@ def test_criterion_09_graham_identities():
                "equivariant 1/27 combination identity hold exactly")
 
 
-def test_criterion_10_presentations():
+def test_criterion_10_presentations(verified):
     expected_ranks = {"FlIntegralPoint": 12, "FlHalfPoint": 12,
                       "FlIntegralBundle": 12, "FlHalfBundle": 12,
                       "QuadricBundle3": 6}
     for name, rank in expected_ranks.items():
-        rep = c.verify_presentation(c.get_presentation(name))
+        _, rep = verified(name)
         assert rep.ok and rep.rank == rank, (name, rep.failures)
     fiber = c.quadric_bundle_fiber(3)
     assert fiber.reduce_poly(c.H ** 3 - 2 * c.F).is_zero()

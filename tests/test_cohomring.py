@@ -1,5 +1,8 @@
-import functools
+import gc
+import itertools
+import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -65,14 +68,6 @@ def _rand(rng, names, max_deg=5, terms=5):
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _verified(name):
-    """A fresh presentation after verify_presentation, and its report;
-    shared by the tests that need both, since verifying is the slow part."""
-    p = c.get_presentation(name)
-    return p, c.verify_presentation(p)
-
-
 class TestVerifyPresentations:
     @pytest.mark.parametrize("name,rank", [
         ("FlIntegralPoint", 12),
@@ -84,17 +79,31 @@ class TestVerifyPresentations:
         ("QuadricBundle3Y", 6),
         ("QuadricBundle3Fiber", 6),
     ])
-    def test_full_reports(self, name, rank):
-        _, rep = _verified(name)
+    def test_full_reports(self, name, rank, verified):
+        _, rep = verified(name)
         assert rep.rank == rank
         assert rep.ok, rep.failures
 
-    def test_memo_is_keyed_by_main_part(self):
-        p, _ = _verified("FlIntegralBundle")
+    def test_memo_is_keyed_by_main_part(self, verified):
+        p, _ = verified("FlIntegralBundle")
         main = {VARIABLES.index(v) for v in p.main_vars}
         assert all(not e for key in p._memo for i, e in enumerate(key)
                    if i not in main)
         assert len(p._memo) <= 112
+
+    def test_verified_presentation_is_freed_at_once(self):
+        # nothing that verify_presentation leaves behind refers back to the
+        # presentation, so its memo goes with its last reference rather than
+        # waiting for the cycle collector
+        gc.disable()
+        try:
+            p = c.fl_integral_point()
+            assert c.verify_presentation(p).ok
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
     def test_reduction_is_linear_over_the_base(self, name):
@@ -199,6 +208,80 @@ class TestVerifyPresentations:
         signatures = {tuple(sorted((k, str(v)) for k, v in nf.coeffs.items()))
                       for nf in nfs}
         assert len(signatures) == 12
+
+
+def _products(p, count):
+    """Exponents of every product of `count` basis monomials."""
+    return {exp for factors in itertools.product(p.basis_polys(), repeat=count)
+            for exp, _ in math.prod(factors, start=MPoly.one()).items()}
+
+
+class TestAssociativityCertificate:
+    """Mutations of a verified FlIntegralPoint that the certificate must see."""
+
+    @staticmethod
+    def _classes(p):
+        # pairs by product monomial, each class in sorted pair order
+        classes = {}
+        for x, y in sorted(p.mult_table()):
+            key = tuple(a + b for a, b in zip(p.basis[x], p.basis[y]))
+            classes.setdefault(key, []).append((x, y))
+        return list(classes.values())
+
+    @staticmethod
+    def _corrupt(p, nf, n):
+        top = p.basis_polys()[p.basis.index(p.top)]
+        return p.normal_form(nf.as_poly() + (1000 + n) * top)
+
+    def test_every_repeated_pair_is_read(self):
+        p = c.fl_integral_point()
+        table = dict(p.mult_table())
+        repeated = [pair for cls in self._classes(p) for pair in cls[1:]]
+        for n, pair in enumerate(repeated):
+            table[pair] = self._corrupt(p, table[pair], n)
+        p.mult_table = lambda: table
+        rep = c.verify_presentation(p)
+        assert not rep.associativity_ok
+        named = {pair for pair in repeated
+                 if any(f.startswith(f"associativity: table entry {pair} ")
+                        for f in rep.failures)}
+        assert named == set(repeated)
+        assert len(rep.failures) == len(repeated)
+
+    def test_every_product_times_every_basis_element(self):
+        # corrupting a whole class keeps the entries consistent, so only the
+        # (product, e_z) comparisons can see it
+        p = c.fl_integral_point()
+        good = dict(p.mult_table())
+        for n, cls in enumerate(self._classes(p)):
+            table = dict(good)
+            for pair in cls:
+                table[pair] = self._corrupt(p, good[pair], n)
+            p.mult_table = lambda: table
+            rep = c.verify_presentation(p)
+            assert not rep.associativity_ok, cls
+            (failure,) = rep.failures
+            assert failure.startswith(f"associativity fails at basis {cls[0] + (0,)}:")
+
+    def test_every_triple_only_memo_entry_is_read(self):
+        # the memo holds nf of each main monomial; an entry that only triple
+        # products reach, made wrong, must break some triple with a witness
+        p = c.fl_integral_point()
+        assert c.verify_presentation(p).ok
+        triple_only = _products(p, 3) - _products(p, 2)
+        assert len(triple_only) == 67 and triple_only <= set(p._memo)
+        for exp in triple_only:
+            saved = p._memo[exp]
+            p._memo[exp] = saved + 1
+            try:
+                rep = c.verify_presentation(p)
+            finally:
+                p._memo[exp] = saved
+            assert not rep.associativity_ok, exp
+            (failure,) = rep.failures
+            assert failure.startswith("associativity fails at basis (")
+            table_side, direct = failure.split(": table side ")[1].split(", direct ")
+            assert direct == str(saved + 1) and table_side == str(saved)
 
 
 class TestChern:

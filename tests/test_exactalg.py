@@ -81,6 +81,20 @@ class TestArithmetic:
     def test_power(self):
         assert (X1 + 1) ** 3 == X1 ** 3 + 3 * X1 ** 2 + 3 * X1 + 1
 
+    @pytest.mark.parametrize("build", [
+        lambda c: MPoly({(0,) * len(VARIABLES): c}),
+        MPoly.const,
+        lambda c: MPoly.monomial({"x1": 2}, c),
+    ], ids=["init", "const", "monomial"])
+    def test_float_coefficient_rejected(self, build):
+        # Fraction(0.1) would be exact only for the binary float, not 1/10
+        for value in (0.1, 2.0, 0.0):
+            with pytest.raises(TypeError):
+                build(value)
+        for value in (Fraction(1, 10), 3):
+            (_, coef), = build(value).items()
+            assert coef == value and isinstance(coef, Fraction)
+
 
 class TestExactDivide:
     def test_difference_of_squares(self):
