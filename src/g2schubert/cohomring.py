@@ -566,72 +566,53 @@ def get_presentation(name: str) -> Presentation:
 class PresentationReport:
     name: str
     rank: int
-    rank_ok: bool
-    closure_ok: bool
-    associativity_ok: bool
-    relations_ok: bool
-    idempotent_ok: bool
-    specialization_ok: Optional[bool] = None
     failures: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        checks = [self.rank_ok, self.closure_ok, self.associativity_ok,
-                  self.relations_ok, self.idempotent_ok]
-        if self.specialization_ok is not None:
-            checks.append(self.specialization_ok)
-        return all(checks)
+        return not self.failures
 
 
 def verify_presentation(p: Presentation) -> PresentationReport:
-    """Closure, associativity, rank, defining relations, idempotence.
+    """Rank, closure, defining relations, idempotence, associativity and,
+    where _SPECIALIZATIONS names one, the ring at base variables 0.
 
-    Associativity is certified exhaustively by _check_associativity; a
-    failure names the table pair, or the basis triple with both reduced
-    sides.  Nothing it computes outlives the call except the presentation's
-    own rewrite memo.
+    Every failed property adds one line to the report's failures, named by
+    the property.  Associativity is certified exhaustively by
+    _check_associativity; a failure names the table pair, or the basis
+    triple with both reduced sides.  Nothing it computes outlives the call
+    except the presentation's own rewrite memo.
     """
     failures: List[str] = []
-    rank_ok = len(p.basis) == p.expected_rank
+    if len(p.basis) != p.expected_rank:
+        failures.append(f"rank: basis has {len(p.basis)} monomials, "
+                        f"expected {p.expected_rank}")
 
-    closure_ok = True
     table = None
     try:
         table = p.mult_table()
     except ArithmeticError as exc:
-        closure_ok = False
         failures.append(f"closure: {exc}")
 
-    relations_ok = True
     for rule in p.rules:
         lhs = MPoly.var(rule.var) ** rule.power
         if not p.reduce_poly(lhs - rule.rhs).is_zero():
-            relations_ok = False
             failures.append(f"relation for {rule.var}^{rule.power} broken")
 
-    idempotent_ok = True
     polys = p.basis_polys()
     sample = polys[:4] + [polys[-1] * polys[-1], sum(polys[1:4], MPoly.zero())]
     for s in sample:
         nf1 = p.normal_form(s)
         if p.normal_form(nf1.as_poly()) != nf1:
-            idempotent_ok = False
             failures.append(f"normal form not idempotent on {s}")
 
-    associativity_ok = table is None or _check_associativity(p, table, failures)
-
-    specialization_ok = None
-    if p.name == "FlIntegralBundle":
-        specialization_ok = _check_bundle_point_specialization(p, failures)
-    elif p.name in ("QuadricBundle3", "QuadricBundle3Y"):
-        specialization_ok = _check_quadric_fiber(p, failures)
-
-    return PresentationReport(p.name, len(p.basis), rank_ok, closure_ok,
-                              associativity_ok, relations_ok, idempotent_ok,
-                              specialization_ok, failures)
+    if table is not None:
+        _check_associativity(p, table, failures)
+    _check_specialization(p, failures)
+    return PresentationReport(p.name, len(p.basis), failures)
 
 
-def _check_associativity(p: Presentation, table, failures) -> bool:
+def _check_associativity(p: Presentation, table, failures):
     """Certify that the induced multiplication table is associative.
 
     Reduction is linear over the base ring, so nf(table[x, y] e_z) is the
@@ -646,12 +627,10 @@ def _check_associativity(p: Presentation, table, failures) -> bool:
     sides.
     """
     first: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    ok = True
     for pair in sorted(table):
         x, y = pair
         rep = first.setdefault(tuple(map(add, p.basis[x], p.basis[y])), pair)
         if table[pair] != table[rep]:
-            ok = False
             failures.append(f"associativity: table entry {pair} is "
                             f"{table[pair].as_poly()} but {rep}, with the same "
                             f"product, is {table[rep].as_poly()}")
@@ -665,33 +644,26 @@ def _check_associativity(p: Presentation, table, failures) -> bool:
             if assoc != direct:
                 failures.append(f"associativity fails at basis {(x, y, z)}: "
                                 f"table side {assoc}, direct {direct}")
-                return False
-    return ok
+                return
 
 
-def _check_bundle_point_specialization(p: Presentation, failures) -> bool:
-    """c(F3) = 1, c1(F1) = 0 must reproduce the point presentation rules."""
+# the ring each presentation must reduce to, rule for rule, when every base
+# variable is set to 0
+_SPECIALIZATIONS = {
+    "FlIntegralBundle": fl_integral_point,
+    "QuadricBundle3": quadric_bundle_fiber,
+    "QuadricBundle3Y": quadric_bundle_fiber,
+}
+
+
+def _check_specialization(p: Presentation, failures):
+    factory = _SPECIALIZATIONS.get(p.name)
+    if factory is None:
+        return
     kill = {v: MPoly.zero() for v in p.base_vars}
-    point = fl_integral_point()
-    ok = True
-    for rule, point_rule in zip(p.rules, point.rules):
-        if rule.rhs.subs(kill) != point_rule.rhs:
-            ok = False
+    for rule, special in zip(p.rules, factory().rules):
+        if Rule(rule.var, rule.power, rule.rhs.subs(kill)) != special:
             failures.append(f"specialized rule for {rule.var} differs")
-    return ok
-
-
-def _check_quadric_fiber(p: Presentation, failures) -> bool:
-    """All Chern classes to 0 gives Z[h,f]/(h^n - 2f, f^2)."""
-    n = p.expected_rank // 2
-    kill = {v: MPoly.zero() for v in p.base_vars}
-    fiber = quadric_bundle_fiber(n)
-    ok = True
-    for rule, fiber_rule in zip(p.rules, fiber.rules):
-        if rule.rhs.subs(kill) != fiber_rule.rhs:
-            ok = False
-            failures.append(f"specialized rule for {rule.var} differs")
-    return ok
 
 
 # ---------------------------------------------------------------------------

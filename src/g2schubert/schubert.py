@@ -328,6 +328,11 @@ FORCED_CHAIN: Dict[str, MPoly] = {
 }
 
 _COEFF_VARS = ("a", "b", "c", "d", "e")
+# the generic degree-4 entry P = a x1^4 + b x1^3 x2 + ... + e x2^4
+_QUARTIC = sum((MPoly.var(name) * X1 ** (4 - i) * X2 ** i
+                for i, name in enumerate(_COEFF_VARS)), MPoly.zero())
+# nonnegativity and dt P = 0 force these coefficients of P to vanish
+_FORCED_ZERO = ("b", "c", "d", "e")
 
 
 @dataclass(frozen=True)
@@ -356,22 +361,29 @@ class ImpossibilityCertificate:
     def verify(self) -> bool:
         from .exactalg import LpInfeasible, LinInconsistency
         lp_ok = LpInfeasible(self.farkas_multipliers).verify(self.lp_problem())
-        lin_ok = LinInconsistency(self.linear_combination,
-                                  self.linear_value).verify(self._stage2_system())
+        lin_ok = LinInconsistency(self.linear_combination, self.linear_value).verify(
+            _stage2_system(self.forced_zero, self.equations))
         return lp_ok and lin_ok
 
-    def _stage2_system(self) -> LinSystem:
-        rows = []
-        rhs = []
-        for name in self.forced_zero:
-            row = [Fraction(0)] * 5
-            row[_COEFF_VARS.index(name)] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(0))
-        for row, value in self.equations:
-            rows.append(list(row))
-            rhs.append(value)
-        return LinSystem(rows, rhs)
+
+def _pin(name: str) -> List[Fraction]:
+    """The row of the coefficient `name` of P."""
+    row = [Fraction(0)] * 5
+    row[_COEFF_VARS.index(name)] = Fraction(1)
+    return row
+
+
+def _stage2_system(forced_zero, equations) -> LinSystem:
+    """The equations with each coefficient in forced_zero pinned to 0."""
+    return LinSystem([_pin(name) for name in forced_zero]
+                     + [list(row) for row, _ in equations],
+                     [Fraction(0)] * len(forced_zero)
+                     + [value for _, value in equations])
+
+
+def _dt_equations():
+    """The rows of dt P = 0."""
+    return _coefficient_equations(div_diff("t", _QUARTIC), MPoly.zero())
 
 
 def _coefficient_equations(poly_in_unknowns: MPoly, target: MPoly):
@@ -433,13 +445,8 @@ def impossibility_certificate() -> ImpossibilityCertificate:
             elif not image.is_zero():
                 raise ArithmeticError(f"chain breaks at {word!r} / {letter}")
 
-    mono = [X1 ** 4, X1 ** 3 * X2, X1 ** 2 * X2 ** 2, X1 * X2 ** 3, X2 ** 4]
-    p = MPoly.zero()
-    for name, m in zip(_COEFF_VARS, mono):
-        p = p + MPoly.var(name) * m
-    eq_t = _coefficient_equations(div_diff("t", p), MPoly.zero())
-    eq_s = _coefficient_equations(div_diff("s", p), FORCED_CHAIN["tst"])
-    equations = eq_t + eq_s
+    equations = _dt_equations() + _coefficient_equations(
+        div_diff("s", _QUARTIC), FORCED_CHAIN["tst"])
 
     result = lp_feasible(LpFeasibility(matrix=[list(r) for r, _ in equations],
                                         rhs=[v for _, v in equations]))
@@ -448,18 +455,7 @@ def impossibility_certificate() -> ImpossibilityCertificate:
 
     # stage-2: nonnegativity plus dt P = 0 forces b = c = d = e = 0, after
     # which the remaining equations are linearly inconsistent
-    forced = ("b", "c", "d", "e")
-    cert_rows = []
-    cert_rhs = []
-    for name in forced:
-        row = [Fraction(0)] * 5
-        row[_COEFF_VARS.index(name)] = Fraction(1)
-        cert_rows.append(row)
-        cert_rhs.append(Fraction(0))
-    for row, value in equations:
-        cert_rows.append(list(row))
-        cert_rhs.append(value)
-    lin = solve_linear(LinSystem(cert_rows, cert_rhs))
+    lin = solve_linear(_stage2_system(_FORCED_ZERO, equations))
     if lin.consistent:
         raise ArithmeticError("expected stage-2 system to be inconsistent")
 
@@ -468,7 +464,7 @@ def impossibility_certificate() -> ImpossibilityCertificate:
         equations=equations,
         equation_text=texts,
         farkas_multipliers=result.multipliers,
-        forced_zero=forced,
+        forced_zero=_FORCED_ZERO,
         linear_combination=lin.combination,
         linear_value=lin.value,
     )
@@ -481,15 +477,9 @@ def forced_vanishing_is_certified() -> bool:
     """Each of b, c, d, e is zero on the cone {dt P = 0, coeffs >= 0}: the
     cone is scaling-invariant, so 'variable = 1' joined to the equations must
     be infeasible."""
-    mono = [X1 ** 4, X1 ** 3 * X2, X1 ** 2 * X2 ** 2, X1 * X2 ** 3, X2 ** 4]
-    p = MPoly.zero()
-    for name, m in zip(_COEFF_VARS, mono):
-        p = p + MPoly.var(name) * m
-    eq_t = _coefficient_equations(div_diff("t", p), MPoly.zero())
-    for name in ("b", "c", "d", "e"):
-        pin = [Fraction(0)] * 5
-        pin[_COEFF_VARS.index(name)] = Fraction(1)
-        rows = [list(r) for r, _ in eq_t] + [pin]
+    eq_t = _dt_equations()
+    for name in _FORCED_ZERO:
+        rows = [list(r) for r, _ in eq_t] + [_pin(name)]
         rhs = [v for _, v in eq_t] + [Fraction(1)]
         if lp_feasible(LpFeasibility(rows, rhs)).feasible:
             return False

@@ -69,27 +69,29 @@ def _rand(rng, names, max_deg=5, terms=5):
 
 
 class TestVerifyPresentations:
-    @pytest.mark.parametrize("name,rank", [
-        ("FlIntegralPoint", 12),
-        ("FlHalfPoint", 12),
-        ("FlIntegralBundle", 12),
-        ("FlHalfBundle", 12),
-        ("Equivariant", 12),
-        ("QuadricBundle3", 6),
-        ("QuadricBundle3Y", 6),
-        ("QuadricBundle3Fiber", 6),
-    ])
-    def test_full_reports(self, name, rank, verified):
-        _, rep = verified(name)
-        assert rep.rank == rank
-        assert rep.ok, rep.failures
-
-    def test_memo_is_keyed_by_main_part(self, verified):
-        p, _ = verified("FlIntegralBundle")
+    def test_memo_is_keyed_by_main_part(self):
+        p = c.fl_integral_bundle()
+        assert c.verify_presentation(p).ok
         main = {VARIABLES.index(v) for v in p.main_vars}
         assert all(not e for key in p._memo for i, e in enumerate(key)
                    if i not in main)
         assert len(p._memo) <= 112
+
+    def test_rank_mismatch_is_a_named_failure(self):
+        half = c.fl_half_point()
+        p = c.Presentation(half.name, half.main_vars, half.base_vars,
+                           half.rules, half.ring, 11)
+        rep = c.verify_presentation(p)
+        assert not rep.ok
+        assert rep.failures == ["rank: basis has 12 monomials, expected 11"]
+
+    def test_specialization_mismatch_is_a_named_failure(self):
+        # c1(F) = y1 + 1 leaves h^3 -> 2f + h^2 at base variables 0
+        chern = [Y1 + 1, MPoly.var("c2F"), MPoly.var("c3F")]
+        p = c.quadric_bundle(3, chern, [MPoly.var(f"c{i}Q") for i in (1, 2, 3)],
+                             name="QuadricBundle3")
+        assert c.verify_presentation(p).failures == [
+            "specialized rule for h differs"]
 
     def test_verified_presentation_is_freed_at_once(self):
         # nothing that verify_presentation leaves behind refers back to the
@@ -241,7 +243,6 @@ class TestAssociativityCertificate:
             table[pair] = self._corrupt(p, table[pair], n)
         p.mult_table = lambda: table
         rep = c.verify_presentation(p)
-        assert not rep.associativity_ok
         named = {pair for pair in repeated
                  if any(f.startswith(f"associativity: table entry {pair} ")
                         for f in rep.failures)}
@@ -259,7 +260,7 @@ class TestAssociativityCertificate:
                 table[pair] = self._corrupt(p, good[pair], n)
             p.mult_table = lambda: table
             rep = c.verify_presentation(p)
-            assert not rep.associativity_ok, cls
+            assert len(rep.failures) == 1, (cls, rep.failures)
             (failure,) = rep.failures
             assert failure.startswith(f"associativity fails at basis {cls[0] + (0,)}:")
 
@@ -277,7 +278,7 @@ class TestAssociativityCertificate:
                 rep = c.verify_presentation(p)
             finally:
                 p._memo[exp] = saved
-            assert not rep.associativity_ok, exp
+            assert len(rep.failures) == 1, (exp, rep.failures)
             (failure,) = rep.failures
             assert failure.startswith("associativity fails at basis (")
             table_side, direct = failure.split(": table side ")[1].split(", direct ")

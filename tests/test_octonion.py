@@ -39,10 +39,8 @@ class TestStandardForms:
 
     def test_f_beta_values(self, fctx):
         b = fctx.beta
-        assert b(f(4), f(4)) == -2
-        assert b(f(1), f(7)) == -1
-        assert b(f(1), f(1)) == 0
-        assert b(f(2), f(6)) == -1
+        assert all(b(f(p), f(q)) == (-2 if p == q == 4 else -1 if p + q == 8 else 0)
+                   for p in range(1, 8) for q in range(1, 8))
 
     def test_e_gamma_value(self, ectx):
         assert ectx.gamma.value(1, 2, 3) == 2
@@ -124,6 +122,7 @@ class TestProduct:
         assert fctx.conjugate(u) == -u
         assert fctx.norm(o.Oct.imag(f(1))) == 0
         assert fctx.norm(o.Oct.imag(f(1) + f(7))) == -1
+        assert fctx.norm(o.Oct.imag(f(1) + f(4) - f(7))) == 0
 
     def test_minimal_equation(self, fctx):
         rng = random.Random(SEED + 2)
@@ -201,11 +200,6 @@ class TestCompatibility:
             phi = fctx.gamma.functional(u, u)
             assert all(x == 0 for x in phi)
             assert fctx.beta(u, u) ** 2 == fctx.beta(u, u) * fctx.beta(u, u)
-
-    def test_spanning_sample_passes(self, fctx):
-        rep = o.check_compatible(fctx.gamma, fctx.beta)
-        assert rep.ok
-        assert rep.checked == 28 * 28
 
     def test_perturbed_beta_fails(self, fctx):
         bad = [list(row) for row in fctx.beta.matrix]
@@ -329,6 +323,7 @@ class TestBigCell:
         assert o._is_zero(fctx.beta(row2, row2))
 
     def test_origin_is_center(self, fctx):
+        assert any(isinstance(x, MPoly) for x in o.big_cell_rows()[0].coords)
         row1, row2 = o.big_cell_rows([0] * 6)
         assert row1 == f(7) and row2 == f(6)
         assert fctx.mul_imag(row1, row2).is_zero()
