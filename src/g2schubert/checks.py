@@ -707,7 +707,3 @@ def run_suite(name: str, seed: Optional[int] = None) -> SuiteReport:
                    f"at {os.path.basename(frame.filename)}:{frame.lineno} "
                    f"in {frame.name}")
     return report
-
-
-def run_all(seed: Optional[int] = None) -> List[SuiteReport]:
-    return [run_suite(name, seed) for name in SUITE_NAMES]

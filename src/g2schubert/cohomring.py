@@ -817,5 +817,5 @@ def duality_pairing(family: SchubertFamily,
         for w in elements:
             prod = p.normal_form(nfs[u].as_poly() * nfs[w].as_poly())
             coef = prod.coeffs.get(p.top, MPoly.zero())
-            pairing[(u, w)] = 2 * coef.constant_value()
+            pairing[(u, w)] = Fraction(2 * coef.constant_value())
     return pairing

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, linear solving,
-and small LP feasibility, all over fractions.Fraction."""
+and small LP feasibility, all over int and fractions.Fraction."""
 
 from .scalars import GaussRat, Rat, rat, I
 from .mpoly import (

@@ -1,8 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial is a mapping from exponent vectors to nonzero Fraction
-coefficients; the constructors take int or Fraction coefficients and raise
-TypeError on a float, which is never exact.  The variable universe is closed and fixed:
+A polynomial is a mapping from exponent vectors to nonzero coefficients.
+A coefficient is stored as an int when it is integral and as a Fraction
+(denominator > 1) otherwise, so integral arithmetic never pays for Fraction;
+the constructors take int or Fraction coefficients and raise TypeError on a
+float, which is never exact.  Dividing two coefficients read out of a
+polynomial needs Fraction(a) / b, since int / int is a float.  The variable
+universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
 
@@ -23,7 +27,7 @@ new objects, so instances can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 VARIABLES: Tuple[str, ...] = (
     "x1", "x2", "y1", "y2", "t1", "t2", "v", "alpha", "h", "f",
@@ -35,6 +39,7 @@ NVARS = len(VARIABLES)
 VAR_INDEX: Dict[str, int] = {name: i for i, name in enumerate(VARIABLES)}
 
 ExpKey = Tuple[int, ...]
+Coef = Union[int, Fraction]
 _ZERO_EXP: ExpKey = (0,) * NVARS
 
 
@@ -46,12 +51,15 @@ class NotDivisible(ArithmeticError):
     """exact_divide found no exact quotient."""
 
 
-def _exact(value) -> Fraction:
-    """value as a Fraction; TypeError on a float, which is never exact."""
+def _exact(value) -> Coef:
+    """value as an int, or a Fraction with denominator > 1; TypeError on a
+    float, which is never exact."""
     if isinstance(value, float):
         raise TypeError(f"coefficient {value!r} is a float; MPoly coefficients "
                         f"are int or Fraction")
-    return Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _order_key(exp: ExpKey):
@@ -60,15 +68,15 @@ def _order_key(exp: ExpKey):
 
 
 class MPoly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with int or Fraction coefficients."""
 
     __slots__ = ("_t",)
 
-    def __init__(self, terms: Mapping[ExpKey, Fraction] | None = None):
+    def __init__(self, terms: Mapping[ExpKey, Coef] | None = None):
         t = {}
         if terms:
             for exp, coef in terms.items():
-                if not isinstance(coef, Fraction):
+                if type(coef) is not int:
                     coef = _exact(coef)
                 if coef:
                     t[exp] = coef
@@ -89,7 +97,7 @@ class MPoly:
 
     @staticmethod
     def const(value) -> "MPoly":
-        c = value if isinstance(value, Fraction) else _exact(value)
+        c = value if type(value) is int else _exact(value)
         if c == 0:
             return _ZERO
         return MPoly({_ZERO_EXP: c})
@@ -153,7 +161,7 @@ class MPoly:
                     seen[i] = True
         return tuple(VARIABLES[i] for i in range(NVARS) if seen[i])
 
-    def terms(self) -> Iterator[Tuple[ExpKey, Fraction]]:
+    def terms(self) -> Iterator[Tuple[ExpKey, Coef]]:
         """Iterate (exponent, coefficient) in canonical graded-lex order."""
         for exp in sorted(self._t, key=_order_key, reverse=True):
             yield exp, self._t[exp]
@@ -162,25 +170,25 @@ class MPoly:
         """Raw (exponent, coefficient) pairs in arbitrary order."""
         return self._t.items()
 
-    def coeff_exp(self, exp: ExpKey) -> Fraction:
-        return self._t.get(exp, Fraction(0))
+    def coeff_exp(self, exp: ExpKey) -> Coef:
+        return self._t.get(exp, 0)
 
-    def leading_term(self) -> Tuple[ExpKey, Fraction]:
+    def leading_term(self) -> Tuple[ExpKey, Coef]:
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self._t, key=_order_key)
         return exp, self._t[exp]
 
-    def coeff(self, exps: Mapping[str, int]) -> Fraction:
+    def coeff(self, exps: Mapping[str, int]) -> Coef:
         key = [0] * NVARS
         for name, e in exps.items():
             key[VAR_INDEX[name]] = e
-        return self._t.get(tuple(key), Fraction(0))
+        return self._t.get(tuple(key), 0)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial, as a Fraction."""
+    def constant_value(self) -> Coef:
+        """The value of a constant polynomial."""
         if not self._t:
-            return Fraction(0)
+            return 0
         if len(self._t) == 1 and _ZERO_EXP in self._t:
             return self._t[_ZERO_EXP]
         raise ValueError(f"not a constant polynomial: {self}")
@@ -221,7 +229,7 @@ class MPoly:
             big, small = self._t, o._t
         else:
             big, small = o._t, self._t
-        t: Dict[ExpKey, Fraction] = {}
+        t: Dict[ExpKey, Coef] = {}
         for e2, c2 in small.items():
             if not any(e2):
                 for e1, c1 in big.items():
@@ -337,9 +345,9 @@ class MPoly:
 
 
 _ZERO = MPoly()
-_ONE = MPoly({_ZERO_EXP: Fraction(1)})
+_ONE = MPoly({_ZERO_EXP: 1})
 _VAR_CACHE = {
-    name: MPoly({tuple(1 if j == i else 0 for j in range(NVARS)): Fraction(1)})
+    name: MPoly({tuple(1 if j == i else 0 for j in range(NVARS)): 1})
     for i, name in enumerate(VARIABLES)
 }
 
@@ -363,7 +371,7 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
         q_exp = tuple(a - b for a, b in zip(r_exp, g_exp))
         if any(e < 0 for e in q_exp):
             raise NotDivisible(f"({f}) is not divisible by ({g})")
-        q_coef = r_coef / g_coef
+        q_coef = Fraction(r_coef) / g_coef
         quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_coef
         rem = rem - MPoly({q_exp: q_coef}) * g
     return MPoly(quotient)

@@ -417,7 +417,7 @@ def _coefficient_equations(poly_in_unknowns: MPoly, target: MPoly):
         for row2, rhs2 in unique:
             for i in range(5):
                 if row2[i] != 0:
-                    ratio = row[i] / row2[i] if row[i] != 0 else None
+                    ratio = Fraction(row[i]) / row2[i] if row[i] != 0 else None
                     break
             else:
                 ratio = None

@@ -91,9 +91,11 @@ class TestArithmetic:
         for value in (0.1, 2.0, 0.0):
             with pytest.raises(TypeError):
                 build(value)
-        for value in (Fraction(1, 10), 3):
+        # an integral coefficient is stored as an int, any other as a Fraction
+        for value, kind in ((Fraction(1, 10), Fraction), (3, int),
+                            (Fraction(6, 2), int)):
             (_, coef), = build(value).items()
-            assert coef == value and isinstance(coef, Fraction)
+            assert coef == value and type(coef) is kind
 
 
 class TestExactDivide:

@@ -290,6 +290,13 @@ class TestImpossibility:
         cert = s.impossibility_certificate()
         assert cert.linear_value != 0
 
+    def test_rows_equal_up_to_scaling_are_merged(self):
+        # 49 a x1 + a x2 = 0 gives the row a = 0 twice; a float ratio
+        # 1/49 would not scale one onto the other, since 1/49 * 49 != 1
+        a = MPoly.var("a")
+        rows = s._coefficient_equations(49 * a * X1 + a * X2, MPoly.zero())
+        assert rows == [((49, 0, 0, 0, 0), 0)]
+
 
 class TestPositiveRewrite:
     def test_already_positive(self):
