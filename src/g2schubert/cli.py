@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import checks, cohomring, octonion, schubert, weyl
-from .exactalg import MPoly, PolySyntaxError, parse_poly
+from .exactalg import MPoly, parse_poly
 from .exactalg.mpoly import VARIABLES
 
 
@@ -199,11 +199,15 @@ def cmd_bryant(args) -> int:
 def cmd_cell(args) -> int:
     params = None
     if args.params:
-        values = {}
-        for item in args.params.split(","):
-            name, _, val = item.partition("=")
-            values[name.strip()] = Fraction(val.strip())
         order = ("a", "b", "c", "d", "e", "g")
+        items = [(name.strip(), val) for name, _, val
+                 in (item.partition("=") for item in args.params.split(","))]
+        unknown = [repr(name) for name, _ in items if name not in order]
+        if unknown:
+            plural = "s" if len(unknown) > 1 else ""
+            raise ValueError(f"unknown cell parameter{plural} {', '.join(unknown)};"
+                             f" the parameters are {', '.join(order)}")
+        values = {name: Fraction(val.strip()) for name, val in items}
         params = [values.get(n, MPoly.var(n)) for n in order]
         if all(not isinstance(p, MPoly) for p in params):
             params = [Fraction(p) for p in params]
@@ -248,9 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Schubert calculus for G2 flag bundles.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def out(p):
+        p.add_argument("--out", default=None, help="write output to a file")
+
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None, help="write output to a file")
+        out(p)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
@@ -281,28 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=("f", "e"), default="f")
     p.add_argument("u")
     p.add_argument("v")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_oct_mul)
 
     p = sub.add_parser("kernel", help="isotropic kernel of a vector")
     p.add_argument("--basis", choices=("f", "e"), default="f")
     p.add_argument("u")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("bryant", help="recover beta from the standard gamma")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_bryant)
 
     p = sub.add_parser("cell", help="big Schubert cell parametrization")
     p.add_argument("--params", default=None,
                    help="comma-separated assignments, e.g. a=1,b=0")
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_cell)
 
     p = sub.add_parser("weyl", help="Weyl group table or one element")
     p.add_argument("element", nargs="?", default=None)
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_weyl)
 
     return parser
@@ -313,9 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PolySyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -804,12 +804,11 @@ def schubert_expand(f: MPoly, family: SchubertFamily,
     return coeffs
 
 
-def duality_pairing(family: SchubertFamily,
-                    p: Optional[Presentation] = None):
-    """Poincare pairing matrix: entry (u, w) is the coefficient of the point
-    class (half the top basis monomial) in the reduced product P_u P_w."""
-    if p is None:
-        p = fl_half_point()
+def duality_pairing(family: SchubertFamily):
+    """Poincare pairing matrix in FlHalfPoint: entry (u, w) is the coefficient
+    of the point class (half the top basis monomial) in the reduced product
+    P_u P_w."""
+    p = fl_half_point()
     elements = weyl.all_elements()
     nfs = {w: p.normal_form(family.table[w]) for w in elements}
     pairing: Dict[Tuple[weyl.WeylElt, weyl.WeylElt], Fraction] = {}

@@ -1,5 +1,11 @@
 """Exact linear algebra over the rationals.
 
+One Gauss-Jordan kernel does all the elimination: _pivot makes one entry 1
+and clears its column, and _reduce brings a matrix to reduced echelon form
+with it, carrying any extra columns along.  solve_linear, nullspace, rank,
+matrix_inverse and determinant each read their answer from one reduction,
+and the simplex of lp_feasible pivots with _pivot.
+
 solve_linear returns either a solution of A x = b or an inconsistency
 certificate: a row vector y with y^T A = 0 and y^T b != 0, exhibiting the
 contradiction 0 = y^T b as an explicit combination of the input rows.
@@ -9,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 def _frac_matrix(rows) -> List[List[Fraction]]:
@@ -58,50 +64,65 @@ class LinInconsistency:
         return total == self.value and self.value != 0
 
 
+def _pivot(rows: List[List[Fraction]], r: int, c: int) -> None:
+    """Scale row r so its entry in column c is 1, then clear column c from
+    every other row."""
+    inv = 1 / rows[r][c]
+    top = rows[r] = [x * inv for x in rows[r]]
+    for i, row in enumerate(rows):
+        factor = row[c]
+        if i != r and factor != 0:
+            rows[i] = [x - factor * y for x, y in zip(row, top)]
+
+
+def _reduce(rows: List[List[Fraction]], ncols: int) -> Tuple[List[int], Fraction]:
+    """Bring the first ncols columns of rows to reduced echelon form in place;
+    any later columns are carried along.
+
+    Column by column, the pivot is the first nonzero entry at or below the
+    current row.  Returns the pivot columns and the product of the pivots,
+    signed by the row swaps (the determinant when every column pivots).
+    """
+    pivots: List[int] = []
+    det = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
+        det *= rows[r][c]
+        _pivot(rows, r, c)
+        pivots.append(c)
+    return pivots, det
+
+
+def _identity(n: int) -> List[List[Fraction]]:
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
 def solve_linear(sys: LinSystem):
     """Solve an exact linear system.
 
     Returns LinSolution (free variables set to 0) or LinInconsistency.
+    [A | b | I] is reduced on the columns of A, so the identity columns
+    record which combination of the input rows each reduced row is.
     """
-    a = _frac_matrix(sys.matrix)
-    b = [Fraction(x) for x in sys.rhs]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    # tracker[i] = coefficients of original rows making up current row i
-    tracker = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    pivots = []  # (row, col)
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        b[row], b[pivot] = b[pivot], b[row]
-        tracker[row], tracker[pivot] = tracker[pivot], tracker[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        b[row] *= inv
-        tracker[row] = [x * inv for x in tracker[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-                b[r] -= factor * b[row]
-                tracker[r] = [x - factor * y for x, y in zip(tracker[r], tracker[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if b[r] != 0:
-            return LinInconsistency(combination=tracker[r], value=b[r])
+    m = len(sys.rhs)
+    n = len(sys.matrix[0]) if m else 0
+    rows = [row + [Fraction(b)] + tracker for row, b, tracker
+            in zip(_frac_matrix(sys.matrix), sys.rhs, _identity(m))]
+    pivots, _ = _reduce(rows, n)
+    for row in rows[len(pivots):]:
+        if row[n] != 0:
+            return LinInconsistency(combination=row[n + 1:], value=row[n])
     x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = b[r]
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
     return LinSolution(vector=x)
 
 
@@ -112,93 +133,39 @@ def nullspace(matrix) -> List[List[Fraction]]:
     column, so a coordinate-subspace kernel comes back as coordinate vectors.
     """
     a = _frac_matrix(matrix)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    pivot_set = set(pivots)
+    n = len(a[0]) if a else 0
+    pivots, _ = _reduce(a, n)
     basis = []
     for free in range(n):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -a[r][free]
+        for row, c in zip(a, pivots):
+            vec[c] = -row[free]
         basis.append(vec)
     return basis
 
 
 def rank(matrix) -> int:
     n = len(matrix[0]) if matrix else 0
-    return n - len(nullspace(matrix))
+    return len(_reduce(_frac_matrix(matrix), n)[0])
 
 
 def matrix_inverse(matrix) -> Optional[List[List[Fraction]]]:
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(matrix)
-    a = _frac_matrix(matrix)
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = Fraction(1) / a[col][col]
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    rows = [row + tracker for row, tracker
+            in zip(_frac_matrix(matrix), _identity(n))]
+    pivots, _ = _reduce(rows, n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in rows]
 
 
 def determinant(matrix) -> Fraction:
-    """Exact determinant by fraction-free style elimination over Fraction."""
+    """Exact determinant of a square rational matrix: the signed product of
+    the pivots, or 0 when a column has no pivot."""
     n = len(matrix)
-    a = _frac_matrix(matrix)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+    pivots, det = _reduce(_frac_matrix(matrix), n)
+    return det if len(pivots) == n else Fraction(0)

@@ -3,7 +3,9 @@
 Decides whether {x : A x = b, x >= 0} is nonempty, by a phase-1 simplex with
 Bland's rule (anti-cycling) on exact Fractions.  The answer is exact either
 way: a feasible rational point, or a Farkas certificate y with y^T A <= 0
-componentwise and y^T b > 0.
+componentwise and y^T b > 0.  Each simplex step is one pivot of the
+Gauss-Jordan kernel in linsolve, with the reduced-cost row as the last
+tableau row.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
+
+from .linsolve import _identity, _pivot
 
 
 @dataclass(frozen=True)
@@ -67,42 +71,25 @@ def lp_feasible(prob: LpFeasibility):
     """Exact feasibility of {A x = b, x >= 0}; returns LpPoint or LpInfeasible."""
     m = len(prob.rhs)
     n = len(prob.matrix[0]) if m else 0
-    signs = []
-    a: List[List[Fraction]] = []
-    b: List[Fraction] = []
-    for row, rhs in zip(prob.matrix, prob.rhs):
-        r = [Fraction(x) for x in row]
-        rb = Fraction(rhs)
-        if rb < 0:
-            r = [-x for x in r]
-            rb = -rb
-            signs.append(Fraction(-1))
-        else:
-            signs.append(Fraction(1))
-        a.append(r)
-        b.append(rb)
+    # rows with a negative rhs are negated, so the artificials start feasible
+    signs = [Fraction(-1 if Fraction(rhs) < 0 else 1) for rhs in prob.rhs]
+    a = [[s * Fraction(x) for x in row] for s, row in zip(signs, prob.matrix)]
+    b = [s * Fraction(rhs) for s, rhs in zip(signs, prob.rhs)]
     if m == 0:
         return LpPoint(vector=[Fraction(0)] * n)
 
-    # tableau columns: n problem vars, m artificials, then rhs
-    width = n + m
-    tab = [a[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]]
-           for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # reduced-cost row for minimizing the sum of artificials:
+    # tableau columns: n problem vars, m artificials, then rhs; the last row
+    # is the reduced cost of minimizing the sum of artificials:
     # r_j = c_j - 1^T tab_j, with c = 1 exactly on the artificial columns
-    cost = [Fraction(1) if n <= j < width else Fraction(0)
-            for j in range(width + 1)]
-    for i in range(m):
-        for j in range(width + 1):
-            cost[j] -= tab[i][j]
+    width = n + m
+    tab = [row + unit + [rhs] for row, unit, rhs in zip(a, _identity(m), b)]
+    tab.append([Fraction(1 if n <= j < width else 0) - sum(row[j] for row in tab)
+                for j in range(width + 1)])
+    basis = [n + i for i in range(m)]
 
     while True:
-        enter = None
-        for j in range(width):
-            if cost[j] < 0:
-                enter = j  # Bland: smallest index
-                break
+        # Bland: the smallest index with a negative reduced cost enters
+        enter = next((j for j in range(width) if tab[m][j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -117,17 +104,10 @@ def lp_feasible(prob: LpFeasibility):
         if leave is None:
             # phase-1 objective is bounded below by 0; cannot happen
             raise RuntimeError("phase-1 simplex became unbounded")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        _pivot(tab, leave, enter)
         basis[leave] = enter
 
+    cost = tab[m]
     objective = -cost[width]
     if objective > 0:
         # duals: reduced cost of artificial i is 1 - y_i, so y_i = 1 - cost[n+i]

@@ -14,8 +14,13 @@ and parse(print(f)) == f.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .mpoly import MPoly, VAR_INDEX
+
+# '^' on a base of more than one term may spend at most this many term
+# products; a power of a single term is one term, whatever its exponent
+_MAX_POWER_PRODUCTS = 300_000
 
 
 class PolySyntaxError(ValueError):
@@ -33,6 +38,26 @@ class UnknownVariable(PolySyntaxError):
 
 
 _PUNCT = set("+-*^()/")
+
+
+def _power_products(k: int, n: int) -> int:
+    """An upper bound on the term products MPoly.__pow__ spends on the n-th
+    power of a k-term polynomial, following its square-and-multiply steps.
+    The e-th power has at most comb(e + k - 1, k - 1) terms.  Counting stops
+    once the bound passes _MAX_POWER_PRODUCTS."""
+    def terms(e):
+        return comb(e + k - 1, k - 1)
+
+    products, done, square = 0, 0, 1
+    while n and products <= _MAX_POWER_PRODUCTS:
+        if n & 1:
+            products += terms(done) * terms(square)
+            done += square
+        if n > 1:
+            products += terms(square) ** 2
+            square *= 2
+        n >>= 1
+    return products
 
 
 def _tokenize(text: str):
@@ -121,7 +146,12 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            base = base ** int(tok[1])
+            n = int(tok[1])
+            if len(base) > 1 and _power_products(len(base), n) > _MAX_POWER_PRODUCTS:
+                raise PolySyntaxError(
+                    f"power ^{n} of a {len(base)}-term polynomial would take "
+                    f"more than {_MAX_POWER_PRODUCTS} term products", tok[2])
+            base = base ** n
         return base
 
     def primary(self) -> MPoly:

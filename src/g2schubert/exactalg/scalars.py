@@ -9,13 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
-
-def rat(value) -> Fraction:
-    """Coerce an int, string ("p/q") or Fraction to an exact rational."""
-    return Fraction(value)
-
 
 class GaussRat:
     """A Gaussian rational re + im*i with exact rational parts, i^2 = -1."""
@@ -100,6 +93,3 @@ class GaussRat:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re} {sign} {abs(self.im)}*i"
-
-
-I = GaussRat(0, 1)

@@ -23,7 +23,7 @@ polynomial coordinates).  The forms themselves always have rational entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (
     GaussRat,
@@ -189,21 +189,6 @@ class TriForm:
     def support(self):
         return sorted(self.coeffs)
 
-    def value(self, p: int, q: int, r: int) -> Fraction:
-        """gamma(f_p, f_q, f_r) for arbitrary index order, with sign."""
-        idx = (p, q, r)
-        if len(set(idx)) < 3:
-            return Fraction(0)
-        order = tuple(sorted(idx))
-        coef = self.coeffs.get(order, Fraction(0))
-        if coef == 0:
-            return coef
-        # parity of the permutation sorting idx
-        perm = sorted(range(3), key=lambda i: idx[i])
-        inversions = sum(1 for i in range(3) for j in range(i + 1, 3)
-                         if perm[i] > perm[j])
-        return -coef if inversions % 2 else coef
-
     def __call__(self, u: VecV, v: VecV, w: VecV):
         total = Fraction(0)
         for (p, q, r), c in self.coeffs.items():
@@ -287,11 +272,6 @@ class BilForm:
             coords.append(acc)
         return VecV(coords)
 
-    def dagger_inv(self, v: VecV) -> List:
-        """The functional u -> beta(v, u), as a coefficient list."""
-        return [sum((self.matrix[i][j] * v[i] for i in range(DIM)),
-                    start=Fraction(0)) for j in range(DIM)]
-
     def support_pairs(self):
         return [(i + 1, j + 1) for i in range(DIM) for j in range(i, DIM)
                 if self.matrix[i][j] != 0]
@@ -366,7 +346,7 @@ def standard_forms(basis_kind: str = "f") -> AlgebraCtx:
 
 
 # ---------------------------------------------------------------------------
-# basis change e <-> f
+# basis change f -> e
 
 _I = GaussRat(0, 1)
 _H = GaussRat(Fraction(1, 2))
@@ -382,18 +362,6 @@ _F_IN_E: Tuple[Tuple[GaussRat, ...], ...] = (
     (-_H, _H * _I, GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0)),
 )
 
-# f-basis coordinates of e_1..e_7, from inverting the relations above
-_MI = GaussRat(0, -1)
-_E_IN_F: Tuple[Tuple[GaussRat, ...], ...] = (
-    (GaussRat(1), GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(-1)),
-    (_MI, GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), _MI),
-    (GaussRat(0), GaussRat(0), GaussRat(0), _MI, GaussRat(0), GaussRat(0), GaussRat(0)),
-    (GaussRat(0), GaussRat(0), GaussRat(1), GaussRat(0), GaussRat(-1), GaussRat(0), GaussRat(0)),
-    (GaussRat(0), GaussRat(1), GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(-1), GaussRat(0)),
-    (GaussRat(0), _MI, GaussRat(0), GaussRat(0), GaussRat(0), _MI, GaussRat(0)),
-    (GaussRat(0), GaussRat(0), _MI, GaussRat(0), _MI, GaussRat(0), GaussRat(0)),
-)
-
 
 def to_e_basis(v: VecV) -> VecV:
     """Coordinates in the e-basis of a vector given in the f-basis."""
@@ -404,18 +372,6 @@ def to_e_basis(v: VecV) -> VecV:
             continue
         for i in range(DIM):
             coords[i] = coords[i] + cj * _F_IN_E[j][i]
-    return VecV(coords)
-
-
-def to_f_basis(v: VecV) -> VecV:
-    """Coordinates in the f-basis of a vector given in the e-basis."""
-    coords = [GaussRat(0)] * DIM
-    for j in range(DIM):
-        cj = v[j]
-        if _is_zero(cj):
-            continue
-        for i in range(DIM):
-            coords[i] = coords[i] + cj * _E_IN_F[j][i]
     return VecV(coords)
 
 
@@ -473,8 +429,7 @@ class CompatReport:
         return self.ok
 
 
-def check_compatible(gamma: TriForm, beta: BilForm,
-                     sample: Optional[Iterable[Tuple[VecV, VecV]]] = None) -> CompatReport:
+def check_compatible(gamma: TriForm, beta: BilForm) -> CompatReport:
     """Evaluate the compatibility identity on a spanning sample of pairs.
 
     Both sides are biquadratic in (u, v), so passing on the sample returned
@@ -482,10 +437,8 @@ def check_compatible(gamma: TriForm, beta: BilForm,
     """
     if not beta.is_nondegenerate():
         raise SingularForm("compatibility requires a nondegenerate beta")
-    if sample is None:
-        sample = spanning_sample()
     count = 0
-    for u, v in sample:
+    for u, v in spanning_sample():
         phi = gamma.functional(u, v)
         lhs = 2 * gamma(u, v, beta.dagger(phi))
         rhs = beta(u, u) * beta(v, v) - beta(u, v) ** 2
@@ -700,12 +653,6 @@ def big_cell_rows(params: Optional[Sequence] = None) -> Tuple[VecV, VecV]:
     row1 = VecV((x, a, b, c, d, e, one))
     row2 = VecV((y, z, s, t, f, one, zero))
     return row1, row2
-
-
-def multiplication_table(ctx: AlgebraCtx) -> List[List[Oct]]:
-    """The full 8x8 product table on the basis (e, f_1..f_7)."""
-    basis = [Oct.unit()] + [Oct.imag(basis_vec(i)) for i in range(1, DIM + 1)]
-    return [[ctx.mul(u, v) for v in basis] for u in basis]
 
 
 def left_mult_matrix(ctx: AlgebraCtx, u: Oct) -> List[List]:

@@ -137,11 +137,6 @@ def element(key) -> WeylElt:
     raise ValueError(f"cannot parse Weyl element {key!r}")
 
 
-def reduced_words(w: WeylElt) -> Tuple[str, ...]:
-    """All reduced words of w (one except for the longest element)."""
-    return LONGEST_WORDS if w is longest() else (w.word,)
-
-
 def bruhat_leq(u: WeylElt, w: WeylElt) -> bool:
     """Subword criterion: u <= w iff some subsequence of a reduced word of w
     is a reduced word of u."""

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import time
+
+import pytest
 
 from g2schubert import checks
 from g2schubert.cli import main
@@ -169,6 +172,15 @@ class TestReduce:
         assert hashlib.sha256(out.strip().encode()).hexdigest() == (
             "e598941c4519bd1498e367eb708d105a409ad2f07674520607354e41c8fcde24")
 
+    def test_power_of_sum_beyond_budget(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", "--presentation",
+                             "FlIntegralPoint", "(x1+x2)^3000")
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert "power ^3000 of a 2-term polynomial" in err
+
     def test_bundle_power_beyond_term_budget(self, capsys):
         code, out, err = run(capsys, "reduce", "--presentation",
                              "FlIntegralBundle", "x1^200")
@@ -234,6 +246,24 @@ class TestOctVerbs:
                            "a=0,b=0,c=0,d=0,e=0,g=0")
         assert code == 0
         assert "row1: 0, 0, 0, 0, 0, 0, 1" in out
+
+
+    @pytest.mark.parametrize("params", ["f=1,zz=3", "zz=1"])
+    def test_cell_unknown_parameters(self, capsys, params):
+        code, out, err = run(capsys, "cell", "--params", params)
+        assert code == 2
+        assert out == ""
+        for name in (item.split("=")[0] for item in params.split(",")):
+            assert repr(name) in err
+
+
+@pytest.mark.parametrize("argv", [["oct-mul", "1,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
+                                  ["kernel", "1,0,0,0,0,0,0"], ["bryant"],
+                                  ["cell"], ["weyl"]])
+def test_text_only_verbs_reject_format(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "json"])
+    assert exc.value.code == 2
 
 
 class TestWeylVerb:
