@@ -427,7 +427,7 @@ def suite_ring(report: SuiteReport, rng: random.Random):
                bundle.reduce_poly(c2s3 - claimed).is_zero())
 
     # embedding into the half-bundle ring: reduce, substitute alpha, compare
-    bundle_y = cohomring.fl_integral_bundle("y")
+    bundle_y = cohomring.get_presentation("FlIntegralBundleY")
     roots = [cohomring.Y1, cohomring.Y2, cohomring.Y1 - cohomring.Y2]
     alpha_image = Fraction(1, 2) * (
         x1 ** 3 - elementary_symmetric(1, roots) * x1 ** 2

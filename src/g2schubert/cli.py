@@ -46,15 +46,24 @@ def _write(text: str, out_path: Optional[str]):
         print(text)
 
 
+def _rational(text: str) -> Fraction:
+    """A rational p or p/q given on the command line."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_octonion(text: str) -> octonion.Oct:
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    parts = [_rational(p) for p in text.split(",")]
     if len(parts) != 8:
         raise ValueError("an octonion needs 8 coefficients: e, f1..f7")
     return octonion.Oct(parts[0], octonion.VecV(parts[1:]))
 
 
 def _parse_vec(text: str) -> octonion.VecV:
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    parts = [_rational(p) for p in text.split(",")]
     if len(parts) != 7:
         raise ValueError("a vector needs 7 coefficients: f1..f7")
     return octonion.VecV(parts)
@@ -207,7 +216,7 @@ def cmd_cell(args) -> int:
             plural = "s" if len(unknown) > 1 else ""
             raise ValueError(f"unknown cell parameter{plural} {', '.join(unknown)};"
                              f" the parameters are {', '.join(order)}")
-        values = {name: Fraction(val.strip()) for name, val in items}
+        values = {name: _rational(val) for name, val in items}
         params = [values.get(n, MPoly.var(n)) for n in order]
         if all(not isinstance(p, MPoly) for p in params):
             params = [Fraction(p) for p in params]

@@ -1,25 +1,33 @@
 """Quotient-ring presentations with finite monomial bases.
 
 Each presentation carries oriented rewrite rules, all of the shape
-"a pure power of one generator rewrites to lower terms":
+"a pure power of one generator rewrites to lower terms".  Each ring is
+stated once, and its variants are specializations: Presentation.specialize
+substitutes values for base variables in every rule.
 
   FlIntegralPoint   Z[x1,x2,alpha] / (x2^2 -> x1 x2 - x1^2, x1^3 -> 2 alpha,
                                       alpha^2 -> 0)
-  FlIntegralBundle  same generators over Z[y1, c1F..c3F, c1Q..c3Q]
-  Equivariant       FlIntegralBundle with c_i(F3) = e_i(t1, t2, t1-t2),
-                    c_i(V/F3) = (-1)^i e_i(t1, t2, t1-t2), y1 = t1
+  FlIntegralBundle  same generators over Z[y1, c1F..c3F, c1Q..c3Q]; its
+                    specializations FlIntegralBundleY and Equivariant set
+                    c_i(F3) = e_i(r), c_i(V/F3) = (-1)^i e_i(r) for the roots
+                    r = y1, y2, y1-y2, or t1, t2, t1-t2 with y1 = t1
   FlHalfPoint       Z[1/2][x1,x2] / (x2^2, x1^6)
-  FlHalfBundle      Z[1/2][x1,x2] over y1, y2; the x1^6 rule is derived at
-                    construction time from the degree-6 product relation
+  FlHalfBundle      Z[1/2][x1,x2] over y1, y2 (FlHalfBundleT: over t1, t2);
+                    the x1^6 rule states the degree-6 product relation
   QuadricBundle(n)  Z[h,f] over the Chern classes of a maximal isotropic
-                    subbundle F and of V/F (h^n and f^2 rewrite)
+                    subbundle F and of V/F, n <= 3 (h^n and f^2 rewrite);
+                    QuadricBundle3Y instantiates them in y1, y2, and
+                    QuadricBundle(n)Fiber sets them to 0
 
 Each presentation declares the degrees of its main variables (alpha has
 cohomological degree 3, f has degree n, the rest 1), and everything else
 follows from them and the rules.  Monomials are ordered by weighted degree,
-then by the exponents of the rule variables in rule order; the constructor
-rejects rules whose right-hand side is not below the left-hand side, so
-rewriting terminates, and the basis is the standard monomials.  The
+then by the exponents of the rule variables in rule order.  The constructor
+inter-reduces the rules in the order given: it reduces each right-hand side
+by the rules before it, and solves a rule whose left-hand side comes back
+with a constant coefficient c as lhs = rest / (1 - c), when 1 - c is a unit.
+It rejects rules whose right-hand side is then not below the left-hand
+side, so rewriting terminates, and the basis is the standard monomials.  The
 multiplication table induced on the basis is closed and associative;
 verify_presentation certifies that, which is what makes a normal form here a
 genuine canonical form.  The table entry of a pair depends only on its
@@ -90,6 +98,17 @@ class NotInSpan(ArithmeticError):
     """Schubert expansion target is outside the family's span."""
 
 
+_RING_NAMES = {"Z": "Z", "Z_half": "Z[1/2]"}  # coefficient rings, as printed
+
+
+def _in_ring(ring: str, q) -> bool:
+    """Whether the rational q lies in Z, or in Z[1/2] for ring "Z_half"."""
+    denom = q.denominator
+    if ring == "Z_half":
+        denom >>= (denom & -denom).bit_length() - 1
+    return denom == 1
+
+
 @dataclass(frozen=True)
 class Rule:
     """Rewrite var^power -> rhs."""
@@ -103,29 +122,40 @@ class Presentation:
     """A named quotient ring with rewrite rules and a finite monomial basis.
 
     `degrees` gives the degree of each main variable that is not 1, which
-    fixes the rewrite order.  ValueError unless every main variable has
-    exactly one rule and every right-hand side term is below its left-hand
-    side.  The leading terms are then pairwise coprime pure powers, so the
-    rules are a Groebner basis (Buchberger's first criterion) and the
-    standard monomials, each exponent below its rule's power, are a basis.
+    fixes the rewrite order; `ring` is "Z" or "Z_half" (Z[1/2]).  ValueError
+    unless every main variable has exactly one rule and every rule, once
+    inter-reduced, has each right-hand side term below its left-hand side.
+    The leading terms are then pairwise coprime pure powers, so the rules
+    are a Groebner basis (Buchberger's first criterion) and the standard
+    monomials, each exponent below its rule's power, are a basis.
     """
 
     def __init__(self, name: str, main_vars: Sequence[str],
                  base_vars: Sequence[str], rules: Sequence[Rule], ring: str,
                  expected_rank: int, degrees: Optional[Mapping[str, int]] = None):
+        if ring not in _RING_NAMES:
+            raise ValueError(f"{name}: unknown coefficient ring {ring!r}")
         self.name = name
         self.main_vars = tuple(main_vars)
         self.base_vars = tuple(base_vars)
-        self.rules = tuple(rules)
-        self.ring = ring  # "Z", "Z_half", or "Q"
+        self.ring = ring
         self.expected_rank = expected_rank
         self.degrees = {v: (degrees or {}).get(v, 1) for v in self.main_vars}
         self._main_idx = tuple(VAR_INDEX[v] for v in self.main_vars)
         self._degree_idx = tuple(zip(self._main_idx, self.degrees.values()))
-        self._rule_idx = tuple((VAR_INDEX[r.var], r.power, self._group_by_main(r.rhs))
-                               for r in rules)
+        self._order_idx = tuple(VAR_INDEX[r.var] for r in rules)
         self._allowed = set(self.main_vars) | set(self.base_vars)
-        self._check_rules()
+        rule_vars = [r.var for r in rules]
+        if sorted(rule_vars) != sorted(self.main_vars):
+            raise ValueError(f"{name}: need exactly one rule for each of "
+                             f"{self.main_vars}, got {rule_vars}")
+        # rewrite with the rules so far; no shortcut before the top is known
+        self._homogeneous, self._memo = False, {}
+        self.rules, self._rule_idx = (), ()
+        for rule in map(self._inter_reduce, rules):
+            self.rules += (rule,)
+            self._rule_idx += ((VAR_INDEX[rule.var], rule.power,
+                                self._group_by_main(rule.rhs)),)
         # fewest standard exponents outermost, so the basis lists the x2 = 0
         # (f = 0) block first, each block by degree
         power = {r.var: r.power for r in self.rules}
@@ -139,22 +169,42 @@ class Presentation:
         # homogeneous rules keep the degree, so nothing above the top survives
         self._homogeneous = all(self._degree(exp) == r.power * self.degrees[r.var]
                                 for r in self.rules for exp, _ in r.rhs.items())
-        self._memo: Dict[ExpKey, MPoly] = {}
 
-    def _check_rules(self):
-        rule_vars = [r.var for r in self.rules]
-        if sorted(rule_vars) != sorted(self.main_vars):
-            raise ValueError(f"{self.name}: need exactly one rule for each of "
-                             f"{self.main_vars}, got {rule_vars}")
-        for rule, (idx, power, _) in zip(self.rules, self._rule_idx):
-            lhs = [0] * NVARS
-            lhs[idx] = power
-            lhs_key = self._heap_key(tuple(lhs))
-            for exp, _ in rule.rhs.items():
-                if self._heap_key(exp) <= lhs_key:
-                    raise ValueError(
-                        f"{self.name}: {MPoly({exp: 1})} is not below "
-                        f"{rule.var}^{power}, so rewriting need not terminate")
+    def _inter_reduce(self, rule: Rule) -> Rule:
+        """rule, its right-hand side reduced by the rules so far and solved
+        for the left-hand side.  Memo entries that only some rules computed
+        are not normal forms, so the memo is left empty."""
+        lhs = MPoly.monomial({rule.var: rule.power})
+        (lhs_exp, _), = lhs.items()
+        rhs = rule.rhs
+        if any(self._find_rule(exp) for exp, _ in rhs.items()):
+            rhs = self.reduce_poly(rhs)
+            self._memo.clear()
+        c = rhs.coeff_exp(lhs_exp)
+        if c:
+            unit = Fraction(1 - c)
+            if not (unit and _in_ring(self.ring, unit)
+                    and _in_ring(self.ring, 1 / unit)):
+                raise ValueError(
+                    f"{self.name}: the rule for {lhs} gives it back with "
+                    f"coefficient {c}, and 1 - {c} is not a unit of "
+                    f"{_RING_NAMES[self.ring]}")
+            rhs = (rhs - c * lhs) * (1 / unit)
+        lhs_key = self._heap_key(lhs_exp)
+        for exp, _ in rhs.items():
+            if self._heap_key(exp) <= lhs_key:
+                raise ValueError(
+                    f"{self.name}: {MPoly({exp: 1})} is not below "
+                    f"{rule.var}^{rule.power}, so rewriting need not terminate")
+        return Rule(rule.var, rule.power, rhs)
+
+    def specialize(self, name: str, base_vars: Sequence[str],
+                   values: Mapping[str, "MPoly | int"]) -> "Presentation":
+        """The same ring with `values` substituted into every rule, over the
+        base variables `base_vars`."""
+        rules = [Rule(r.var, r.power, r.rhs.subs(values)) for r in self.rules]
+        return Presentation(name, self.main_vars, base_vars, rules, self.ring,
+                            self.expected_rank, self.degrees)
 
     def key_degree(self, key: Tuple[int, ...]) -> int:
         """Cohomological degree of a basis monomial."""
@@ -166,7 +216,7 @@ class Presentation:
     def _heap_key(self, exp: ExpKey):
         """The rewrite order, negated so that a min-heap pops the highest
         monomial first."""
-        return (-self._degree(exp),) + tuple(-exp[i] for i, _, _ in self._rule_idx)
+        return (-self._degree(exp),) + tuple(-exp[i] for i in self._order_idx)
 
     def _find_rule(self, exp: ExpKey):
         for idx, power, rhs in self._rule_idx:
@@ -289,17 +339,12 @@ class Presentation:
             main, base = self._split(exp)
             coeffs.setdefault(tuple(main[i] for i in self._main_idx), {})[base] = coef
         nf = NormalForm(self, {k: MPoly(v) for k, v in coeffs.items()})
-        if self.ring in ("Z", "Z_half"):
-            for poly_c in nf.coeffs.values():
-                for _, c in poly_c.items():
-                    denom = c.denominator
-                    if self.ring == "Z_half":
-                        while denom % 2 == 0:
-                            denom //= 2
-                    if denom != 1:
-                        raise NonIntegralReduction(
-                            f"{self.name}: coefficient {c} is outside the "
-                            f"{'Z[1/2]' if self.ring == 'Z_half' else 'Z'} span")
+        for poly_c in nf.coeffs.values():
+            for _, c in poly_c.items():
+                if type(c) is not int and not _in_ring(self.ring, c):
+                    raise NonIntegralReduction(
+                        f"{self.name}: coefficient {c} is outside the "
+                        f"{_RING_NAMES[self.ring]} span")
         return nf
 
     def basis_polys(self) -> List[MPoly]:
@@ -376,67 +421,34 @@ def fl_integral_point() -> Presentation:
                         rules, "Z", 12, {"alpha": 3})
 
 
-def fl_integral_bundle(base: str = "symbolic") -> Presentation:
-    """The integral flag-bundle ring.
-
-    base="symbolic": Chern classes of F3 and V/F3 stay symbolic (c1F..c3Q),
-    with y1 the first Chern class of F1.
-    base="y": everything instantiated in y1, y2 via
-    c(F3) = (1+y1)(1+y2)(1+y1-y2) and c(V/F3) = (1-y1)(1-y2)(1-y1+y2).
-    base="t": the equivariant presentation, c_i(F3) = e_i(t1, t2, t1-t2),
-    c_i(V/F3) = (-1)^i e_i(t1, t2, t1-t2), y1 = t1.
-    """
-    if base == "symbolic":
-        c1f, c2f, c3f = MPoly.var("c1F"), MPoly.var("c2F"), MPoly.var("c3F")
-        c1q, c3q = MPoly.var("c1Q"), MPoly.var("c3Q")
-        y1 = Y1
-        base_vars = ("y1", "c1F", "c2F", "c3F", "c1Q", "c2Q", "c3Q")
-        name = "FlIntegralBundle"
-    elif base == "y":
-        roots = [Y1, Y2, Y1 - Y2]
-        c1f = elementary_symmetric(1, roots)
-        c2f = elementary_symmetric(2, roots)
-        c3f = elementary_symmetric(3, roots)
-        c1q, c3q = -c1f, -c3f
-        y1 = Y1
-        base_vars = ("y1", "y2")
-        name = "FlIntegralBundleY"
-    elif base == "t":
-        roots = [T1, T2, T1 - T2]
-        c1f = elementary_symmetric(1, roots)
-        c2f = elementary_symmetric(2, roots)
-        c3f = elementary_symmetric(3, roots)
-        c1q, c3q = -c1f, -c3f
-        y1 = T1
-        base_vars = ("t1", "t2")
-        name = "Equivariant"
-    else:
-        raise ValueError(f"unknown base {base!r}")
+def fl_integral_bundle() -> Presentation:
+    """The integral flag-bundle ring over the Chern classes of F3 and V/F3
+    (c1F..c3Q), with y1 the first Chern class of F1."""
+    c1f, c2f, c3f, c1q, c3q = (MPoly.var(v) for v in
+                               ("c1F", "c2F", "c3F", "c1Q", "c3Q"))
     rules = [
-        Rule("x2", 2, X1 * X2 - X1 ** 2 + 2 * y1 ** 2 - c2f),
+        Rule("x2", 2, X1 * X2 - X1 ** 2 + 2 * Y1 ** 2 - c2f),
         Rule("x1", 3, 2 * ALPHA + c1f * X1 ** 2 - c2f * X1 + c3f),
         Rule("alpha", 2, (c3q + c1q * X1 ** 2) * ALPHA),
     ]
-    return Presentation(name, ("x1", "x2", "alpha"), base_vars,
+    return Presentation("FlIntegralBundle", ("x1", "x2", "alpha"),
+                        ("y1", "c1F", "c2F", "c3F", "c1Q", "c2Q", "c3Q"),
                         rules, "Z", 12, {"alpha": 3})
 
 
+def _flag_chern(roots: Sequence[MPoly]) -> Dict[str, MPoly]:
+    """Values of c1F..c3Q when F3 splits with the given roots and V/F3 with
+    their negatives."""
+    values = {}
+    for i in (1, 2, 3):
+        values[f"c{i}F"] = e = elementary_symmetric(i, roots)
+        values[f"c{i}Q"] = -e if i % 2 else e
+    return values
+
+
 def fl_equivariant() -> Presentation:
-    return fl_integral_bundle("t")
-
-
-def _derive_degree6_rule(x2_rule: Rule, rhs_target: MPoly) -> Rule:
-    """Solve the degree-6 relation (x1 x2 (x1-x2))^2 = rhs_target for x1^6,
-    reducing with the x2 rule alone."""
-    scratch = Presentation("scratch", ("x2",), ("x1", "y1", "y2", "t1", "t2"),
-                           [x2_rule], "Q", 2)
-    lhs = scratch.reduce_poly((X1 * X2 * (X1 - X2)) ** 2)
-    x16 = {"x1": 6}
-    lead = lhs.coeff(x16)
-    if lead != 1:
-        raise ArithmeticError(f"unexpected leading coefficient {lead}")
-    remainder = lhs - MPoly.monomial(x16)
-    return Rule("x1", 6, rhs_target - remainder)
+    return fl_integral_bundle().specialize(
+        "Equivariant", ("t1", "t2"), {"y1": T1, **_flag_chern([T1, T2, T1 - T2])})
 
 
 def fl_half_point() -> Presentation:
@@ -444,70 +456,44 @@ def fl_half_point() -> Presentation:
     return Presentation("FlHalfPoint", ("x1", "x2"), (), rules, "Z_half", 12)
 
 
-def fl_half_bundle(base: str = "y") -> Presentation:
-    """Coefficients in Z[1/2][y1, y2] (or t1, t2 with base="t"), relations
-    e_i(x1^2, x2^2, (x1-x2)^2) = e_i(y1^2, y2^2, (y1-y2)^2)."""
-    if base == "y":
-        b1, b2 = Y1, Y2
-        base_vars = ("y1", "y2")
-        name = "FlHalfBundle"
-    elif base == "t":
-        b1, b2 = T1, T2
-        base_vars = ("t1", "t2")
-        name = "FlHalfBundleT"
-    else:
-        raise ValueError(f"unknown base {base!r}")
-    quad = b1 ** 2 + b2 ** 2 - b1 * b2
-    x2_rule = Rule("x2", 2, X1 * X2 - X1 ** 2 + quad)
-    x1_rule = _derive_degree6_rule(x2_rule, (b1 * b2 * (b1 - b2)) ** 2)
-    return Presentation(name, ("x1", "x2"), base_vars,
+def fl_half_bundle() -> Presentation:
+    """Coefficients in Z[1/2][y1, y2], relations e_i(x1^2, x2^2, (x1-x2)^2)
+    = e_i(y1^2, y2^2, (y1-y2)^2) for i = 1 and 3.  The degree-6 one is
+    stated for x1^6, which its left side holds once x2^2 is rewritten."""
+    x2_rule = Rule("x2", 2, X1 * X2 - X1 ** 2 + Y1 ** 2 + Y2 ** 2 - Y1 * Y2)
+    x1_rule = Rule("x1", 6, X1 ** 6 - (X1 * X2 * (X1 - X2)) ** 2
+                   + (Y1 * Y2 * (Y1 - Y2)) ** 2)
+    return Presentation("FlHalfBundle", ("x1", "x2"), ("y1", "y2"),
                         [x2_rule, x1_rule], "Z_half", 12)
 
 
-def quadric_bundle(n: int = 3, c_sub: Optional[Sequence[MPoly]] = None,
-                   c_quot: Optional[Sequence[MPoly]] = None,
-                   name: Optional[str] = None) -> Presentation:
+def quadric_bundle(n: int = 3) -> Presentation:
     """The Chow ring of a quadric bundle of odd rank 2n+1 with a maximal
-    isotropic subbundle F (and trivial F-perp/F class).
-
-    c_sub = [c_1(F)..c_n(F)] and c_quot = [c_1(V/F)..c_n(V/F)]; both default
-    to the symbolic Chern variables (n <= 3).  Rank is 2n with basis
-    h^i and f h^i, 0 <= i < n.  Even n raises ValueError: the h^n f term of
-    the f^2 rule ties f^2 in degree and lies above it in the order.
-    """
-    if c_sub is None or c_quot is None:
-        if n > 3:
-            raise ValueError("symbolic Chern classes are available for n <= 3")
-        c_sub = [MPoly.var(f"c{i}F") for i in range(1, n + 1)]
-        c_quot = [MPoly.var(f"c{i}Q") for i in range(1, n + 1)]
-    if len(c_sub) != n or len(c_quot) != n:
-        raise ValueError("need n Chern classes for F and for V/F")
-    base_vars = []
-    for p in list(c_sub) + list(c_quot):
-        for v in p.variables():
-            if v not in base_vars:
-                base_vars.append(v)
+    isotropic subbundle F (and trivial F-perp/F class), over the Chern
+    classes c1F..cnF of F and c1Q..cnQ of V/F, n <= 3.  Rank 2n, basis h^i
+    and f h^i for 0 <= i < n.  For even n the f^2 rule holds h^n f, which
+    the h rule turns into 2 f^2 + ...; the constructor solves for f^2."""
+    if not 1 <= n <= 3:
+        raise ValueError("symbolic Chern classes are available for 1 <= n <= 3")
+    base_vars = tuple(f"c{i}{b}" for b in "FQ" for i in range(1, n + 1))
+    c_sub, c_quot = ([MPoly.one()] + [MPoly.var(f"c{i}{b}") for i in range(1, n + 1)]
+                     for b in "FQ")
     # h^n = 2f + c1(F) h^(n-1) - c2(F) h^(n-2) + ...
-    h_rhs = 2 * F
-    for i in range(1, n + 1):
-        sign = 1 if i % 2 == 1 else -1
-        h_rhs = h_rhs + sign * c_sub[i - 1] * H ** (n - i)
-    # f^2 = (c_n(V/F) + c_{n-2}(V/F) h^2 + ...) f
-    f_factor = MPoly.zero()
-    k = n
-    while k >= 1:
-        f_factor = f_factor + c_quot[k - 1] * H ** (n - k)
-        k -= 2
-    if k == 0:
-        f_factor = f_factor + H ** n
+    h_rhs = 2 * F + sum(((-1) ** (i + 1) * c_sub[i] * H ** (n - i)
+                         for i in range(1, n + 1)), MPoly.zero())
+    # f^2 = (c_n(V/F) + c_{n-2}(V/F) h^2 + ...) f, where c_0(V/F) = 1
+    f_factor = sum((c_quot[k] * H ** (n - k) for k in range(n, -1, -2)),
+                   MPoly.zero())
     rules = [Rule("h", n, h_rhs), Rule("f", 2, f_factor * F)]
-    return Presentation(name or f"QuadricBundle{n}", ("h", "f"),
-                        tuple(base_vars), rules, "Z", 2 * n, {"f": n})
+    return Presentation(f"QuadricBundle{n}", ("h", "f"), base_vars, rules,
+                        "Z", 2 * n, {"f": n})
 
 
 def quadric_bundle_fiber(n: int = 3) -> Presentation:
-    zero = [MPoly.zero()] * n
-    return quadric_bundle(n, zero, zero, name=f"QuadricBundle{n}Fiber")
+    """QuadricBundle(n) with every Chern class 0."""
+    bundle = quadric_bundle(n)
+    return bundle.specialize(f"QuadricBundle{n}Fiber", (),
+                             dict.fromkeys(bundle.base_vars, 0))
 
 
 def _chern_v_rank7() -> "ChernVector":
@@ -528,23 +514,22 @@ def quadric_quotient_chern() -> "ChernVector":
 
 def quadric_bundle_y() -> Presentation:
     """QuadricBundle(3) instantiated for the flag-bundle geometry:
-    c(F) = (1+y1)(1+y2)(1+y1-y2), c(V/F) = c(V)/c(F)."""
-    c_sub = chern_from_roots([Y1, Y2, Y1 - Y2])
-    c_quot = quadric_quotient_chern()
-    if not c_quot.classes[4].is_zero():
-        raise ArithmeticError("c4(V/F) should vanish for this geometry")
-    return quadric_bundle(3, c_sub.classes[1:4], c_quot.classes[1:4],
-                          name="QuadricBundle3Y")
+    c(F) = (1+y1)(1+y2)(1+y1-y2), and c(V/F) = c(V)/c(F), which is
+    (1-y1)(1-y2)(1-y1+y2) (see quadric_quotient_chern)."""
+    return quadric_bundle(3).specialize("QuadricBundle3Y", ("y1", "y2"),
+                                        _flag_chern([Y1, Y2, Y1 - Y2]))
 
 
 PRESENTATION_FACTORIES = {
     "FlIntegralPoint": fl_integral_point,
     "FlHalfPoint": fl_half_point,
     "FlIntegralBundle": fl_integral_bundle,
-    "FlIntegralBundleY": lambda: fl_integral_bundle("y"),
+    "FlIntegralBundleY": lambda: fl_integral_bundle().specialize(
+        "FlIntegralBundleY", ("y1", "y2"), _flag_chern([Y1, Y2, Y1 - Y2])),
     "Equivariant": fl_equivariant,
     "FlHalfBundle": fl_half_bundle,
-    "FlHalfBundleT": lambda: fl_half_bundle("t"),
+    "FlHalfBundleT": lambda: fl_half_bundle().specialize(
+        "FlHalfBundleT", ("t1", "t2"), {"y1": T1, "y2": T2}),
     "QuadricBundle3": quadric_bundle,
     "QuadricBundle3Y": quadric_bundle_y,
     "QuadricBundle3Fiber": quadric_bundle_fiber,
@@ -595,7 +580,7 @@ def verify_presentation(p: Presentation) -> PresentationReport:
         failures.append(f"closure: {exc}")
 
     for rule in p.rules:
-        lhs = MPoly.var(rule.var) ** rule.power
+        lhs = MPoly.monomial({rule.var: rule.power})
         if not p.reduce_poly(lhs - rule.rhs).is_zero():
             failures.append(f"relation for {rule.var}^{rule.power} broken")
 
@@ -660,9 +645,9 @@ def _check_specialization(p: Presentation, failures):
     factory = _SPECIALIZATIONS.get(p.name)
     if factory is None:
         return
-    kill = {v: MPoly.zero() for v in p.base_vars}
-    for rule, special in zip(p.rules, factory().rules):
-        if Rule(rule.var, rule.power, rule.rhs.subs(kill)) != special:
+    special = p.specialize(p.name, (), dict.fromkeys(p.base_vars, 0))
+    for rule, expected in zip(special.rules, factory().rules):
+        if rule != expected:
             failures.append(f"specialized rule for {rule.var} differs")
 
 

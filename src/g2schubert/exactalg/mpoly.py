@@ -44,7 +44,7 @@ _ZERO_EXP: ExpKey = (0,) * NVARS
 
 
 class UnboundVariable(KeyError):
-    """A substitution did not assign every variable of the polynomial."""
+    """A variable name outside the fixed variable universe."""
 
 
 class NotDivisible(ArithmeticError):
@@ -265,14 +265,9 @@ class MPoly:
 
     # ---- substitution ----
 
-    def subs(self, assignment: Mapping[str, "MPoly | Fraction | int"],
-             strict: bool = False) -> "MPoly":
-        """Substitute polynomials for variables.
-
-        Variables not mentioned in `assignment` are left alone, unless
-        strict=True, in which case every occurring variable must be assigned
-        (UnboundVariable otherwise).
-        """
+    def subs(self, assignment: Mapping[str, "MPoly | Fraction | int"]) -> "MPoly":
+        """Substitute polynomials for variables; variables not mentioned in
+        `assignment` are left alone."""
         images: Dict[int, MPoly] = {}
         for name, val in assignment.items():
             if name not in VAR_INDEX:
@@ -281,10 +276,6 @@ class MPoly:
             if img is None:
                 raise TypeError(f"cannot use {val!r} as a substitution value")
             images[VAR_INDEX[name]] = img
-        if strict:
-            for name in self.variables():
-                if VAR_INDEX[name] not in images:
-                    raise UnboundVariable(f"variable {name!r} not assigned")
         power_cache: Dict[Tuple[int, int], MPoly] = {}
 
         def power(i: int, e: int) -> MPoly:

@@ -7,8 +7,10 @@
     RATIONAL:= INT ['/' INT]
 
 Coefficients are integers or p/q rationals; '^' is the only power operator;
-'*' is optional.  Printing (MPoly.__str__) emits canonical graded-lex form,
-and parse(print(f)) == f.
+'*' is optional.  One parse spends at most 300 000 term products and raises
+PolySyntaxError past them.  Printing (MPoly.__str__) emits canonical
+graded-lex form, and parse(print(f)) == f while the printed factors stay
+within that budget.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from math import comb
 
 from .mpoly import MPoly, VAR_INDEX
 
-# '^' on a base of more than one term may spend at most this many term
-# products; a power of a single term is one term, whatever its exponent
-_MAX_POWER_PRODUCTS = 300_000
+# one parse may spend at most this many term products: a product charges
+# len(a) * len(b), a power _power_products (a power of a single term is one
+# term, whatever its exponent)
+_MAX_TERM_PRODUCTS = 300_000
 
 
 class PolySyntaxError(ValueError):
@@ -44,12 +47,12 @@ def _power_products(k: int, n: int) -> int:
     """An upper bound on the term products MPoly.__pow__ spends on the n-th
     power of a k-term polynomial, following its square-and-multiply steps.
     The e-th power has at most comb(e + k - 1, k - 1) terms.  Counting stops
-    once the bound passes _MAX_POWER_PRODUCTS."""
+    once the bound passes _MAX_TERM_PRODUCTS."""
     def terms(e):
         return comb(e + k - 1, k - 1)
 
     products, done, square = 0, 0, 1
-    while n and products <= _MAX_POWER_PRODUCTS:
+    while n and products <= _MAX_TERM_PRODUCTS:
         if n & 1:
             products += terms(done) * terms(square)
             done += square
@@ -96,6 +99,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.products = 0  # term products spent so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -110,6 +114,13 @@ class _Parser:
         if tok[0] != kind:
             raise PolySyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
+
+    def charge(self, products: int, pos: int, what):
+        """Spend term products on the step at pos, which what() names."""
+        self.products += products
+        if self.products > _MAX_TERM_PRODUCTS:
+            raise PolySyntaxError(f"{what()} would take this input past "
+                                  f"{_MAX_TERM_PRODUCTS} term products", pos)
 
     def parse(self) -> MPoly:
         result = self.expr()
@@ -132,14 +143,15 @@ class _Parser:
     def term(self) -> MPoly:
         result = self.factor()
         while True:
-            kind = self.peek()[0]
+            kind, _, pos = self.peek()
             if kind == "*":
                 self.advance()
-                result = result * self.factor()
-            elif kind in ("int", "name", "("):
-                result = result * self.factor()
-            else:
+            elif kind not in ("int", "name", "("):
                 return result
+            right = self.factor()
+            self.charge(len(result) * len(right), pos, lambda: (
+                f"product of a {len(result)}-term and a {len(right)}-term polynomial"))
+            result = result * right
 
     def factor(self) -> MPoly:
         base = self.primary()
@@ -147,10 +159,8 @@ class _Parser:
             self.advance()
             tok = self.expect("int")
             n = int(tok[1])
-            if len(base) > 1 and _power_products(len(base), n) > _MAX_POWER_PRODUCTS:
-                raise PolySyntaxError(
-                    f"power ^{n} of a {len(base)}-term polynomial would take "
-                    f"more than {_MAX_POWER_PRODUCTS} term products", tok[2])
+            self.charge(_power_products(len(base), n), tok[2],
+                        lambda: f"power ^{n} of a {len(base)}-term polynomial")
             base = base ** n
         return base
 

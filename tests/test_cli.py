@@ -181,6 +181,21 @@ class TestReduce:
         assert out == ""
         assert "power ^3000 of a 2-term polynomial" in err
 
+    @pytest.mark.parametrize("text,culprit", [
+        # each power is within budget alone, the two together are not
+        ("(x1+x2)^800 (x1+x2)^800", "power ^800 of a 2-term polynomial"),
+        ("(x1+x2)^500 * (y1+y2)^500",
+         "product of a 501-term and a 501-term polynomial"),
+    ], ids=["powers", "product"])
+    def test_products_share_one_term_budget(self, capsys, text, culprit):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", "--presentation",
+                             "FlIntegralPoint", text)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert f"{culprit} would take this input past 300000 term products" in err
+
     def test_bundle_power_beyond_term_budget(self, capsys):
         code, out, err = run(capsys, "reduce", "--presentation",
                              "FlIntegralBundle", "x1^200")
@@ -247,6 +262,17 @@ class TestOctVerbs:
         assert code == 0
         assert "row1: 0, 0, 0, 0, 0, 0, 1" in out
 
+
+    @pytest.mark.parametrize("argv", [
+        ["oct-mul", "1/0,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
+        ["kernel", "1,0,0,0,0,0,1/0"],
+        ["cell", "--params", "a=1/0"],
+    ], ids=["oct-mul", "kernel", "cell"])
+    def test_zero_denominator(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: zero denominator in '1/0'\n"
 
     @pytest.mark.parametrize("params", ["f=1,zz=3", "zz=1"])
     def test_cell_unknown_parameters(self, capsys, params):

@@ -1,8 +1,10 @@
+import functools
 import gc
 import itertools
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from g2schubert import cohomring as c
 from g2schubert import schubert as s
 from g2schubert import weyl
-from g2schubert.exactalg import MPoly, VARIABLES
+from g2schubert.exactalg import MPoly, VARIABLES, parse_poly
 
 X1, X2, ALPHA, H, F = c.X1, c.X2, c.ALPHA, c.H, c.F
 Y1, Y2 = c.Y1, c.Y2
@@ -23,12 +25,6 @@ class TestNormalForm:
         assert p.normal_form(X1 ** 3).as_poly() == 2 * ALPHA
         assert p.normal_form(X2 ** 2).as_poly() == X1 * X2 - X1 ** 2
         assert p.normal_form(ALPHA ** 2).is_zero()
-
-    def test_half_point_rules(self):
-        p = c.fl_half_point()
-        assert p.normal_form(X1 ** 6).is_zero()
-        nf = p.normal_form(Fraction(1, 2) * X1 ** 5 * X2)
-        assert nf.as_poly() == Fraction(1, 2) * X1 ** 5 * X2
 
     def test_idempotent_and_linear(self):
         rng = random.Random(SEED)
@@ -87,9 +83,9 @@ class TestVerifyPresentations:
 
     def test_specialization_mismatch_is_a_named_failure(self):
         # c1(F) = y1 + 1 leaves h^3 -> 2f + h^2 at base variables 0
-        chern = [Y1 + 1, MPoly.var("c2F"), MPoly.var("c3F")]
-        p = c.quadric_bundle(3, chern, [MPoly.var(f"c{i}Q") for i in (1, 2, 3)],
-                             name="QuadricBundle3")
+        bundle = c.quadric_bundle(3)
+        p = bundle.specialize("QuadricBundle3", ("y1",) + bundle.base_vars[1:],
+                              {"c1F": Y1 + 1})
         assert c.verify_presentation(p).failures == [
             "specialized rule for h differs"]
 
@@ -159,20 +155,13 @@ class TestVerifyPresentations:
             assert p.key_degree(key) == degree(exp)
 
     def test_non_terminating_rules_rejected(self):
-        with pytest.raises(ValueError):
-            c.quadric_bundle_fiber(2)
         with pytest.raises(ValueError):  # x1 x2 ties x1^2 and lies above it
             c.Presentation("up", ("x1", "x2"), (),
                            [c.Rule("x2", 2, MPoly.zero()), c.Rule("x1", 2, X1 * X2)],
-                           "Q", 4)
+                           "Z", 4)
         with pytest.raises(ValueError):  # no rule for x2
             c.Presentation("short", ("x1", "x2"), (),
-                           [c.Rule("x1", 2, MPoly.zero())], "Q", 4)
-
-    def test_fiber_ring(self):
-        fiber = c.quadric_bundle_fiber(3)
-        assert fiber.reduce_poly(H ** 3 - 2 * F).is_zero()
-        assert fiber.reduce_poly(F ** 2).is_zero()
+                           [c.Rule("x1", 2, MPoly.zero())], "Z", 4)
 
     def test_equivariant_matches_half_bundle_quadratic(self):
         # the degree-2 relations of the integral and half presentations agree
@@ -186,7 +175,7 @@ class TestVerifyPresentations:
         from g2schubert.exactalg import elementary_symmetric as e_sym
         xs = [X1 ** 2, X2 ** 2, (X1 - X2) ** 2]
         ts = [c.T1 ** 2, c.T2 ** 2, (c.T1 - c.T2) ** 2]
-        for p in (c.fl_equivariant(), c.fl_half_bundle("t")):
+        for p in (c.fl_equivariant(), c.get_presentation("FlHalfBundleT")):
             for i in (1, 2, 3):
                 rel = e_sym(i, xs) - e_sym(i, ts)
                 assert p.reduce_poly(rel).is_zero(), (p.name, i)
@@ -210,6 +199,69 @@ class TestVerifyPresentations:
         signatures = {tuple(sorted((k, str(v)) for k, v in nf.coeffs.items()))
                       for nf in nfs}
         assert len(signatures) == 12
+
+
+class TestDerivedRules:
+    """Rules that the constructor inter-reduces and solves."""
+
+    @pytest.mark.parametrize("name,rhs", [
+        ("FlHalfBundle",
+         "2 x1^4 y1^2 - 2 x1^4 y1 y2 + 2 x1^4 y2^2 - x1^2 y1^4 + 2 x1^2 y1^3 y2"
+         " - 3 x1^2 y1^2 y2^2 + 2 x1^2 y1 y2^3 - x1^2 y2^4 + y1^4 y2^2"
+         " - 2 y1^3 y2^3 + y1^2 y2^4"),
+        ("FlHalfBundleT",
+         "2 x1^4 t1^2 - 2 x1^4 t1 t2 + 2 x1^4 t2^2 - x1^2 t1^4 + 2 x1^2 t1^3 t2"
+         " - 3 x1^2 t1^2 t2^2 + 2 x1^2 t1 t2^3 - x1^2 t2^4 + t1^4 t2^2"
+         " - 2 t1^3 t2^3 + t1^2 t2^4"),
+    ])
+    def test_half_bundle_degree6_rule(self, name, rhs):
+        # the degree-6 relation solved for x1^6 with the x2 rule alone
+        assert c.get_presentation(name).rules[1] == c.Rule("x1", 6, parse_poly(rhs))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("factory", [c.quadric_bundle, c.quadric_bundle_fiber])
+    def test_quadric_bundles_of_every_rank(self, factory, n):
+        rep = c.verify_presentation(factory(n))
+        assert rep.ok and rep.rank == 2 * n, rep.failures
+
+    def test_even_rank_fiber(self):
+        fiber = c.quadric_bundle_fiber(2)
+        assert fiber.name == "QuadricBundle2Fiber"
+        assert fiber.rules == (c.Rule("h", 2, 2 * F), c.Rule("f", 2, MPoly.zero()))
+
+    def test_even_rank_f_square_relation(self):
+        # the f^2 relation as stated, before h^2 f was rewritten and solved
+        p = c.quadric_bundle(2)
+        assert p.reduce_poly(F ** 2 - (MPoly.var("c2Q") + H ** 2) * F).is_zero()
+
+    def test_solving_needs_a_unit(self):
+        # x1^2 -> x2^2 comes back as 3 x1^2, so x1^2 = 0 / (1 - 3), which
+        # needs 1/2
+        rules = [c.Rule("x2", 2, 3 * X1 ** 2), c.Rule("x1", 2, X2 ** 2)]
+        with pytest.raises(ValueError, match=r"x1\^2 .* 1 - 3 is not a unit of Z$"):
+            c.Presentation("triple", ("x1", "x2"), (), rules, "Z", 4)
+        p = c.Presentation("triple", ("x1", "x2"), (), rules, "Z_half", 4)
+        assert p.rules == (rules[0], c.Rule("x1", 2, MPoly.zero()))
+
+
+_EXTRA_QUADRICS = {f"QuadricBundle{n}{kind}": functools.partial(factory, n)
+                   for n in (1, 2) for kind, factory in
+                   (("", c.quadric_bundle), ("Fiber", c.quadric_bundle_fiber))}
+
+
+@pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES)
+                         + sorted(_EXTRA_QUADRICS))
+def test_basis_degrees_match_poincare_polynomial(name):
+    # standard monomials per degree against the Poincare polynomial, which
+    # needs no rewriting: sum_w q^l(w) over the Weyl group for the flag
+    # rings, and [n]_q (1 + q^n) for QuadricBundle(n) and its specializations
+    p = {**c.PRESENTATION_FACTORIES, **_EXTRA_QUADRICS}[name]()
+    if name.startswith("QuadricBundle"):
+        n = int(name[len("QuadricBundle")])
+        expected = Counter(i + j * n for i in range(n) for j in (0, 1))
+    else:
+        expected = Counter(w.length for w in weyl.all_elements())
+    assert Counter(p.key_degree(key) for key in p.basis) == expected
 
 
 def _products(p, count):
@@ -309,12 +361,6 @@ class TestChern:
             total = c.chern_from_roots(roots + [line])
             assert c.chern_quotient(total, line) == c.chern_from_roots(roots)
 
-    def test_quotient_chern_for_flag_geometry(self):
-        quot = c.quadric_quotient_chern()
-        expected = c.chern_from_roots([-Y1, -Y2, -(Y1 - Y2), MPoly.zero()])
-        assert quot.classes[:4] == expected.classes[:4]
-        assert quot.classes[4].is_zero()
-
     def test_eg_relation(self):
         rep = c.quadric_eg_rel_check()
         assert rep.ok and rep.fiber_ok and rep.degree_ok
@@ -329,30 +375,6 @@ class TestChern:
 
 
 class TestFamiliesInRings:
-    def test_both_families_same_classes(self):
-        halfb = c.fl_half_bundle()
-        paper = s.generate_family("paper")
-        graham = s.generate_family("graham")
-        for w in weyl.all_elements():
-            assert halfb.reduce_poly(paper.table[w] - graham.table[w]).is_zero()
-
-    def test_paper_at_y0_is_point_family(self):
-        half = c.fl_half_point()
-        paper = s.generate_family("paper")
-        point = s.generate_family("point")
-        zero = {"y1": MPoly.zero(), "y2": MPoly.zero()}
-        for w in weyl.all_elements():
-            assert (half.normal_form(paper.table[w].subs(zero))
-                    == half.normal_form(point.table[w]))
-
-    def test_equivariant_integral_reduction(self):
-        eq = c.fl_equivariant()
-        fam = s.generate_family("eq-paper")
-        nfs = {}
-        for w in weyl.all_elements():
-            nfs[w] = eq.normal_form(fam.table[w])  # NonIntegralReduction = fail
-        assert len(nfs) == 12
-
     def test_alpha_is_the_length3_class(self):
         # in the point ring, alpha and the degree-3 entry x(sts) coincide
         point = c.fl_integral_point()
@@ -369,14 +391,6 @@ class TestExpansion:
             coeffs = c.schubert_expand(fam.table[w], fam, half)
             for u, val in coeffs.items():
                 assert val == (MPoly.one() if u is w else MPoly.zero())
-
-    def test_degree_one_classes(self):
-        half = c.fl_half_point()
-        fam = s.generate_family("point")
-        exp = c.schubert_expand(X1, fam, half)
-        assert exp[weyl.element("s")] == MPoly.one()
-        exp = c.schubert_expand(X1 + X2, fam, half)
-        assert exp[weyl.element("t")] == MPoly.one()
 
     def test_random_combination_recovered(self):
         rng = random.Random(SEED + 2)
@@ -410,18 +424,6 @@ class TestExpansion:
 
 
 class TestDuality:
-    def test_pairing_matrix(self):
-        fam = s.generate_family("point")
-        pairing = c.duality_pairing(fam)
-        w0 = weyl.longest()
-        for u in weyl.all_elements():
-            for w in weyl.all_elements():
-                if u.length + w.length == 6:
-                    expected = Fraction(1) if (w0 * u) is w else Fraction(0)
-                    assert pairing[(u, w)] == expected
-                else:
-                    assert pairing[(u, w)] == 0
-
     def test_identity_pairs_with_longest(self):
         fam = s.generate_family("point")
         pairing = c.duality_pairing(fam)
