@@ -27,15 +27,10 @@ from typing import List, Optional
 
 from . import checks, cohomring, octonion, schubert, weyl
 from .exactalg import MPoly, parse_poly
-from .exactalg.mpoly import VARIABLES
 
 
 def _poly_terms_json(poly: MPoly) -> List[dict]:
-    out = []
-    for exp, coef in poly.terms():
-        exps = {VARIABLES[i]: e for i, e in enumerate(exp) if e}
-        out.append({"coeff": str(coef), "exps": exps})
-    return out
+    return [{"coeff": str(coef), "exps": exps} for exps, coef in poly.named_terms()]
 
 
 def _write(text: str, out_path: Optional[str]):

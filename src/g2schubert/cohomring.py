@@ -38,12 +38,15 @@ basis triple, and no product is reduced twice.
 
 Rewriting is linear over the base ring: every left-hand side is a power of a
 main variable and the order reads only main exponents, so nf(b m) = b nf(m)
-for a monomial b in the other variables.  The memo is therefore keyed by the
-main part of a monomial alone, a rewrite carries each main monomial's base
-coefficient as one group, and reduce_poly shifts the normal form of each
-term's main part by its base part as it accumulates.  One rewrite may
-produce at most MAX_REWRITE_TERMS terms; past that it raises
-RewriteBudgetExceeded.
+for a monomial b in the other variables.  Rewriting therefore runs on main
+keys, the exponents of main_vars in order, the key type of the basis, the
+top class and NormalForm.coeffs; a polynomial is regrouped by main key with
+MPoly.split, and the exponent layout of MPoly stays inside mpoly.  The memo
+maps a main key to its normal form as an MPoly, a rewrite carries each main
+key's base coefficient {base part: coef} as one group, and reduce_poly calls
+reduce_monomial once per distinct main key and adds its normal form, shifted
+by each base part, with addmul.  One rewrite may produce at most
+MAX_REWRITE_TERMS terms; past that it raises RewriteBudgetExceeded.
 
 Integral presentations never divide: a normal form with a non-integer
 coefficient means the input was not in the integral span, and is reported as
@@ -56,17 +59,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import weyl
-from .exactalg import (
-    LinSystem,
-    MPoly,
-    elementary_symmetric,
-    solve_linear,
-)
-from .exactalg.mpoly import _ZERO_EXP, NVARS, VAR_INDEX, ExpKey
+from .exactalg import MPoly, elementary_symmetric
+from .exactalg.linsolve import _reduce
+from .exactalg.mpoly import addmul
 from .schubert import SchubertFamily
 
 X1 = MPoly.var("x1")
@@ -99,6 +98,8 @@ class NotInSpan(ArithmeticError):
 
 
 _RING_NAMES = {"Z": "Z", "Z_half": "Z[1/2]"}  # coefficient rings, as printed
+
+(_UNIT, _), = MPoly.one().items()  # the exponent of the monomial 1
 
 
 def _in_ring(ring: str, q) -> bool:
@@ -141,21 +142,20 @@ class Presentation:
         self.ring = ring
         self.expected_rank = expected_rank
         self.degrees = {v: (degrees or {}).get(v, 1) for v in self.main_vars}
-        self._main_idx = tuple(VAR_INDEX[v] for v in self.main_vars)
-        self._degree_idx = tuple(zip(self._main_idx, self.degrees.values()))
-        self._order_idx = tuple(VAR_INDEX[r.var] for r in rules)
         self._allowed = set(self.main_vars) | set(self.base_vars)
         rule_vars = [r.var for r in rules]
         if sorted(rule_vars) != sorted(self.main_vars):
             raise ValueError(f"{name}: need exactly one rule for each of "
                              f"{self.main_vars}, got {rule_vars}")
+        # positions in a main key of the rule variables, in rule order
+        self._order = tuple(map(self.main_vars.index, rule_vars))
         # rewrite with the rules so far; no shortcut before the top is known
         self._homogeneous, self._memo = False, {}
         self.rules, self._rule_idx = (), ()
         for rule in map(self._inter_reduce, rules):
             self.rules += (rule,)
-            self._rule_idx += ((VAR_INDEX[rule.var], rule.power,
-                                self._group_by_main(rule.rhs)),)
+            self._rule_idx += ((self.main_vars.index(rule.var), rule.power,
+                                tuple(rule.rhs.split(self.main_vars).items())),)
         # fewest standard exponents outermost, so the basis lists the x2 = 0
         # (f = 0) block first, each block by degree
         power = {r.var: r.power for r in self.rules}
@@ -167,20 +167,19 @@ class Presentation:
         self.top = max(self.basis, key=self.key_degree)
         self._top_degree = self.key_degree(self.top)
         # homogeneous rules keep the degree, so nothing above the top survives
-        self._homogeneous = all(self._degree(exp) == r.power * self.degrees[r.var]
-                                for r in self.rules for exp, _ in r.rhs.items())
+        self._homogeneous = all(self.key_degree(key) == r.power * self.degrees[r.var]
+                                for r in self.rules for key in r.rhs.split(self.main_vars))
 
     def _inter_reduce(self, rule: Rule) -> Rule:
         """rule, its right-hand side reduced by the rules so far and solved
         for the left-hand side.  Memo entries that only some rules computed
         are not normal forms, so the memo is left empty."""
         lhs = MPoly.monomial({rule.var: rule.power})
-        (lhs_exp, _), = lhs.items()
         rhs = rule.rhs
-        if any(self._find_rule(exp) for exp, _ in rhs.items()):
+        if any(map(self._find_rule, rhs.split(self.main_vars))):
             rhs = self.reduce_poly(rhs)
             self._memo.clear()
-        c = rhs.coeff_exp(lhs_exp)
+        c = rhs.coeff({rule.var: rule.power})
         if c:
             unit = Fraction(1 - c)
             if not (unit and _in_ring(self.ring, unit)
@@ -190,11 +189,11 @@ class Presentation:
                     f"coefficient {c}, and 1 - {c} is not a unit of "
                     f"{_RING_NAMES[self.ring]}")
             rhs = (rhs - c * lhs) * (1 / unit)
-        lhs_key = self._heap_key(lhs_exp)
-        for exp, _ in rhs.items():
-            if self._heap_key(exp) <= lhs_key:
+        (lhs_key,) = lhs.split(self.main_vars)
+        for key in rhs.split(self.main_vars):
+            if self._heap_key(key) <= self._heap_key(lhs_key):
                 raise ValueError(
-                    f"{self.name}: {MPoly({exp: 1})} is not below "
+                    f"{self.name}: {self._monomial(key)} is not below "
                     f"{rule.var}^{rule.power}, so rewriting need not terminate")
         return Rule(rule.var, rule.power, rhs)
 
@@ -207,121 +206,89 @@ class Presentation:
                             self.expected_rank, self.degrees)
 
     def key_degree(self, key: Tuple[int, ...]) -> int:
-        """Cohomological degree of a basis monomial."""
-        return sum(e * self.degrees[v] for v, e in zip(self.main_vars, key))
+        """Cohomological degree of the main monomial with exponents key."""
+        return sum(map(mul, key, self.degrees.values()))
 
-    def _degree(self, exp: ExpKey) -> int:
-        return sum(exp[i] * d for i, d in self._degree_idx)
+    def _monomial(self, key: Tuple[int, ...]) -> MPoly:
+        """The main monomial with exponents key."""
+        return MPoly.join(self.main_vars, {key: MPoly.one()})
 
-    def _heap_key(self, exp: ExpKey):
+    def _heap_key(self, key: Tuple[int, ...]):
         """The rewrite order, negated so that a min-heap pops the highest
-        monomial first."""
-        return (-self._degree(exp),) + tuple(-exp[i] for i in self._order_idx)
+        main monomial first."""
+        return (-self.key_degree(key),) + tuple(-key[i] for i in self._order)
 
-    def _find_rule(self, exp: ExpKey):
+    def _find_rule(self, key: Tuple[int, ...]):
         for idx, power, rhs in self._rule_idx:
-            if exp[idx] >= power:
+            if key[idx] >= power:
                 return idx, power, rhs
         return None
 
-    def _split(self, exp: ExpKey) -> Tuple[ExpKey, ExpKey]:
-        """(main part, base part) of an exponent: the base part is every
-        exponent that is not of a main variable."""
-        main = [0] * NVARS
-        base = list(exp)
-        for i in self._main_idx:
-            main[i] = exp[i]
-            base[i] = 0
-        return tuple(main), tuple(base)
-
-    def _group_by_main(self, poly: MPoly):
-        """poly as ((main part, ((base part, coef), ...)), ...)."""
-        groups: Dict[ExpKey, List[Tuple[ExpKey, Fraction]]] = {}
-        for exp, coef in poly.items():
-            main, base = self._split(exp)
-            groups.setdefault(main, []).append((base, coef))
-        return tuple((main, tuple(terms)) for main, terms in groups.items())
-
-    def reduce_monomial(self, exp: ExpKey) -> MPoly:
-        """Fully reduce a single monomial.
+    def reduce_monomial(self, key: Tuple[int, ...]) -> MPoly:
+        """Normal form of the main monomial with exponents key, memoized.
 
         Rewriting is linear over the base ring, nf(b m) = b nf(m) for a base
-        monomial b, so only the main part m is rewritten and memoized.
+        monomial b, so only main monomials are rewritten and memoized.
         """
-        main, base = self._split(exp)
-        result = self._memo.get(main)
+        result = self._memo.get(key)
         if result is None:
-            if self._homogeneous and self._degree(main) > self._top_degree:
+            if self._homogeneous and self.key_degree(key) > self._top_degree:
                 result = MPoly.zero()
             else:
-                result = self._rewrite(main)
-            self._memo[main] = result
-        if any(base):
-            result = MPoly({tuple(map(add, k, base)): c for k, c in result.items()})
+                result = self._rewrite(key)
+            self._memo[key] = result
         return result
 
-    def _rewrite(self, exp: ExpKey) -> MPoly:
-        # Rules and order read only main exponents, so pending groups terms
-        # by main monomial, each with its base coefficient {base part: coef}.
-        # Every rewrite step yields strictly lower main monomials, so a
-        # monomial popped from the heap is never pushed again.
+    def _rewrite(self, key: Tuple[int, ...]) -> MPoly:
+        # Rules and order read only main exponents, so pending maps each main
+        # key to its base coefficient {base part: coef}.  Every rewrite step
+        # yields strictly lower main monomials, so a main key popped from the
+        # heap is never pushed again.
         memo = self._memo
-        pending: Dict[ExpKey, Dict[ExpKey, Fraction]] = {exp: {_ZERO_EXP: Fraction(1)}}
-        heap = [(self._heap_key(exp), exp)]
-        done: Dict[ExpKey, Fraction] = {}
+        pending = {key: {_UNIT: Fraction(1)}}
+        heap = [(self._heap_key(key), key)]
+        done = {}
         terms = 0  # produced so far
         while heap:
             if terms > MAX_REWRITE_TERMS:
                 raise RewriteBudgetExceeded(
-                    f"{self.name}: rewriting {MPoly({exp: 1})} produces more "
+                    f"{self.name}: rewriting {self._monomial(key)} produces more "
                     f"than MAX_REWRITE_TERMS = {MAX_REWRITE_TERMS} terms")
             m = heappop(heap)[1]
-            coef = [(base, c) for base, c in pending.pop(m).items() if c]
+            coef = {base: c for base, c in pending.pop(m).items() if c}
             cached = memo.get(m)
             if cached is not None:
                 terms += len(coef) * len(cached)
-                for base, c in coef:
-                    for k, v in cached.items():
-                        key = tuple(map(add, k, base))
-                        done[key] = done.get(key, 0) + c * v
+                for base, c in coef.items():
+                    addmul(done, cached, c, base)
                 continue
             hit = self._find_rule(m)
             if hit is None:
                 terms += len(coef)
-                for base, c in coef:
-                    key = tuple(map(add, m, base))
-                    done[key] = done.get(key, 0) + c
+                addmul(done, MPoly.join(self.main_vars, {m: coef}))
                 continue
             idx, power, rhs = hit
             rest = list(m)
             rest[idx] -= power
             for rmain, rterms in rhs:
                 terms += len(coef) * len(rterms)
-                key = tuple(map(add, rmain, rest))
-                group = pending.get(key)
+                k = tuple(map(add, rmain, rest))
+                group = pending.get(k)
                 if group is None:
-                    group = pending[key] = {}
-                    heappush(heap, (self._heap_key(key), key))
-                for base, c in coef:
-                    for rbase, rcoef in rterms:
-                        b = tuple(map(add, base, rbase))
-                        group[b] = group.get(b, 0) + c * rcoef
+                    group = pending[k] = {}
+                    heappush(heap, (self._heap_key(k), k))
+                for base, c in coef.items():
+                    addmul(group, rterms, c, base)
         return MPoly(done)
 
     def reduce_poly(self, poly: MPoly) -> MPoly:
-        """Rewrite to the (unique) irreducible representative.
-
-        Each term is split as in reduce_monomial, and the normal form of its
-        main part is shifted by the base part while it is accumulated.
-        """
-        out: Dict[ExpKey, Fraction] = {}
-        for exp, coef in poly.items():
-            main, base = self._split(exp)
-            shift = any(base)
-            for k, v in self.reduce_monomial(main).items():
-                if shift:
-                    k = tuple(map(add, k, base))
-                out[k] = out.get(k, 0) + coef * v
+        """Rewrite to the (unique) irreducible representative: the normal
+        form of each main key times its base coefficient."""
+        out = {}
+        for key, group in poly.split(self.main_vars).items():
+            nf = self.reduce_monomial(key)
+            for base, c in group.items():
+                addmul(out, nf, c, base)
         return MPoly(out)
 
     def check_variables(self, poly: MPoly):
@@ -333,12 +300,8 @@ class Presentation:
         """Reduce and express on the basis; NonIntegralReduction if the result
         has coefficients outside the integral coefficient ring."""
         self.check_variables(poly)
-        reduced = self.reduce_poly(poly)
-        coeffs: Dict[Tuple[int, ...], Dict[ExpKey, Fraction]] = {}
-        for exp, coef in reduced.items():
-            main, base = self._split(exp)
-            coeffs.setdefault(tuple(main[i] for i in self._main_idx), {})[base] = coef
-        nf = NormalForm(self, {k: MPoly(v) for k, v in coeffs.items()})
+        nf = NormalForm(self, {key: MPoly(group) for key, group in
+                               self.reduce_poly(poly).split(self.main_vars).items()})
         for poly_c in nf.coeffs.values():
             for _, c in poly_c.items():
                 if type(c) is not int and not _in_ring(self.ring, c):
@@ -348,11 +311,7 @@ class Presentation:
         return nf
 
     def basis_polys(self) -> List[MPoly]:
-        out = []
-        for key in self.basis:
-            exps = {v: e for v, e in zip(self.main_vars, key) if e}
-            out.append(MPoly.monomial(exps) if exps else MPoly.one())
-        return out
+        return [self._monomial(key) for key in self.basis]
 
     def mult_table(self) -> Dict[Tuple[int, int], "NormalForm"]:
         """Normal form of each product of two basis monomials, by index pair.
@@ -393,16 +352,7 @@ class NormalForm:
         return self.coeffs.get(key, MPoly.zero())
 
     def as_poly(self) -> MPoly:
-        main_idx = self.presentation._main_idx
-        terms: Dict[ExpKey, Fraction] = {}
-        for key, coef in self.coeffs.items():
-            for exp, c in coef.items():
-                full = list(exp)
-                for i, e in zip(main_idx, key):
-                    full[i] += e
-                full = tuple(full)
-                terms[full] = terms.get(full, 0) + c
-        return MPoly(terms)
+        return MPoly.join(self.presentation.main_vars, self.coeffs)
 
     def __repr__(self):
         return f"NormalForm({self.presentation.name}: {self.as_poly()})"
@@ -742,7 +692,10 @@ def schubert_expand(f: MPoly, family: SchubertFamily,
     Solved degree by degree, top down: the coefficient of a degree-d basis
     monomial in nf(P_w) is a constant when l(w) = d and vanishes when
     l(w) < d, so each degree is a constant-matrix solve once the longer
-    classes are known.  NotInSpan when no exact expansion exists.
+    classes are known.  The matrix is reduced once, with the polynomial
+    right-hand sides carried along as one more column (a pivot only scales
+    them by constants); a free coefficient is 0.  NotInSpan when no exact
+    expansion exists.
     """
     elements = weyl.all_elements()
     nfs = {w: p.normal_form(family.table[w]) for w in elements}
@@ -752,35 +705,21 @@ def schubert_expand(f: MPoly, family: SchubertFamily,
     for d in range(max_len, -1, -1):
         layer = [w for w in elements if w.length == d]
         keys = [k for k in p.basis if p.key_degree(k) == d]
-        matrix = []
+        rows = []
         for key in keys:
-            row = []
-            for w in layer:
-                entry = nfs[w].coeffs.get(key, MPoly.zero())
-                row.append(entry.constant_value())
-            matrix.append(row)
-        rhs_polys = []
-        for key in keys:
+            row = [Fraction(nfs[w].coeffs.get(key, MPoly.zero()).constant_value())
+                   for w in layer]
             acc = target.coeffs.get(key, MPoly.zero())
             for w, cw in coeffs.items():
                 contrib = nfs[w].coeffs.get(key, MPoly.zero())
                 if not contrib.is_zero() and not cw.is_zero():
                     acc = acc - cw * contrib
-            rhs_polys.append(acc)
-        base_monos = set()
-        for poly in rhs_polys:
-            for exp, _ in poly.items():
-                base_monos.add(exp)
-        solution = {w: MPoly.zero() for w in layer}
-        for mono in sorted(base_monos):
-            rhs = [poly.coeff_exp(mono) for poly in rhs_polys]
-            res = solve_linear(LinSystem(matrix, rhs))
-            if not res.consistent:
-                raise NotInSpan(f"no expansion at degree {d}")
-            for w, val in zip(layer, res.vector):
-                if val:
-                    solution[w] = solution[w] + MPoly({mono: val})
-        coeffs.update(solution)
+            rows.append(row + [acc])
+        pivots, _ = _reduce(rows, len(layer))
+        if any(row[-1] for row in rows[len(pivots):]):
+            raise NotInSpan(f"no expansion at degree {d}")
+        coeffs.update((w, MPoly.zero()) for w in layer)
+        coeffs.update((layer[c], row[-1]) for c, row in zip(pivots, rows))
     residual = target.as_poly()
     for w, cw in coeffs.items():
         residual = residual - cw * nfs[w].as_poly()

@@ -15,10 +15,15 @@ torus weights; v a twisting line class; alpha, h, f ring generators of the
 quotient presentations; c*F and c*Q symbolic Chern classes of a rank-3
 subbundle and its rank-4 quotient; a..e, g free Schubert cell parameters.)
 
-Exponent vectors are tuples of length 22, one slot per variable, in the
-precedence order above.  The canonical term order is graded lexicographic:
-higher total degree first, ties broken lexicographically with x1 largest.
-The zero polynomial has no stored terms.
+This module is the only one that knows how a monomial is stored: an
+exponent vector is a tuple of length 22, one slot per variable, in the
+precedence order above.  Other modules treat exponent vectors as opaque
+keys and reach terms by variable name: split and join regroup a polynomial
+by the exponents of some named variables, named_terms spells each term out,
+and addmul, the one kernel for sparse sums, accumulates scaled and shifted
+terms into a dict that the MPoly constructor then takes.  The canonical term
+order is graded lexicographic: higher total degree first, ties broken
+lexicographically with x1 largest.  The zero polynomial has no stored terms.
 
 All values are immutable after construction; the arithmetic methods return
 new objects, so instances can be shared freely.
@@ -27,7 +32,8 @@ new objects, so instances can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from operator import add
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 VARIABLES: Tuple[str, ...] = (
     "x1", "x2", "y1", "y2", "t1", "t2", "v", "alpha", "h", "f",
@@ -60,6 +66,44 @@ def _exact(value) -> Coef:
     if not isinstance(value, Fraction):
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _exponent(names: Iterable[str], exponents: Iterable[int]) -> ExpKey:
+    """The exponent vector of prod(name^e)."""
+    key = [0] * NVARS
+    for name, e in zip(names, exponents):
+        if name not in VAR_INDEX:
+            raise UnboundVariable(f"unknown variable {name!r}")
+        if e < 0:
+            raise ValueError("negative exponent")
+        key[VAR_INDEX[name]] += e
+    return tuple(key)
+
+
+def addmul(acc: Dict[ExpKey, Coef], terms, coef=None, shift=None) -> None:
+    """acc += coef * x^shift * terms, in place.
+
+    terms is an MPoly or a dict of terms, shift an exponent vector read out
+    of an MPoly, split or another addmul.  With coef None the terms are
+    added unscaled.  Zero sums stay in acc; the MPoly constructor drops
+    them.
+    """
+    get = acc.get
+    if shift is not None and any(shift):
+        if coef is None:
+            for exp, c in terms.items():
+                exp = tuple(map(add, exp, shift))
+                acc[exp] = get(exp, 0) + c
+        else:
+            for exp, c in terms.items():
+                exp = tuple(map(add, exp, shift))
+                acc[exp] = get(exp, 0) + coef * c
+    elif coef is None:
+        for exp, c in terms.items():
+            acc[exp] = get(exp, 0) + c
+    else:
+        for exp, c in terms.items():
+            acc[exp] = get(exp, 0) + coef * c
 
 
 def _order_key(exp: ExpKey):
@@ -111,14 +155,17 @@ class MPoly:
     @staticmethod
     def monomial(exps: Mapping[str, int], coef=1) -> "MPoly":
         """Build coef * prod(var^e) from a {name: exponent} mapping."""
-        key = [0] * NVARS
-        for name, e in exps.items():
-            if name not in VAR_INDEX:
-                raise UnboundVariable(f"unknown variable {name!r}")
-            if e < 0:
-                raise ValueError("negative exponent")
-            key[VAR_INDEX[name]] += e
-        return MPoly({tuple(key): coef})
+        return MPoly({_exponent(exps, exps.values()): coef})
+
+    @staticmethod
+    def join(names: Sequence[str], coeffs) -> "MPoly":
+        """The sum of x^key * coeffs[key], where key holds the exponents of
+        names; coeffs maps keys to MPolys or to dicts of terms.  The inverse
+        of split."""
+        acc: Dict[ExpKey, Coef] = {}
+        for key, terms in coeffs.items():
+            addmul(acc, terms, shift=_exponent(names, key))
+        return MPoly(acc)
 
     @staticmethod
     def _lift(other) -> "MPoly | None":
@@ -166,12 +213,33 @@ class MPoly:
         for exp in sorted(self._t, key=_order_key, reverse=True):
             yield exp, self._t[exp]
 
+    def named_terms(self) -> Iterator[Tuple[Dict[str, int], Coef]]:
+        """Iterate ({name: exponent}, coefficient) in canonical order; only
+        the variables that occur are named, in precedence order."""
+        for exp, coef in self.terms():
+            yield {VARIABLES[i]: e for i, e in enumerate(exp) if e}, coef
+
     def items(self):
         """Raw (exponent, coefficient) pairs in arbitrary order."""
         return self._t.items()
 
-    def coeff_exp(self, exp: ExpKey) -> Coef:
-        return self._t.get(exp, 0)
+    def split(self, names: Sequence[str]) -> Dict[Tuple[int, ...], Dict[ExpKey, Coef]]:
+        """self as a polynomial in names: {exponents of names: {rest: coef}},
+        where rest is the exponent of the other variables."""
+        idx = [VAR_INDEX[name] for name in names]
+        out: Dict[Tuple[int, ...], Dict[ExpKey, Coef]] = {}
+        for exp, coef in self._t.items():
+            key = tuple([exp[i] for i in idx])
+            if any(key):
+                rest = list(exp)
+                for i in idx:
+                    rest[i] = 0
+                exp = tuple(rest)
+            group = out.get(key)
+            if group is None:
+                group = out[key] = {}
+            group[exp] = coef
+        return out
 
     def leading_term(self) -> Tuple[ExpKey, Coef]:
         if not self._t:
@@ -180,10 +248,7 @@ class MPoly:
         return exp, self._t[exp]
 
     def coeff(self, exps: Mapping[str, int]) -> Coef:
-        key = [0] * NVARS
-        for name, e in exps.items():
-            key[VAR_INDEX[name]] = e
-        return self._t.get(tuple(key), 0)
+        return self._t.get(_exponent(exps, exps.values()), 0)
 
     def constant_value(self) -> Coef:
         """The value of a constant polynomial."""
@@ -193,9 +258,6 @@ class MPoly:
             return self._t[_ZERO_EXP]
         raise ValueError(f"not a constant polynomial: {self}")
 
-    def exponent_of(self, exp: ExpKey, name: str) -> int:
-        return exp[VAR_INDEX[name]]
-
     # ---- arithmetic ----
 
     def __add__(self, other):
@@ -203,8 +265,7 @@ class MPoly:
         if o is None:
             return NotImplemented
         t = dict(self._t)
-        for exp, c in o._t.items():
-            t[exp] = t.get(exp, 0) + c
+        addmul(t, o._t)
         return MPoly(t)
 
     __radd__ = __add__
@@ -230,14 +291,8 @@ class MPoly:
         else:
             big, small = o._t, self._t
         t: Dict[ExpKey, Coef] = {}
-        for e2, c2 in small.items():
-            if not any(e2):
-                for e1, c1 in big.items():
-                    t[e1] = t.get(e1, 0) + c1 * c2
-                continue
-            for e1, c1 in big.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                t[key] = t.get(key, 0) + c1 * c2
+        for exp, c in small.items():
+            addmul(t, big, c, exp)
         return MPoly(t)
 
     __rmul__ = __mul__
@@ -302,22 +357,13 @@ class MPoly:
 
     # ---- printing ----
 
-    @staticmethod
-    def _monomial_str(exp: ExpKey) -> str:
-        parts = []
-        for i, e in enumerate(exp):
-            if e == 1:
-                parts.append(VARIABLES[i])
-            elif e > 1:
-                parts.append(f"{VARIABLES[i]}^{e}")
-        return " ".join(parts)
-
     def __str__(self) -> str:
         if not self._t:
             return "0"
         chunks = []
-        for exp, coef in self.terms():
-            mono = self._monomial_str(exp)
+        for exps, coef in self.named_terms():
+            mono = " ".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in exps.items())
             mag = abs(coef)
             if mono and mag == 1:
                 body = mono

@@ -7,10 +7,12 @@
     RATIONAL:= INT ['/' INT]
 
 Coefficients are integers or p/q rationals; '^' is the only power operator;
-'*' is optional.  One parse spends at most 300 000 term products and raises
-PolySyntaxError past them.  Printing (MPoly.__str__) emits canonical
-graded-lex form, and parse(print(f)) == f while the printed factors stay
-within that budget.
+'*' is optional.  A sum costs time linear in its terms.  One parse spends
+at most 300 000 term products, or 7 per character of the input if that is
+more, and raises PolySyntaxError past them.  Printing (MPoly.__str__) emits
+canonical graded-lex form, and parse(print(f)) == f: a printed term is a
+product of single terms, and no power of one term spends more than 7 term
+products per character it is written with.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .mpoly import MPoly, VAR_INDEX
+from .mpoly import MPoly, UnboundVariable, addmul
 
-# one parse may spend at most this many term products: a product charges
+# one parse may spend at most this many term products, or _PRODUCTS_PER_CHAR
+# per character of its input if that is more: a product charges
 # len(a) * len(b), a power _power_products (a power of a single term is one
 # term, whatever its exponent)
 _MAX_TERM_PRODUCTS = 300_000
+_PRODUCTS_PER_CHAR = 7
 
 
 class PolySyntaxError(ValueError):
@@ -43,16 +47,17 @@ class UnknownVariable(PolySyntaxError):
 _PUNCT = set("+-*^()/")
 
 
-def _power_products(k: int, n: int) -> int:
+def _power_products(k: int, n: int, limit: int) -> int:
     """An upper bound on the term products MPoly.__pow__ spends on the n-th
     power of a k-term polynomial, following its square-and-multiply steps.
     The e-th power has at most comb(e + k - 1, k - 1) terms.  Counting stops
-    once the bound passes _MAX_TERM_PRODUCTS."""
+    once the bound passes limit.  For k = 1 it is popcount(n) + bitlength(n)
+    - 1, at most 7 per decimal digit of n."""
     def terms(e):
         return comb(e + k - 1, k - 1)
 
     products, done, square = 0, 0, 1
-    while n and products <= _MAX_TERM_PRODUCTS:
+    while n and products <= limit:
         if n & 1:
             products += terms(done) * terms(square)
             done += square
@@ -100,6 +105,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.products = 0  # term products spent so far
+        self.budget = max(_MAX_TERM_PRODUCTS, _PRODUCTS_PER_CHAR * len(text))
 
     def peek(self):
         return self.tokens[self.pos]
@@ -118,9 +124,9 @@ class _Parser:
     def charge(self, products: int, pos: int, what):
         """Spend term products on the step at pos, which what() names."""
         self.products += products
-        if self.products > _MAX_TERM_PRODUCTS:
+        if self.products > self.budget:
             raise PolySyntaxError(f"{what()} would take this input past "
-                                  f"{_MAX_TERM_PRODUCTS} term products", pos)
+                                  f"{self.budget} term products", pos)
 
     def parse(self) -> MPoly:
         result = self.expr()
@@ -130,15 +136,15 @@ class _Parser:
         return result
 
     def expr(self) -> MPoly:
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        result = self.term() * sign
-        while self.peek()[0] in ("+", "-"):
+        # accumulated in one dict: adding each term to an MPoly would copy
+        # the sum so far
+        acc = {}
+        op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
+        while True:
+            addmul(acc, self.term(), -1 if op == "-" else None)
+            if self.peek()[0] not in ("+", "-"):
+                return MPoly(acc)
             op = self.advance()[0]
-            t = self.term()
-            result = result + t if op == "+" else result - t
-        return result
 
     def term(self) -> MPoly:
         result = self.factor()
@@ -159,7 +165,7 @@ class _Parser:
             self.advance()
             tok = self.expect("int")
             n = int(tok[1])
-            self.charge(_power_products(len(base), n), tok[2],
+            self.charge(_power_products(len(base), n, self.budget), tok[2],
                         lambda: f"power ^{n} of a {len(base)}-term polynomial")
             base = base ** n
         return base
@@ -182,9 +188,10 @@ class _Parser:
                 return MPoly.const(Fraction(num, den))
             return MPoly.const(num)
         if kind == "name":
-            if value not in VAR_INDEX:
-                raise UnknownVariable(value, pos)
-            return MPoly.var(value)
+            try:
+                return MPoly.var(value)
+            except UnboundVariable:
+                raise UnknownVariable(value, pos) from None
         if kind == "(":
             inner = self.expr()
             self.expect(")")

@@ -389,25 +389,12 @@ def _dt_equations():
 def _coefficient_equations(poly_in_unknowns: MPoly, target: MPoly):
     """Match an x-polynomial with linear a..e coefficients against a target,
     returning rows of the induced linear system on (a, b, c, d, e)."""
-    diff = poly_in_unknowns - target
-    buckets: Dict[Tuple[int, int], Dict[str, Fraction]] = {}
-    consts: Dict[Tuple[int, int], Fraction] = {}
-    for exp, coef in diff.terms():
-        xkey = (diff.exponent_of(exp, "x1"), diff.exponent_of(exp, "x2"))
-        unknown = None
-        for name in _COEFF_VARS:
-            if diff.exponent_of(exp, name) == 1:
-                unknown = name
-                break
-        if unknown is None:
-            consts[xkey] = consts.get(xkey, Fraction(0)) + coef
-        else:
-            buckets.setdefault(xkey, {})[unknown] = coef
     equations = []
-    for xkey in sorted(set(buckets) | set(consts), reverse=True):
-        row = tuple(buckets.get(xkey, {}).get(name, Fraction(0))
-                    for name in _COEFF_VARS)
-        rhs = -consts.get(xkey, Fraction(0))
+    for _, group in sorted((poly_in_unknowns - target).split(("x1", "x2")).items(),
+                           reverse=True):
+        linear = MPoly(group)
+        row = tuple(linear.coeff({name: 1}) or Fraction(0) for name in _COEFF_VARS)
+        rhs = -Fraction(linear.coeff({}))
         if any(row) or rhs:
             equations.append((row, rhs))
     # deduplicate up to scaling
@@ -532,9 +519,8 @@ def positive_rewrite(f: MPoly, d: int) -> PositiveRewrite:
     used = [name for name in f.variables() if name not in ("x1", "x2")]
     if used:
         raise ValueError(f"polynomial involves {used}, expected x1, x2 only")
-    for exp, _ in f.terms():
-        if sum(exp) != d:
-            raise ValueError("polynomial is not homogeneous of the given degree")
+    if f.homogeneous_part(d) != f:
+        raise ValueError("polynomial is not homogeneous of the given degree")
     monomials = [(i, j, d - i - j)
                  for i in range(d + 1) for j in range(d + 1 - i)]
     x3 = X1 - X2

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import g2schubert
 from g2schubert.exactalg import (
     GaussRat,
     LinSystem,
@@ -169,6 +172,31 @@ class TestCanonicalForm:
             f = rand_poly(rng, ("x1", "x2", "y1", "alpha"), 5, 6)
             assert parse_poly(str(f)) == f
 
+    def test_print_parse_roundtrip_past_fixed_budget(self):
+        # each printed term has ten powers of one term, about 270 term
+        # products in all: 1176 terms spend more than the fixed 300 000
+        high = MPoly.monomial(dict.fromkeys(
+            ("x1", "x2", "t1", "t2", "v", "alpha", "h", "f", "a", "b"), 8191))
+        f = high * (MPoly.var("y1") + MPoly.var("y2") + 1) ** 47
+        assert parse_poly(str(f)) == f
+
+    def test_split_join_inverse(self):
+        rng = random.Random(RNG_SEED + 7)
+        for names in [(), ("x2",), ("x1", "x2"), ("alpha", "x1"), ("y1", "x1", "x2")]:
+            for _ in range(10):
+                f = rand_poly(rng, ("x1", "x2", "y1", "alpha"), 5, 6)
+                parts = f.split(names)
+                assert all(len(key) == len(names) for key in parts)
+                assert MPoly.join(names, parts) == f
+                # the rest of a term holds no exponent of names
+                zero = (0,) * len(names)
+                assert all(set(MPoly(group).split(names)) == {zero}
+                           for group in parts.values())
+
+    def test_named_terms(self):
+        f = 3 * X1 ** 2 * Y1 - X2 + 1
+        assert list(f.named_terms()) == [({"x1": 2, "y1": 1}, 3), ({"x2": 1}, -1), ({}, 1)]
+
     def test_parse_examples(self):
         assert parse_poly("1/2 x1^5 x2") == Fraction(1, 2) * X1 ** 5 * X2
         assert parse_poly("(x1+x2)^2 - x1^2 - x2^2") == 2 * X1 * X2
@@ -256,3 +284,24 @@ class TestGaussRat:
         z = GaussRat(1, 1)
         assert z / z == GaussRat(1)
         assert (GaussRat(2) / GaussRat(0, 1)) == GaussRat(0, -2)
+
+
+class TestLayoutBoundary:
+    LAYOUT = {"NVARS", "_ZERO_EXP", "VAR_INDEX", "ExpKey"}
+
+    def test_only_mpoly_knows_the_exponent_layout(self):
+        root = Path(g2schubert.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "exactalg" / "mpoly.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                offenders += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                              for name in sorted(names & self.LAYOUT)]
+        assert not offenders

@@ -28,15 +28,6 @@ def rand_poly(rng, names=("x1", "x2"), max_deg=6, terms=7):
 
 
 class TestOperators:
-    def test_ds_basics(self):
-        assert s.div_diff("s", X1) == MPoly.one()
-        assert s.div_diff("s", X2) == MPoly.const(-1)
-        assert s.div_diff("s", X1 * X2).is_zero()
-
-    def test_dt_basics(self):
-        assert s.div_diff("t", X1).is_zero()
-        assert s.div_diff("t", X1 + X2) == MPoly.one()
-
     def test_ds_against_division_oracle(self):
         f = Fraction(1, 2) * X1 ** 5 * X2
         swapped = f.subs({"x1": X2, "x2": X1})
@@ -44,40 +35,6 @@ class TestOperators:
         assert s.div_diff("s", f) == expected
         assert expected == Fraction(1, 2) * X1 * X2 * (
             X1 ** 3 + X1 ** 2 * X2 + X1 * X2 ** 2 + X2 ** 3)
-
-    def test_squares_vanish(self):
-        rng = random.Random(SEED)
-        for _ in range(50):
-            g = rand_poly(rng)
-            assert s.div_diff("s", s.div_diff("s", g)).is_zero()
-            assert s.div_diff("t", s.div_diff("t", g)).is_zero()
-
-    def test_braid_relation(self):
-        rng = random.Random(SEED + 1)
-        for _ in range(50):
-            g = rand_poly(rng)
-            lhs = rhs = g
-            for ch in "ststst":
-                lhs = s.div_diff(ch, lhs)
-            for ch in "tststs":
-                rhs = s.div_diff(ch, rhs)
-            assert lhs == rhs
-
-    def test_root_dictionary_agreement(self):
-        rng = random.Random(SEED + 2)
-        op_s = s.ROOT_DICT.operator("s")
-        op_t = s.ROOT_DICT.operator("t")
-        for _ in range(50):
-            g = rand_poly(rng)
-            assert op_s(g) == s.div_diff("s", g)
-            assert op_t(g) == s.div_diff("t", g)
-
-    def test_twisted_specializes(self):
-        rng = random.Random(SEED + 3)
-        for _ in range(50):
-            g = rand_poly(rng)
-            assert (s.div_diff("tv", g).subs({"v": MPoly.zero()})
-                    == s.div_diff("t", g))
 
     def test_inert_coefficients(self):
         g = Y1 * X1 + Y2
@@ -122,22 +79,6 @@ class TestTopClasses:
 
 
 class TestFamilies:
-    @pytest.mark.parametrize("kind", ["paper", "graham", "point"])
-    def test_length_rule_exhaustive(self, kind):
-        fam = s.generate_family(kind)
-        for w, p in fam.table.items():
-            for letter in ("s", "t"):
-                neighbor = w * weyl.element(letter)
-                image = s.div_diff(letter, p)
-                if neighbor.length < w.length:
-                    assert image == fam.table[neighbor]
-                else:
-                    assert image.is_zero()
-
-    @pytest.mark.parametrize("kind", ["paper", "graham"])
-    def test_identity_entry(self, kind):
-        assert s.generate_family(kind)[""] == MPoly.one()
-
     def test_point_family_low_degrees(self):
         fam = s.generate_family("point")
         assert fam["ststs"] == Fraction(1, 2) * X1 ** 5
