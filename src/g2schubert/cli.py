@@ -50,18 +50,15 @@ def _rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_octonion(text: str) -> octonion.Oct:
+def _parse_coords(text: str, count: int):
+    """Comma-separated rationals: a vector of V (7, f1..f7) or an octonion
+    (8, e, f1..f7)."""
     parts = [_rational(p) for p in text.split(",")]
-    if len(parts) != 8:
-        raise ValueError("an octonion needs 8 coefficients: e, f1..f7")
-    return octonion.Oct(parts[0], octonion.VecV(parts[1:]))
-
-
-def _parse_vec(text: str) -> octonion.VecV:
-    parts = [_rational(p) for p in text.split(",")]
-    if len(parts) != 7:
-        raise ValueError("a vector needs 7 coefficients: f1..f7")
-    return octonion.VecV(parts)
+    if len(parts) != count:
+        raise ValueError("an octonion needs 8 coefficients: e, f1..f7" if count == 8
+                         else "a vector needs 7 coefficients: f1..f7")
+    vec = octonion.VecV(parts[-7:])
+    return octonion.Oct(parts[0], vec) if count == 8 else vec
 
 
 def _fmt_oct(u: octonion.Oct) -> str:
@@ -173,15 +170,14 @@ def cmd_expand(args) -> int:
 
 def cmd_oct_mul(args) -> int:
     ctx = octonion.standard_forms(args.basis)
-    u = _parse_octonion(args.u)
-    v = _parse_octonion(args.v)
+    u, v = _parse_coords(args.u, 8), _parse_coords(args.v, 8)
     _write(_fmt_oct(ctx.mul(u, v)), args.out)
     return 0
 
 
 def cmd_kernel(args) -> int:
     ctx = octonion.standard_forms(args.basis)
-    u = _parse_vec(args.u)
+    u = _parse_coords(args.u, 7)
     kernel = octonion.isotropic_kernel(ctx, u)
     lines = [",".join(str(c) for c in vec.coords) for vec in kernel]
     _write("\n".join(lines), args.out)
@@ -213,8 +209,6 @@ def cmd_cell(args) -> int:
                              f" the parameters are {', '.join(order)}")
         values = {name: _rational(val) for name, val in items}
         params = [values.get(n, MPoly.var(n)) for n in order]
-        if all(not isinstance(p, MPoly) for p in params):
-            params = [Fraction(p) for p in params]
     row1, row2 = octonion.big_cell_rows(params)
     ctx = octonion.standard_forms("f")
     prod = ctx.mul(octonion.Oct.imag(row1), octonion.Oct.imag(row2))
@@ -223,7 +217,7 @@ def cmd_cell(args) -> int:
         "row2: " + ", ".join(str(c) for c in row2.coords),
         f"product is zero: {prod.is_zero()}",
         f"rows isotropic: "
-        f"{octonion._is_zero(ctx.beta(row1, row1)) and octonion._is_zero(ctx.beta(row2, row2))}",
+        f"{ctx.beta(row1, row1) == 0 and ctx.beta(row2, row2) == 0}",
     ]
     _write("\n".join(lines), args.out)
     return 0

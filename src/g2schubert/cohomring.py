@@ -347,10 +347,6 @@ class NormalForm:
         return (self.presentation is other.presentation
                 and self.coeffs == other.coeffs)
 
-    def coefficient(self, monomial: Mapping[str, int]) -> MPoly:
-        key = tuple(monomial.get(v, 0) for v in self.presentation.main_vars)
-        return self.coeffs.get(key, MPoly.zero())
-
     def as_poly(self) -> MPoly:
         return MPoly.join(self.presentation.main_vars, self.coeffs)
 

@@ -17,11 +17,16 @@ torus action, and the parametrization of the big Schubert cell.
 
 The algebra operations are generic over the scalar ring: coordinates may be
 Fractions, GaussRats, or MPolys (the big-cell identity is checked with
-polynomial coordinates).  The forms themselves always have rational entries.
+polynomial coordinates), mixed freely.  Nothing here dispatches on the scalar
+type: each of them answers `x == 0`, `x == y` and the arithmetic operators, so
+the code only uses those.  The one exception is exact division, which needs
+`exact_divide` when a polynomial is involved.  The forms themselves always
+have rational entries.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,27 +55,11 @@ class NotProportional(ValueError):
     """A product that should land in a line did not."""
 
 
-# ---------------------------------------------------------------------------
-# scalar helpers (Fraction | GaussRat | MPoly)
-
-def _is_zero(x) -> bool:
-    if isinstance(x, MPoly):
-        return x.is_zero()
-    if isinstance(x, GaussRat):
-        return x.is_zero()
-    return x == 0
-
-
-def _as_mpoly(x) -> MPoly:
-    if isinstance(x, MPoly):
-        return x
-    return MPoly.const(x)
-
-
 def _div(a, b):
     """Exact scalar division; NotDivisible may propagate for polynomials."""
     if isinstance(a, MPoly) or isinstance(b, MPoly):
-        return exact_divide(_as_mpoly(a), _as_mpoly(b))
+        a, b = (x if isinstance(x, MPoly) else MPoly.const(x) for x in (a, b))
+        return exact_divide(a, b)
     return a / b
 
 
@@ -104,12 +93,12 @@ class VecV:
         return VecV(tuple(s * x for x in self.coords))
 
     def is_zero(self) -> bool:
-        return all(_is_zero(x) for x in self.coords)
+        return all(x == 0 for x in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, VecV):
             return NotImplemented
-        return all(_is_zero(x - y) for x, y in zip(self.coords, other.coords))
+        return self.coords == other.coords
 
     def __repr__(self):
         return "VecV(" + ", ".join(str(x) for x in self.coords) + ")"
@@ -124,17 +113,14 @@ def basis_vec(i: int) -> VecV:
     return VecV([Fraction(1 if j == i - 1 else 0) for j in range(DIM)])
 
 
+@dataclass(frozen=True)
 class Oct:
-    """An octonion: scalar part (coefficient of e) plus imaginary 7-vector."""
+    """An octonion: scalar part (coefficient of e) plus imaginary 7-vector.
 
-    __slots__ = ("re", "im")
+    Equality compares re and im with `==`."""
 
-    def __init__(self, re, im: VecV):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Oct is immutable")
+    re: object
+    im: VecV
 
     @staticmethod
     def unit() -> "Oct":
@@ -157,12 +143,7 @@ class Oct:
         return Oct(s * self.re, self.im.scale(s))
 
     def is_zero(self) -> bool:
-        return _is_zero(self.re) and self.im.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Oct):
-            return NotImplemented
-        return _is_zero(self.re - other.re) and self.im == other.im
+        return self.re == 0 and self.im.is_zero()
 
     def __repr__(self):
         return f"Oct({self.re}; {self.im})"
@@ -190,17 +171,11 @@ class TriForm:
         return sorted(self.coeffs)
 
     def __call__(self, u: VecV, v: VecV, w: VecV):
-        total = Fraction(0)
-        for (p, q, r), c in self.coeffs.items():
-            i, j, k = p - 1, q - 1, r - 1
-            det = (u[i] * (v[j] * w[k] - v[k] * w[j])
-                   - u[j] * (v[i] * w[k] - v[k] * w[i])
-                   + u[k] * (v[i] * w[j] - v[j] * w[i]))
-            total = total + c * det
-        return total
+        return _apply(self.functional(u, v), w)
 
     def functional(self, u: VecV, v: VecV) -> List:
-        """The linear functional gamma(u, v, .) as a coefficient list."""
+        """The linear functional gamma(u, v, .) as a coefficient list; the
+        one place where gamma is expanded."""
         phi = [Fraction(0)] * DIM
         for (p, q, r), c in self.coeffs.items():
             i, j, k = p - 1, q - 1, r - 1
@@ -213,6 +188,11 @@ class TriForm:
         """Matrix of v -> gamma(u, v, .): entry [j][k] = gamma(u, f_k, f_j)."""
         cols = [self.functional(u, basis_vec(k + 1)) for k in range(DIM)]
         return [[cols[k][j] for k in range(DIM)] for j in range(DIM)]
+
+
+def _apply(phi: Sequence, w: VecV):
+    """The value phi(w) of a functional given as a coefficient list."""
+    return sum(p * x for p, x in zip(phi, w.coords))
 
 
 class BilForm:
@@ -237,7 +217,7 @@ class BilForm:
     def __call__(self, u: VecV, v: VecV):
         total = Fraction(0)
         for i in range(DIM):
-            if _is_zero(u[i]):
+            if u[i] == 0:
                 continue
             row = self.matrix[i]
             for j in range(DIM):
@@ -277,18 +257,13 @@ class BilForm:
                 if self.matrix[i][j] != 0]
 
 
+@dataclass(frozen=True)
 class AlgebraCtx:
     """A compatible (gamma, beta) pair with its octonion product."""
 
-    __slots__ = ("gamma", "beta", "basis_kind")
-
-    def __init__(self, gamma: TriForm, beta: BilForm, basis_kind: str):
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "basis_kind", basis_kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraCtx is immutable")
+    gamma: TriForm
+    beta: BilForm
+    basis_kind: str
 
     def dagger(self, phi: Sequence) -> VecV:
         return self.beta.dagger(phi)
@@ -368,7 +343,7 @@ def to_e_basis(v: VecV) -> VecV:
     coords = [GaussRat(0)] * DIM
     for j in range(DIM):
         cj = v[j]
-        if _is_zero(cj):
+        if cj == 0:
             continue
         for i in range(DIM):
             coords[i] = coords[i] + cj * _F_IN_E[j][i]
@@ -382,9 +357,7 @@ def push_forms_to_f() -> Tuple[TriForm, BilForm]:
     standard f-basis forms in the consistency checks.
     """
     e_ctx = standard_forms("e")
-    fs = [VecV([GaussRat(1) if k == j else GaussRat(0) for k in range(DIM)])
-          for j in range(DIM)]
-    fs_in_e = [to_e_basis(f) for f in fs]
+    fs_in_e = [to_e_basis(basis_vec(j)) for j in range(1, DIM + 1)]
     tri: Dict[Tuple[int, int, int], Fraction] = {}
     for p in range(1, DIM + 1):
         for q in range(p + 1, DIM + 1):
@@ -417,13 +390,13 @@ def spanning_sample() -> List[Tuple[VecV, VecV]]:
     return [(u, v) for u in pool for v in pool]
 
 
+@dataclass(frozen=True)
 class CompatReport:
-    def __init__(self, ok: bool, pair=None, lhs=None, rhs=None, checked: int = 0):
-        self.ok = ok
-        self.counterexample = pair
-        self.lhs = lhs
-        self.rhs = rhs
-        self.checked = checked
+    ok: bool
+    counterexample: Optional[Tuple[VecV, VecV]] = None
+    lhs: object = None
+    rhs: object = None
+    checked: int = 0
 
     def __bool__(self):
         return self.ok
@@ -440,7 +413,7 @@ def check_compatible(gamma: TriForm, beta: BilForm) -> CompatReport:
     count = 0
     for u, v in spanning_sample():
         phi = gamma.functional(u, v)
-        lhs = 2 * gamma(u, v, beta.dagger(phi))
+        lhs = 2 * _apply(phi, beta.dagger(phi))
         rhs = beta(u, u) * beta(v, v) - beta(u, v) ** 2
         count += 1
         if lhs != rhs:
@@ -487,6 +460,7 @@ def _wedge(f1: Dict[Tuple[int, ...], Fraction],
     return out
 
 
+@dataclass(frozen=True)
 class BryantResult:
     """The bilinear form recovered from a trilinear form.
 
@@ -495,10 +469,9 @@ class BryantResult:
     by -3 (exactly; a failed division signals corrupted input).
     """
 
-    def __init__(self, bil: BilForm, seven_coeffs, nondegenerate: bool):
-        self.bil = bil
-        self.seven_coeffs = seven_coeffs
-        self.nondegenerate = nondegenerate
+    bil: BilForm
+    seven_coeffs: List[List[Fraction]]
+    nondegenerate: bool
 
 
 def bryant_form(gamma: TriForm) -> BryantResult:
@@ -532,7 +505,7 @@ def isotropic_kernel(ctx: AlgebraCtx, u: VecV) -> List[VecV]:
     if u.is_zero():
         raise ValueError("kernel requested at the zero vector")
     n = ctx.norm_imag(u)
-    if not _is_zero(n):
+    if n != 0:
         raise NotIsotropic(f"N(u) = {n} is nonzero")
     kernel = nullspace(ctx.gamma.kernel_matrix(u))
     if len(kernel) != 3:
@@ -554,7 +527,7 @@ def fixed_point_triples(ctx: Optional[AlgebraCtx] = None) -> Dict[int, Tuple[int
         kernel = isotropic_kernel(ctx, basis_vec(i))
         members = set()
         for vec in kernel:
-            support = [j + 1 for j in range(DIM) if not _is_zero(vec[j])]
+            support = [j + 1 for j in range(DIM) if vec[j] != 0]
             if len(support) != 1:
                 raise ArithmeticError(f"E_f{i} is not a coordinate subspace")
             members.add(support[0])
@@ -579,13 +552,9 @@ def fixed_points(ctx: Optional[AlgebraCtx] = None) -> List[Tuple[int, int]]:
 def cross_lambda(ctx: AlgebraCtx, u: VecV, v: VecV, w: VecV):
     """The scalar lambda with v w = lambda u, for v, w in E_u."""
     prod = ctx.mul_imag(v, w)
-    if not _is_zero(prod.re):
+    if prod.re != 0:
         raise NotProportional("v w has a nonzero scalar part")
-    pivot = None
-    for j in range(DIM):
-        if not _is_zero(u[j]):
-            pivot = j
-            break
+    pivot = next((j for j in range(DIM) if u[j] != 0), None)
     if pivot is None:
         raise ValueError("u must be nonzero")
     try:
@@ -604,10 +573,10 @@ def torus_weights() -> Tuple[MPoly, ...]:
     return (t1, t2, t1 - t2, MPoly.zero(), t2 - t1, -t2, -t1)
 
 
+@dataclass(frozen=True)
 class TorusReport:
-    def __init__(self, ok: bool, offending=None):
-        self.ok = ok
-        self.offending = offending
+    ok: bool
+    offending: Optional[Tuple] = None
 
     def __bool__(self):
         return self.ok
@@ -642,16 +611,13 @@ def big_cell_rows(params: Optional[Sequence] = None) -> Tuple[VecV, VecV]:
     if len(params) != 6:
         raise ValueError("big cell takes 6 parameters")
     a, b, c, d, e, f = [p if isinstance(p, MPoly) else Fraction(p) for p in params]
-    symbolic = any(isinstance(p, MPoly) for p in params)
-    one = MPoly.one() if symbolic else Fraction(1)
-    zero = MPoly.zero() if symbolic else Fraction(0)
     x = -(a * e) - b * d - c * c
     y = -a - b * f + c * d - c * e * f
     z = -(c * f) - d * d + d * e * f
     s = c + d * e - e * e * f
     t = -d + e * f
-    row1 = VecV((x, a, b, c, d, e, one))
-    row2 = VecV((y, z, s, t, f, one, zero))
+    row1 = VecV((x, a, b, c, d, e, Fraction(1)))
+    row2 = VecV((y, z, s, t, f, Fraction(1), Fraction(0)))
     return row1, row2
 
 

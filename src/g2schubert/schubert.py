@@ -397,24 +397,14 @@ def _coefficient_equations(poly_in_unknowns: MPoly, target: MPoly):
         rhs = -Fraction(linear.coeff({}))
         if any(row) or rhs:
             equations.append((row, rhs))
-    # deduplicate up to scaling
-    unique = []
+    # deduplicate up to scaling: key each equation by its entries divided by
+    # the first nonzero one, and keep the first equation with each key
+    unique = {}
     for row, rhs in equations:
-        scaled = None
-        for row2, rhs2 in unique:
-            for i in range(5):
-                if row2[i] != 0:
-                    ratio = Fraction(row[i]) / row2[i] if row[i] != 0 else None
-                    break
-            else:
-                ratio = None
-            if ratio and all(row[i] == ratio * row2[i] for i in range(5)) \
-                    and rhs == ratio * rhs2:
-                scaled = True
-                break
-        if not scaled:
-            unique.append((row, rhs))
-    return unique
+        entries = row + (rhs,)
+        pivot = next(x for x in entries if x != 0)
+        unique.setdefault(tuple(Fraction(x) / pivot for x in entries), (row, rhs))
+    return list(unique.values())
 
 
 def impossibility_certificate() -> ImpossibilityCertificate:
@@ -446,7 +436,8 @@ def impossibility_certificate() -> ImpossibilityCertificate:
     if lin.consistent:
         raise ArithmeticError("expected stage-2 system to be inconsistent")
 
-    texts = [_equation_text(row, rhs) for row, rhs in equations]
+    texts = [f"{sum((c * MPoly.var(n) for c, n in zip(row, _COEFF_VARS)), MPoly.zero())}"
+             f" = {rhs}" for row, rhs in equations]
     cert = ImpossibilityCertificate(
         equations=equations,
         equation_text=texts,
@@ -471,23 +462,6 @@ def forced_vanishing_is_certified() -> bool:
         if lp_feasible(LpFeasibility(rows, rhs)).feasible:
             return False
     return True
-
-
-def _equation_text(row, rhs) -> str:
-    parts = []
-    for coef, name in zip(row, _COEFF_VARS):
-        if coef == 0:
-            continue
-        if coef == 1:
-            term = name
-        elif coef == -1:
-            term = f"-{name}"
-        else:
-            term = f"{coef} {name}"
-        parts.append(term if not parts else
-                     (f"+ {term}" if coef > 0 else f"- {term.lstrip('-')}"))
-    lhs = " ".join(parts) if parts else "0"
-    return f"{lhs} = {rhs}"
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,15 @@ class TestOctVerbs:
         assert out == ""
         assert err == "error: zero denominator in '1/0'\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["oct-mul", "1,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
+         "an octonion needs 8 coefficients: e, f1..f7"),
+        (["kernel", "1,0,0,0,0,0,0,0"], "a vector needs 7 coefficients: f1..f7"),
+    ], ids=["oct-mul", "kernel"])
+    def test_wrong_coefficient_count(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("params", ["f=1,zz=3", "zz=1"])
     def test_cell_unknown_parameters(self, capsys, params):
         code, out, err = run(capsys, "cell", "--params", params)

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from g2schubert import octonion as o
-from g2schubert.exactalg import MPoly
+from g2schubert.exactalg import GaussRat, MPoly
 
 f = o.basis_vec
 SEED = 31415
@@ -48,6 +49,60 @@ class TestStandardForms:
     def test_e_beta_orthonormal(self, ectx):
         assert all(ectx.beta(f(p), f(q)) == (2 if p == q else 0)
                    for p in range(1, 8) for q in range(1, 8))
+
+
+class TestMixedScalars:
+    """Equality and is_zero compare coordinates with ==, so a coordinate may
+    be a Fraction, a constant MPoly or a GaussRat, mixed within one vector."""
+
+    @pytest.mark.parametrize("lift", [Fraction, MPoly.const, GaussRat],
+                             ids=["Fraction", "MPoly", "GaussRat"])
+    def test_equal_across_scalar_types(self, lift):
+        values = [Fraction(3, 2), 0, -1, 0, 0, 2, 0]
+        v = o.VecV([lift(x) for x in values])
+        assert v == o.VecV(values) and o.VecV(values) == v
+        assert o.Oct(lift(5), v) == o.Oct(Fraction(5), o.VecV(values))
+        assert v != o.VecV(values[:-1] + [1])
+        assert o.Oct(lift(5), v) != o.Oct(Fraction(4), v)
+        assert not v.is_zero()
+
+    @pytest.mark.parametrize("lift", [Fraction, MPoly.const, GaussRat],
+                             ids=["Fraction", "MPoly", "GaussRat"])
+    def test_is_zero_across_scalar_types(self, lift):
+        zero = o.VecV([lift(0)] * 7)
+        assert zero.is_zero() and zero == o.zero_vec()
+        assert o.Oct(lift(0), zero).is_zero()
+        assert not o.Oct(lift(1), zero).is_zero()
+
+    def test_mixed_within_one_vector(self):
+        mixed = o.VecV([Fraction(0), MPoly.zero(), GaussRat(0), 0,
+                        MPoly.const(2), GaussRat(2), Fraction(2)])
+        assert mixed == f(5).scale(2) + f(6).scale(2) + f(7).scale(2)
+        assert not mixed.is_zero()
+        assert (mixed - mixed).is_zero()
+        assert mixed != o.VecV([0, 0, 0, 0, 2, GaussRat(2, 1), 2])
+
+    def test_polynomial_coordinates(self):
+        a = MPoly.var("a")
+        v = f(1).scale(a) + f(2)
+        assert v == o.VecV([a, 1, 0, 0, 0, 0, 0])
+        assert v != f(2)
+        assert (v - f(1).scale(a)) == f(2)
+        assert o.Oct(a - a, o.zero_vec()).is_zero()
+
+
+@pytest.mark.parametrize("make", [
+    lambda ctx: o.Oct.unit(),
+    lambda ctx: ctx,
+    lambda ctx: o.check_compatible(ctx.gamma, ctx.beta),
+    lambda ctx: o.torus_invariance_check(ctx),
+    lambda ctx: o.bryant_form(ctx.gamma),
+], ids=["Oct", "AlgebraCtx", "CompatReport", "TorusReport", "BryantResult"])
+def test_records_are_immutable(fctx, make):
+    record = make(fctx)
+    name = dataclasses.fields(record)[0].name
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
 
 
 class TestDagger:
@@ -213,7 +268,7 @@ class TestCrossLambda:
         w = f(1).scale(d) + f(2).scale(e) + f(3).scale(g)
         prod = fctx.mul_imag(v, w)
         assert prod.im == f(1).scale(b * g - c * e)
-        assert o._is_zero(prod.re)
+        assert prod.re == 0
 
     def test_not_proportional(self, fctx):
         with pytest.raises(o.NotProportional):
