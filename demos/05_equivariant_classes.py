@@ -9,6 +9,7 @@ half-integral combination of them is integral only after scaling by 27.
 """
 
 from fractions import Fraction
+from math import prod
 
 from g2schubert import cohomring as c
 from g2schubert import schubert as s
@@ -41,15 +42,16 @@ print("\nx1 =", " + ".join(f"({coef}) P_{w.name}"
 # Localization fingerprint: restricting the class of w at the fixed point
 # of v (substitute the torus weights of the tautological lines) vanishes
 # unless w <= v in Bruhat order, and the diagonal entry for the longest
-# element is the product of all six positive roots.
-from g2schubert.exactalg import parse_poly
-
+# element is (-1)^6 times the product of its inversion roots, which are
+# the six positive roots.
 w0 = weyl.longest()
+restriction = s.equivariant_restriction(fam[w0.word], w0)
 print("\nrestriction of the top class at its own fixed point:")
-print("  ", s.equivariant_restriction(fam[w0.word], w0))
-product = parse_poly("(t1 - t2)(-t1 + 2t2)(t2)(t1)(2t1 - t2)(t1 + t2)")
-print("product of the positive roots:")
-print("  ", product)
+print("  ", restriction)
+roots = weyl.inversion_roots(w0)
+print("positive roots:", ", ".join(str(root) for root in roots))
+print("signed root product equals the restriction:",
+      (-1) ** w0.length * prod(roots) == restriction)
 print("upper-triangular support:",
       all(s.equivariant_restriction(fam[w.word], v).is_zero()
           for w in weyl.all_elements() for v in weyl.all_elements()

@@ -4,7 +4,7 @@ Subpackages and modules:
 
   exactalg   rationals, sparse polynomials, exact linear solving, LP
   octonion   composition algebras from compatible trilinear/bilinear forms
-  weyl       the order-12 Weyl group, its S7 embedding, Bruhat order
+  weyl       the order-12 Weyl group, its S7 embedding, Bruhat order, root datum
   schubert   divided difference operators and Schubert polynomial families
   cohomring  quotient-ring presentations, Chern class helpers, expansions
   checks     named verification suites (also behind the g2sc CLI)

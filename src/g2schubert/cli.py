@@ -202,11 +202,15 @@ def cmd_cell(args) -> int:
         order = ("a", "b", "c", "d", "e", "g")
         items = [(name.strip(), val) for name, _, val
                  in (item.partition("=") for item in args.params.split(","))]
-        unknown = [repr(name) for name, _ in items if name not in order]
+        names = [name for name, _ in items]
+        unknown = list(dict.fromkeys(repr(name) for name in names if name not in order))
         if unknown:
             plural = "s" if len(unknown) > 1 else ""
             raise ValueError(f"unknown cell parameter{plural} {', '.join(unknown)};"
                              f" the parameters are {', '.join(order)}")
+        repeated = sorted({repr(name) for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"repeated cell parameters: {', '.join(repeated)}")
         values = {name: _rational(val) for name, val in items}
         params = [values.get(n, MPoly.var(n)) for n in order]
     row1, row2 = octonion.big_cell_rows(params)

@@ -63,47 +63,17 @@ def div_diff(kind: str, f: MPoly) -> MPoly:
     """Apply one divided difference operator; kind is "s", "t" or "tv"."""
     if kind not in _ROOTS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    numerator = f - f.subs(_ACTIONS[kind])
-    if numerator.is_zero():
-        return MPoly.zero()
-    return exact_divide(numerator, _ROOTS[kind])
+    return div_diff_generic(f, _ROOTS[kind], _ACTIONS[kind])
 
 
 def div_diff_generic(f: MPoly, root: MPoly, action: Mapping[str, MPoly]) -> MPoly:
     """The general form (f - w.f) / root for a reflection acting by the given
-    substitution; the explicit operators are this formula specialized through
-    the root dictionary below."""
-    numerator = f - f.subs(dict(action))
+    substitution.  With weyl.simple_root and weyl.action in (x1, x2) it is
+    the explicit operator of that letter, which the divdiff suite checks."""
+    numerator = f - f.subs(action)
     if numerator.is_zero():
         return MPoly.zero()
     return exact_divide(numerator, root)
-
-
-@dataclass(frozen=True)
-class RootDict:
-    """Dictionary between root-system data and the x variables.
-
-    x1 and x1 + x2 are the two codimension-one Schubert classes, which pins
-    x1 and x2 to specific positive roots; the simple roots and the
-    reflection actions on x1, x2 follow from that identification.
-    """
-
-    alpha_s: MPoly = X1 - X2
-    alpha_t: MPoly = -X1 + 2 * X2
-    s_action: Tuple[Tuple[str, MPoly], ...] = (("x1", X2), ("x2", X1))
-    t_action: Tuple[Tuple[str, MPoly], ...] = (("x2", X1 - X2),)
-
-    def operator(self, kind: str):
-        if kind == "s":
-            root, action = self.alpha_s, dict(self.s_action)
-        elif kind == "t":
-            root, action = self.alpha_t, dict(self.t_action)
-        else:
-            raise ValueError(f"unknown simple reflection {kind!r}")
-        return lambda f: div_diff_generic(f, root, action)
-
-
-ROOT_DICT = RootDict()
 
 
 def div_diff_word(word: str, f: MPoly, twisted: bool = False) -> MPoly:
@@ -219,14 +189,14 @@ def equivariant_restriction(f: MPoly, v: weyl.WeylElt) -> MPoly:
     fixed point indexed by v.
 
     At the fixed flag through f_{v(1)}, f_{v(2)} the tautological roots
-    specialize to the corresponding torus weights.  For the generated
-    equivariant families this reproduces the localization pattern: the
-    restriction of the class of w at v vanishes unless w <= v in Bruhat
-    order, and at v = w it is the inversion-root product of w up to sign.
+    specialize to the corresponding torus weights, x_k -> v.t_k.  For the
+    generated equivariant families this reproduces the localization
+    pattern: the restriction of the class of w at v vanishes unless w <= v
+    in Bruhat order, and at v = w it is the inversion-root product of w up
+    to sign.
     """
-    from .octonion import torus_weights
-    chi = torus_weights()
-    return f.subs({"x1": chi[v.pair[0] - 1], "x2": chi[v.pair[1] - 1]})
+    image = weyl.action(v)
+    return f.subs({"x1": image["t1"], "x2": image["t2"]})
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,19 @@ The two simple reflections s and t embed into S7 as
 and every element is determined by the images w(1), w(2) of its permutation,
 which always satisfies w(i) + w(8-i) = 8.  Elements are interned singletons:
 identity comparison is group-element equality.
+
+The root datum is read off the same permutations and the torus weights
+chi_1..chi_7 of V, on which w acts by t_k -> chi_{w(k)}.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Optional, Tuple
+
+from .exactalg import MPoly
+from .octonion import fixed_point_triples, torus_weights
 
 Perm7 = Tuple[int, int, int, int, int, int, int]
 
@@ -174,12 +181,42 @@ def extend_pair(i: int, j: int,
     cross-checked against WeylElt.perm in the test suite.
     """
     if triples is None:
-        from .octonion import standard_forms, fixed_point_triples
-        triples = fixed_point_triples(standard_forms("f"))
+        triples = fixed_point_triples()
     if i not in triples or j not in triples[i][1:]:
         raise InvalidPair(f"({i}, {j}) is not a fixed-point pair")
-    rest = [x for x in triples[i][1:] if x != j]
-    w3 = rest[0]
-    images = [i, j, w3, 4]
-    full = images + [8 - w3, 8 - j, 8 - i]
-    return tuple(full)
+    w3 = next(x for x in triples[i][1:] if x != j)
+    return (i, j, w3, 4, 8 - w3, 8 - j, 8 - i)
+
+
+# ---------------------------------------------------------------------------
+# the root datum
+
+TORUS = ("t1", "t2")
+
+
+@lru_cache(maxsize=None)
+def weights(variables: Tuple[str, str] = TORUS) -> Tuple[MPoly, ...]:
+    """The torus weights chi_1..chi_7 of f_1..f_7, in the given variable pair."""
+    pair = {"t1": MPoly.var(variables[0]), "t2": MPoly.var(variables[1])}
+    return tuple(chi.subs(pair) for chi in torus_weights())
+
+
+def action(w: WeylElt, variables: Tuple[str, str] = TORUS) -> Dict[str, MPoly]:
+    """w acting on the weight pair, as the substitution t_k -> chi_{w(k)}."""
+    chi = weights(variables)
+    return {name: chi[w.perm[k] - 1] for k, name in enumerate(variables)}
+
+
+def simple_root(letter: str, variables: Tuple[str, str] = TORUS) -> MPoly:
+    """chi_i - chi_{r(i)} for the first index i that the reflection r moves."""
+    perm = _BY_WORD[letter].perm
+    i = next(k for k in range(7) if perm[k] != k + 1)
+    chi = weights(variables)
+    return chi[i] - chi[perm[i] - 1]
+
+
+def inversion_roots(w: WeylElt, variables: Tuple[str, str] = TORUS) -> List[MPoly]:
+    """(r_1 ... r_{k-1}) . alpha_{r_k} for k = 1..l along the reduced word
+    r_1 ... r_l of w; for the longest element, the six positive roots."""
+    return [simple_root(letter, variables).subs(action(element(w.word[:k]), variables))
+            for k, letter in enumerate(w.word)]

@@ -291,6 +291,13 @@ class TestOctVerbs:
         for name in (item.split("=")[0] for item in params.split(",")):
             assert repr(name) in err
 
+    @pytest.mark.parametrize("params, message", [
+        ("a=1,b=0,a=2", "repeated cell parameters: 'a'"),
+        ("zz=1,zz=2", "unknown cell parameter 'zz'; the parameters are a, b, c, d, e, g")])
+    def test_cell_repeated_parameter(self, capsys, params, message):
+        code, out, err = run(capsys, "cell", "--params", params)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 @pytest.mark.parametrize("argv", [["oct-mul", "1,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
                                   ["kernel", "1,0,0,0,0,0,0"], ["bryant"],

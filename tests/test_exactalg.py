@@ -289,19 +289,33 @@ class TestGaussRat:
 class TestLayoutBoundary:
     LAYOUT = {"NVARS", "_ZERO_EXP", "VAR_INDEX", "ExpKey"}
 
-    def test_only_mpoly_knows_the_exponent_layout(self):
+    @staticmethod
+    def references(names, allowed):
+        """Each use of one of names, as an imported name, an attribute or a
+        bare name, in a package module outside allowed."""
         root = Path(g2schubert.__file__).parent
         offenders = []
         for path in sorted(root.rglob("*.py")):
-            if path == root / "exactalg" / "mpoly.py":
+            if path.relative_to(root).as_posix() in allowed:
                 continue
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.ImportFrom):
-                    names = {alias.name for alias in node.names}
+                    used = {alias.name for alias in node.names}
                 elif isinstance(node, ast.Attribute):
-                    names = {node.attr}
+                    used = {node.attr}
+                elif isinstance(node, ast.Name):
+                    used = {node.id}
                 else:
                     continue
                 offenders += [f"{path.relative_to(root)}:{node.lineno} {name}"
-                              for name in sorted(names & self.LAYOUT)]
-        assert not offenders
+                              for name in sorted(used & names)]
+        return offenders
+
+    def test_only_mpoly_knows_the_exponent_layout(self):
+        assert not self.references(self.LAYOUT, {"exactalg/mpoly.py"})
+
+    def test_roots_are_stated_only_by_weyl_and_the_operator_table(self):
+        # the torus weights are the source of weyl's root datum, and
+        # schubert's explicit operator table is its one deliberate copy
+        assert not self.references({"torus_weights"}, {"octonion.py", "weyl.py"})
+        assert not self.references({"_ROOTS", "_ACTIONS"}, {"schubert.py"})

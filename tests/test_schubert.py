@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2schubert import schubert as s
-from g2schubert import weyl
+from g2schubert import octonion, weyl
 from g2schubert.exactalg import MPoly, exact_divide
 from g2schubert.weyl import NonReducedWord
 
@@ -34,6 +34,13 @@ class TestOperators:
     def test_constant_killed(self):
         assert s.div_diff("s", MPoly.const(5)).is_zero()
         assert s.div_diff("t", MPoly.const(5)).is_zero()
+
+    def test_tables_match_the_root_datum(self):
+        xs = ("x1", "x2")
+        for r in "st":
+            assert s._ROOTS[r] == weyl.simple_root(r, xs)
+            assert ({"x1": X1, "x2": X2, **s._ACTIONS[r]}
+                    == weyl.action(weyl.element(r), xs))
 
 
 class TestTopClasses:
@@ -98,6 +105,23 @@ class TestLocalization:
         fam = s.generate_family("eq-paper")
         t1, t2 = MPoly.var("t1"), MPoly.var("t2")
         roots = [t1 - t2, -t1 + 2 * t2, t2, t1, 2 * t1 - t2, t1 + t2]
+        assert set(roots) == set(weyl.inversion_roots(weyl.longest()))
+        # the same six roots are the torus weights of the big-cell
+        # parameters: an entry at f_j of a row whose pivot 1 sits at f_p
+        # scales by chi_j - chi_p
+        chi = weyl.weights()
+        free = {MPoly.var(name): name for name in ("a", "b", "c", "d", "e", "g")}
+        rows = [(row.coords, max(j for j, x in enumerate(row.coords) if x != 0))
+                for row in octonion.big_cell_rows()]
+        weight = {free[x]: chi[j] - chi[p] for coords, p in rows
+                  for j, x in enumerate(coords[:p]) if x in free}
+        assert sorted(weight) == sorted(free.values())
+        assert set(roots) == set(weight.values())
+        for coords, p in rows:
+            for j, x in enumerate(coords[:p + 1]):
+                for exps, _ in (MPoly.one() * x).named_terms():
+                    assert sum((e * weight[n] for n, e in exps.items()),
+                               MPoly.zero()) == chi[j] - chi[p], (j, p, x)
         product = MPoly.one()
         for root in roots:
             product = product * root

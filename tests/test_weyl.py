@@ -74,6 +74,12 @@ class TestEmbedding:
     def test_longest_reverses(self):
         assert weyl.longest().perm == (7, 6, 5, 4, 3, 2, 1)
 
+    def test_action_on_weights_follows_the_permutation(self):
+        chi = weyl.weights()
+        for w in weyl.all_elements():
+            for i in range(7):
+                assert chi[i].subs(weyl.action(w)) == chi[w.perm[i] - 1], (w.name, i)
+
 
 class TestExtendPair:
     def test_against_embedding(self):
