@@ -284,9 +284,16 @@ class Presentation:
     def reduce_poly(self, poly: MPoly) -> MPoly:
         """Rewrite to the (unique) irreducible representative: the normal
         form of each main key times its base coefficient."""
+        return self._reduce_groups(poly.split(self.main_vars))
+
+    def _reduce_groups(self, groups: Mapping[Tuple[int, ...], "MPoly | dict"],
+                      shift: Optional[Tuple[int, ...]] = None) -> MPoly:
+        """The normal form of the polynomial that has the base coefficient
+        groups[key] (terms in the base variables) at each main key, each
+        main key first shifted by the main key shift when one is given."""
         out = {}
-        for key, group in poly.split(self.main_vars).items():
-            nf = self.reduce_monomial(key)
+        for key, group in groups.items():
+            nf = self.reduce_monomial(tuple(map(add, key, shift)) if shift else key)
             for base, c in group.items():
                 addmul(out, nf, c, base)
         return MPoly(out)
@@ -554,8 +561,10 @@ def _check_associativity(p: Presentation, table, failures):
     distinct product is multiplied by every basis element once.  The
     association orders (e_a e_b) e_c, (e_a e_c) e_b and (e_b e_c) e_a of
     every triple are among those (product, e_z) pairs, and no product is
-    reduced twice.  A failure names the pair or the triple and carries both
-    sides.
+    reduced twice.  The direct side of a pair is the one main monomial
+    e_x e_y e_z, read off reduce_monomial; the table side is the entry's
+    coefficient groups, shifted by the main key of e_z.  A failure names the
+    pair or the triple and carries both sides.
     """
     first: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     for pair in sorted(table):
@@ -565,13 +574,11 @@ def _check_associativity(p: Presentation, table, failures):
             failures.append(f"associativity: table entry {pair} is "
                             f"{table[pair].as_poly()} but {rep}, with the same "
                             f"product, is {table[rep].as_poly()}")
-    polys = p.basis_polys()
-    for x, y in first.values():
-        side = table[(x, y)].as_poly()
-        mono = polys[x] * polys[y]
-        for z, e_z in enumerate(polys):
-            assoc = p.reduce_poly(side * e_z)
-            direct = p.reduce_poly(mono * e_z)
+    for key_xy, (x, y) in first.items():
+        side = table[(x, y)].coeffs
+        for z, key_z in enumerate(p.basis):
+            assoc = p._reduce_groups(side, key_z)
+            direct = p.reduce_monomial(tuple(map(add, key_xy, key_z)))
             if assoc != direct:
                 failures.append(f"associativity fails at basis {(x, y, z)}: "
                                 f"table side {assoc}, direct {direct}")

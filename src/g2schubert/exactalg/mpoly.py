@@ -35,6 +35,8 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
+from .scalars import exact as _exact
+
 VARIABLES: Tuple[str, ...] = (
     "x1", "x2", "y1", "y2", "t1", "t2", "v", "alpha", "h", "f",
     "c1F", "c2F", "c3F", "c1Q", "c2Q", "c3Q",
@@ -55,17 +57,6 @@ class UnboundVariable(KeyError):
 
 class NotDivisible(ArithmeticError):
     """exact_divide found no exact quotient."""
-
-
-def _exact(value) -> Coef:
-    """value as an int, or a Fraction with denominator > 1; TypeError on a
-    float, which is never exact."""
-    if isinstance(value, float):
-        raise TypeError(f"coefficient {value!r} is a float; MPoly coefficients "
-                        f"are int or Fraction")
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
 
 
 def _exponent(names: Iterable[str], exponents: Iterable[int]) -> ExpKey:

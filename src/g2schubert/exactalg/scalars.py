@@ -1,13 +1,43 @@
 """Exact scalar types: rationals and Gaussian rationals.
 
-Plain rationals are `fractions.Fraction` (always in lowest terms, positive
-denominator).  `GaussRat` adjoins a square root of -1; it is only needed for
-the change of basis between the orthonormal and isotropic octonion bases.
+A rational is stored as an int when it is integral and as a
+`fractions.Fraction` (lowest terms, denominator > 1) otherwise, the rule
+MPoly coefficients follow too; `exact` puts a value in that form.  Integral
+arithmetic then never pays for Fraction.  Python's `/` on two ints returns a
+float, so every division of rationals goes through `quotient`, which is
+exact and gives an int when the quotient is integral.  `GaussRat` adjoins a
+square root of -1; it is only needed for the change of basis between the
+orthonormal and isotropic octonion bases.  Both of its parts follow the
+int-or-Fraction rule, and its division is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Union
+
+Rational = Union[int, Fraction]
+
+
+def exact(value) -> Rational:
+    """value as an int, or a Fraction with denominator > 1; TypeError on a
+    float, which is never exact."""
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; exact scalars and MPoly "
+                        f"coefficients are int or Fraction")
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def quotient(a: Rational, b: Rational) -> Rational:
+    """a / b exactly, as an int when it is integral; ZeroDivisionError when
+    b is 0."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = (a if isinstance(a, Fraction) else Fraction(a)) / b
+    return q.numerator if q.denominator == 1 else q
 
 
 class GaussRat:
@@ -16,8 +46,8 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is int else exact(re))
+        object.__setattr__(self, "im", im if type(im) is int else exact(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -66,7 +96,7 @@ class GaussRat:
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRat")
-        return self * GaussRat(o.re / n, -o.im / n)
+        return self * GaussRat(quotient(o.re, n), quotient(-o.im, n))
 
     def conjugate(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)

@@ -16,28 +16,42 @@ recovering beta from gamma, the 3-dimensional isotropic kernels E_u, the
 torus action, and the parametrization of the big Schubert cell.
 
 The algebra operations are generic over the scalar ring: coordinates may be
-Fractions, GaussRats, or MPolys (the big-cell identity is checked with
+ints, Fractions, GaussRats, or MPolys (the big-cell identity is checked with
 polynomial coordinates), mixed freely.  Nothing here dispatches on the scalar
 type: each of them answers `x == 0`, `x == y` and the arithmetic operators, so
-the code only uses those.  The one exception is exact division, which needs
-`exact_divide` when a polynomial is involved.  The forms themselves always
-have rational entries.
+the code only uses those.  The one exception is exact division, `_div`.
+
+Every rational this module stores is an int when it is integral and a
+Fraction (denominator > 1) otherwise: form entries, basis vectors, the unit,
+the big-cell constants, kernel vectors and both parts of a GaussRat.  No
+rational is divided with a bare `/`, which returns a float on two ints;
+`_div` divides rationals with `quotient`, polynomials with `exact_divide`,
+and GaussRats with their own exact division.  A non-integral constant such
+as 1/2 is applied by dividing, never by multiplying with a Fraction, so an
+integral input gives ints throughout; Fraction inputs follow Python's
+arithmetic and may give an integral Fraction, equal to the int.  Products
+and sums put a coordinate first and an int constant or running total
+second, since int * Fraction takes Fraction's slower reflected path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (
     GaussRat,
     MPoly,
     NotDivisible,
+    Rational,
+    exact,
     exact_divide,
     matrix_inverse,
     nullspace,
     determinant,
+    quotient,
 )
 
 DIM = 7
@@ -56,7 +70,10 @@ class NotProportional(ValueError):
 
 
 def _div(a, b):
-    """Exact scalar division; NotDivisible may propagate for polynomials."""
+    """Exact scalar division: an int for an integral quotient of rationals;
+    NotDivisible may propagate for polynomials."""
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return quotient(a, b)
     if isinstance(a, MPoly) or isinstance(b, MPoly):
         a, b = (x if isinstance(x, MPoly) else MPoly.const(x) for x in (a, b))
         return exact_divide(a, b)
@@ -90,7 +107,7 @@ class VecV:
         return VecV(tuple(-x for x in self.coords))
 
     def scale(self, s) -> "VecV":
-        return VecV(tuple(s * x for x in self.coords))
+        return VecV(tuple(x * s for x in self.coords))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
@@ -105,12 +122,12 @@ class VecV:
 
 
 def zero_vec() -> VecV:
-    return VecV([Fraction(0)] * DIM)
+    return VecV([0] * DIM)
 
 
 def basis_vec(i: int) -> VecV:
     """The i-th basis vector, 1-based."""
-    return VecV([Fraction(1 if j == i - 1 else 0) for j in range(DIM)])
+    return VecV([1 if j == i - 1 else 0 for j in range(DIM)])
 
 
 @dataclass(frozen=True)
@@ -124,11 +141,11 @@ class Oct:
 
     @staticmethod
     def unit() -> "Oct":
-        return Oct(Fraction(1), zero_vec())
+        return Oct(1, zero_vec())
 
     @staticmethod
     def imag(v: VecV) -> "Oct":
-        return Oct(Fraction(0), v)
+        return Oct(0, v)
 
     def __add__(self, other: "Oct") -> "Oct":
         return Oct(self.re + other.re, self.im + other.im)
@@ -140,7 +157,7 @@ class Oct:
         return Oct(-self.re, -self.im)
 
     def scale(self, s) -> "Oct":
-        return Oct(s * self.re, self.im.scale(s))
+        return Oct(self.re * s, self.im.scale(s))
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im.is_zero()
@@ -154,12 +171,12 @@ class TriForm:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Dict[Tuple[int, int, int], Fraction]):
+    def __init__(self, coeffs: Dict[Tuple[int, int, int], Rational]):
         clean = {}
         for (p, q, r), c in coeffs.items():
             if not (1 <= p < q < r <= DIM):
                 raise ValueError(f"triple {(p, q, r)} is not strictly increasing")
-            c = Fraction(c)
+            c = exact(c)
             if c != 0:
                 clean[(p, q, r)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -176,12 +193,13 @@ class TriForm:
     def functional(self, u: VecV, v: VecV) -> List:
         """The linear functional gamma(u, v, .) as a coefficient list; the
         one place where gamma is expanded."""
-        phi = [Fraction(0)] * DIM
+        u, v = u.coords, v.coords
+        phi = [0] * DIM
         for (p, q, r), c in self.coeffs.items():
             i, j, k = p - 1, q - 1, r - 1
-            phi[k] = phi[k] + c * (u[i] * v[j] - u[j] * v[i])
-            phi[j] = phi[j] - c * (u[i] * v[k] - u[k] * v[i])
-            phi[i] = phi[i] + c * (u[j] * v[k] - u[k] * v[j])
+            phi[k] = (u[i] * v[j] - u[j] * v[i]) * c + phi[k]
+            phi[j] = (u[k] * v[i] - u[i] * v[k]) * c + phi[j]
+            phi[i] = (u[j] * v[k] - u[k] * v[j]) * c + phi[i]
         return phi
 
     def kernel_matrix(self, u: VecV) -> List[List]:
@@ -196,12 +214,18 @@ def _apply(phi: Sequence, w: VecV):
 
 
 class BilForm:
-    """Symmetric bilinear form as a 7x7 rational matrix."""
+    """Symmetric bilinear form as a 7x7 rational matrix.
 
-    __slots__ = ("matrix", "_inv")
+    The form keeps its nonzero entries as a sparse list, and dagger keeps
+    the rows of the inverse as (denominator, ((column, numerator), ...)),
+    built on first use; so neither compares an entry with 0 per call, and
+    dagger divides by each row's common denominator instead of multiplying
+    by Fractions."""
+
+    __slots__ = ("matrix", "_entries", "_dagger_rows")
 
     def __init__(self, matrix: Sequence[Sequence]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        rows = tuple(tuple(exact(x) for x in row) for row in matrix)
         if len(rows) != DIM or any(len(r) != DIM for r in rows):
             raise ValueError("BilForm needs a 7x7 matrix")
         for i in range(DIM):
@@ -209,52 +233,48 @@ class BilForm:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("BilForm matrix must be symmetric")
         object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_entries", tuple(
+            (i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if c))
+        object.__setattr__(self, "_dagger_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BilForm is immutable")
 
     def __call__(self, u: VecV, v: VecV):
-        total = Fraction(0)
-        for i in range(DIM):
-            if u[i] == 0:
-                continue
-            row = self.matrix[i]
-            for j in range(DIM):
-                if row[j] != 0:
-                    total = total + row[j] * u[i] * v[j]
+        u, v = u.coords, v.coords
+        total = 0
+        for i, j, c in self._entries:
+            total = u[i] * v[j] * c + total
         return total
 
-    def det(self) -> Fraction:
+    def det(self) -> Rational:
         return determinant([list(r) for r in self.matrix])
 
     def is_nondegenerate(self) -> bool:
         return self.det() != 0
 
-    def inverse(self):
-        inv = object.__getattribute__(self, "_inv")
-        if inv is None:
+    def dagger(self, phi: Sequence) -> VecV:
+        """The vector v with beta(v, u) = phi(u) for all u."""
+        rows = object.__getattribute__(self, "_dagger_rows")
+        if rows is None:
             inv = matrix_inverse([list(r) for r in self.matrix])
             if inv is None:
                 raise SingularForm("bilinear form is degenerate")
-            object.__setattr__(self, "_inv", inv)
-        return inv
-
-    def dagger(self, phi: Sequence) -> VecV:
-        """The vector v with beta(v, u) = phi(u) for all u."""
-        inv = self.inverse()
+            rows = []
+            for row in inv:
+                d = lcm(*(x.denominator for x in row))
+                rows.append((d, tuple((j, exact(x * d)) for j, x in enumerate(row) if x)))
+            object.__setattr__(self, "_dagger_rows", rows)
         coords = []
-        for i in range(DIM):
-            acc = Fraction(0)
-            for j in range(DIM):
-                if inv[i][j] != 0:
-                    acc = acc + inv[i][j] * phi[j]
-            coords.append(acc)
+        for d, terms in rows:
+            acc = 0
+            for j, n in terms:
+                acc = phi[j] * n + acc
+            coords.append(acc if d == 1 else _div(acc, d))
         return VecV(coords)
 
     def support_pairs(self):
-        return [(i + 1, j + 1) for i in range(DIM) for j in range(i, DIM)
-                if self.matrix[i][j] != 0]
+        return [(i + 1, j + 1) for i, j, _ in self._entries if i <= j]
 
 
 @dataclass(frozen=True)
@@ -271,7 +291,7 @@ class AlgebraCtx:
     def mul(self, u: Oct, v: Oct) -> Oct:
         """The octonion product on k + V."""
         uv_imag_beta = self.beta(u.im, v.im)
-        re = u.re * v.re - Fraction(1, 2) * uv_imag_beta
+        re = u.re * v.re - _div(uv_imag_beta, 2)
         cross = self.dagger(self.gamma.functional(u.im, v.im))
         im = v.im.scale(u.re) + u.im.scale(v.re) + cross
         return Oct(re, im)
@@ -280,17 +300,17 @@ class AlgebraCtx:
         return self.mul(Oct.imag(u), Oct.imag(v))
 
     def norm(self, u: Oct):
-        return u.re * u.re + Fraction(1, 2) * self.beta(u.im, u.im)
+        return u.re * u.re + _div(self.beta(u.im, u.im), 2)
 
     def norm_imag(self, u: VecV):
-        return Fraction(1, 2) * self.beta(u, u)
+        return _div(self.beta(u, u), 2)
 
     def conjugate(self, u: Oct) -> Oct:
         return Oct(u.re, -u.im)
 
     def bprime(self, u: Oct, v: Oct):
         """The bilinear form of the norm on C = k + V."""
-        return 2 * u.re * v.re + self.beta(u.im, v.im)
+        return u.re * v.re * 2 + self.beta(u.im, v.im)
 
 
 def standard_forms(basis_kind: str = "f") -> AlgebraCtx:
@@ -326,27 +346,25 @@ def standard_forms(basis_kind: str = "f") -> AlgebraCtx:
 _I = GaussRat(0, 1)
 _H = GaussRat(Fraction(1, 2))
 
-# e-basis coordinates of f_1..f_7 (columns of the change of basis)
-_F_IN_E: Tuple[Tuple[GaussRat, ...], ...] = (
-    (_H, _H * _I, GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0)),
-    (GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), _H, _H * _I, GaussRat(0)),
-    (GaussRat(0), GaussRat(0), GaussRat(0), _H, GaussRat(0), GaussRat(0), _H * _I),
-    (GaussRat(0), GaussRat(0), _I, GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0)),
-    (GaussRat(0), GaussRat(0), GaussRat(0), -_H, GaussRat(0), GaussRat(0), _H * _I),
-    (GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), -_H, _H * _I, GaussRat(0)),
-    (-_H, _H * _I, GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0), GaussRat(0)),
+# e-basis coordinates of f_1..f_7 (columns of the change of basis), as the
+# sparse (e-index, coordinate) pairs of each f_j
+_F_IN_E: Tuple[Tuple[Tuple[int, GaussRat], ...], ...] = (
+    ((0, _H), (1, _H * _I)),
+    ((4, _H), (5, _H * _I)),
+    ((3, _H), (6, _H * _I)),
+    ((2, _I),),
+    ((3, -_H), (6, _H * _I)),
+    ((4, -_H), (5, _H * _I)),
+    ((0, -_H), (1, _H * _I)),
 )
 
 
 def to_e_basis(v: VecV) -> VecV:
     """Coordinates in the e-basis of a vector given in the f-basis."""
     coords = [GaussRat(0)] * DIM
-    for j in range(DIM):
-        cj = v[j]
-        if cj == 0:
-            continue
-        for i in range(DIM):
-            coords[i] = coords[i] + cj * _F_IN_E[j][i]
+    for cj, column in zip(v.coords, _F_IN_E):
+        for i, entry in column:
+            coords[i] = coords[i] + cj * entry
     return VecV(coords)
 
 
@@ -358,7 +376,7 @@ def push_forms_to_f() -> Tuple[TriForm, BilForm]:
     """
     e_ctx = standard_forms("e")
     fs_in_e = [to_e_basis(basis_vec(j)) for j in range(1, DIM + 1)]
-    tri: Dict[Tuple[int, int, int], Fraction] = {}
+    tri: Dict[Tuple[int, int, int], Rational] = {}
     for p in range(1, DIM + 1):
         for q in range(p + 1, DIM + 1):
             for r in range(q + 1, DIM + 1):
@@ -367,7 +385,7 @@ def push_forms_to_f() -> Tuple[TriForm, BilForm]:
                     raise ValueError(f"gamma(f{p},f{q},f{r}) = {val} is not rational")
                 if val.re != 0:
                     tri[(p, q, r)] = val.re
-    mat = [[Fraction(0)] * DIM for _ in range(DIM)]
+    mat = [[0] * DIM for _ in range(DIM)]
     for p in range(DIM):
         for q in range(DIM):
             val = e_ctx.beta(fs_in_e[p], fs_in_e[q])
@@ -421,9 +439,9 @@ def check_compatible(gamma: TriForm, beta: BilForm) -> CompatReport:
     return CompatReport(True, checked=count)
 
 
-def _contract(gamma: TriForm, p: int) -> Dict[Tuple[int, int], Fraction]:
+def _contract(gamma: TriForm, p: int) -> Dict[Tuple[int, int], Rational]:
     """The 2-form gamma(f_p, ., .)."""
-    out: Dict[Tuple[int, int], Fraction] = {}
+    out: Dict[Tuple[int, int], Rational] = {}
     for (a, b, c), coef in gamma.coeffs.items():
         if p == a:
             key, sign = (b, c), 1
@@ -433,7 +451,7 @@ def _contract(gamma: TriForm, p: int) -> Dict[Tuple[int, int], Fraction]:
             key, sign = (a, b), 1
         else:
             continue
-        out[key] = out.get(key, Fraction(0)) + sign * coef
+        out[key] = out.get(key, 0) + sign * coef
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -442,9 +460,9 @@ def _merge_sign(left: Tuple[int, ...], right: Tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _wedge(f1: Dict[Tuple[int, ...], Fraction],
-           f2: Dict[Tuple[int, ...], Fraction]) -> Dict[Tuple[int, ...], Fraction]:
-    out: Dict[Tuple[int, ...], Fraction] = {}
+def _wedge(f1: Dict[Tuple[int, ...], Rational],
+           f2: Dict[Tuple[int, ...], Rational]) -> Dict[Tuple[int, ...], Rational]:
+    out: Dict[Tuple[int, ...], Rational] = {}
     for idx1, c1 in f1.items():
         set1 = set(idx1)
         for idx2, c2 in f2.items():
@@ -452,7 +470,7 @@ def _wedge(f1: Dict[Tuple[int, ...], Fraction],
                 continue
             sign = _merge_sign(idx1, idx2)
             key = tuple(sorted(idx1 + idx2))
-            val = out.get(key, Fraction(0)) + sign * c1 * c2
+            val = out.get(key, 0) + sign * c1 * c2
             if val == 0:
                 out.pop(key, None)
             else:
@@ -470,7 +488,7 @@ class BryantResult:
     """
 
     bil: BilForm
-    seven_coeffs: List[List[Fraction]]
+    seven_coeffs: List[List[Rational]]
     nondegenerate: bool
 
 
@@ -480,15 +498,14 @@ def bryant_form(gamma: TriForm) -> BryantResult:
     top = tuple(range(1, DIM + 1))
     omegas = [_contract(gamma, p) for p in range(1, DIM + 1)]
     gamma_dict = dict(gamma.coeffs)
-    seven = [[Fraction(0)] * DIM for _ in range(DIM)]
-    mat = [[Fraction(0)] * DIM for _ in range(DIM)]
+    seven = [[0] * DIM for _ in range(DIM)]
+    mat = [[0] * DIM for _ in range(DIM)]
     for p in range(DIM):
         for q in range(p, DIM):
             w = _wedge(_wedge(omegas[p], omegas[q]), gamma_dict)
-            coef = w.get(top, Fraction(0))
+            coef = w.get(top, 0)
             seven[p][q] = seven[q][p] = coef
-            val = -coef / 3
-            mat[p][q] = mat[q][p] = val
+            mat[p][q] = mat[q][p] = _div(-coef, 3)
     bil = BilForm(mat)
     return BryantResult(bil, seven, bil.is_nondegenerate())
 
@@ -510,7 +527,7 @@ def isotropic_kernel(ctx: AlgebraCtx, u: VecV) -> List[VecV]:
     kernel = nullspace(ctx.gamma.kernel_matrix(u))
     if len(kernel) != 3:
         raise ArithmeticError(f"kernel has rank {len(kernel)}, expected 3")
-    basis = [VecV(vec) for vec in kernel]
+    basis = [VecV(map(exact, vec)) for vec in kernel]
     for w in basis:
         if not ctx.mul_imag(u, w).is_zero():
             raise ArithmeticError("kernel vector does not annihilate u")
@@ -610,14 +627,14 @@ def big_cell_rows(params: Optional[Sequence] = None) -> Tuple[VecV, VecV]:
         params = [MPoly.var(n) for n in ("a", "b", "c", "d", "e", "g")]
     if len(params) != 6:
         raise ValueError("big cell takes 6 parameters")
-    a, b, c, d, e, f = [p if isinstance(p, MPoly) else Fraction(p) for p in params]
+    a, b, c, d, e, f = [p if isinstance(p, MPoly) else exact(p) for p in params]
     x = -(a * e) - b * d - c * c
     y = -a - b * f + c * d - c * e * f
     z = -(c * f) - d * d + d * e * f
     s = c + d * e - e * e * f
     t = -d + e * f
-    row1 = VecV((x, a, b, c, d, e, Fraction(1)))
-    row2 = VecV((y, z, s, t, f, Fraction(1), Fraction(0)))
+    row1 = VecV((x, a, b, c, d, e, 1))
+    row2 = VecV((y, z, s, t, f, 1, 0))
     return row1, row2
 
 

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import g2schubert
 from g2schubert import checks
 from g2schubert.cli import main
 from g2schubert.cohomring import MAX_REWRITE_TERMS
@@ -323,3 +327,21 @@ class TestWeylVerb:
         code, out, _ = run(capsys, "weyl", "sts")
         assert code == 0
         assert "pair:    5 2" in out
+
+
+def test_stdout_closed_early_is_exit_1_without_traceback():
+    # the JSON is about 0.5 MB, more than a pipe holds, so the writer is
+    # still writing when the reader closes its end after the first line
+    env = dict(os.environ, PYTHONPATH=str(Path(g2schubert.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "g2schubert.cli", "reduce", "--presentation",
+         "FlIntegralBundle", "--format", "json",
+         "(y1+c1F+c2F+c3F+c1Q+c2Q+c3Q)^8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert b"Traceback" not in err and err == b""
+    assert code == 1

@@ -1,22 +1,33 @@
-"""The coefficient contract of MPoly, on everything the paper computes:
-every coefficient is an int, or a Fraction with denominator > 1, and never
-a float."""
+"""The coefficient contract of MPoly and of the octonion layer's scalars, on
+everything the paper computes: every rational is an int, or a Fraction with
+denominator > 1, and never a float."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from g2schubert import cohomring, schubert, weyl
-from g2schubert.exactalg import MPoly
+from g2schubert import cohomring, octonion, schubert, weyl
+from g2schubert.exactalg import GaussRat, MPoly
 
 SEED = 6067
 
 
+def assert_exact(value, where):
+    """value is an int, a Fraction with denominator > 1, or a GaussRat whose
+    two parts are."""
+    if isinstance(value, GaussRat):
+        assert_exact(value.re, where)
+        assert_exact(value.im, where)
+    else:
+        assert type(value) is int or (type(value) is Fraction
+                                      and value.denominator > 1), (where, value)
+
+
 def assert_contract(poly, where):
     for exp, coef in poly.items():
-        assert type(coef) is int or (type(coef) is Fraction
-                                     and coef.denominator > 1), (where, exp, coef)
+        assert_exact(coef, (where, exp))
 
 
 @pytest.mark.parametrize("w0_word", ["ststst", "tststs"])
@@ -63,3 +74,64 @@ def test_mult_table_and_normal_forms(name):
         for key, coef in nf.coeffs.items():
             assert_contract(coef, (str(f), key))
         assert_contract(nf.as_poly(), str(f))
+
+
+def assert_vec(vec, where):
+    for i, x in enumerate(vec.coords):
+        assert_exact(x, (where, i))
+
+
+def assert_oct(u, where):
+    assert_exact(u.re, where)
+    assert_vec(u.im, where)
+
+
+def assert_forms(gamma, beta, where):
+    for triple, c in gamma.coeffs.items():
+        assert_exact(c, (where, "gamma", triple))
+    for i, row in enumerate(beta.matrix):
+        for j, x in enumerate(row):
+            assert_exact(x, (where, "beta", i, j))
+
+
+# The octonion layer stores its rationals by the same rule, and applies a
+# non-integral constant such as 1/2 by exact division, so integral inputs
+# give exact results: ints, or Fractions such as f1 f7 = 1/2 e + 1/2 f4.
+@pytest.mark.parametrize("basis", ["f", "e"])
+def test_octonion_forms_and_products(basis):
+    ctx = octonion.standard_forms(basis)
+    assert_forms(ctx.gamma, ctx.beta, basis)
+    res = octonion.bryant_form(ctx.gamma)
+    assert_forms(ctx.gamma, res.bil, "bryant")
+    for i, row in enumerate(res.seven_coeffs):
+        for j, x in enumerate(row):
+            assert_exact(x, ("seven", i, j))
+    vecs = [octonion.basis_vec(i) for i in range(1, 8)]
+    units = [octonion.Oct.unit()] + [octonion.Oct.imag(v) for v in vecs]
+    units += [u.scale(3) for u in units]
+    for a, u in enumerate(units):
+        assert_oct(u, a)
+        assert_exact(ctx.norm(u), ("norm", a))
+        for b, v in enumerate(units):
+            assert_oct(ctx.mul(u, v), ("mul", a, b))
+    for (i, u), (j, v) in combinations(enumerate(vecs), 2):
+        phi = ctx.gamma.functional(u, v)
+        assert_vec(ctx.dagger(phi), ("dagger", i, j))
+        assert_vec(ctx.dagger([3 * c for c in phi]), ("dagger 3", i, j))
+
+
+def test_octonion_kernels_and_basis_change():
+    ctx = octonion.standard_forms("f")
+    for i in (1, 2, 3, 5, 6, 7):
+        u = octonion.basis_vec(i)
+        kernel = octonion.isotropic_kernel(ctx, u)
+        for v in kernel:
+            assert_vec(v, ("kernel", i))
+        for v, w in combinations(kernel, 2):
+            assert_exact(octonion.cross_lambda(ctx, u, v, w), ("lambda", i))
+    for j in range(1, 8):
+        assert_vec(octonion.to_e_basis(octonion.basis_vec(j)), ("f in e", j))
+    assert_forms(*octonion.push_forms_to_f(), "pushed")
+    third = GaussRat(1) / GaussRat(3)
+    assert third == Fraction(1, 3)
+    assert type(third.re) is Fraction and type(third.im) is int
