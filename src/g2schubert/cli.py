@@ -35,8 +35,11 @@ def _poly_terms_json(poly: MPoly) -> List[dict]:
 
 def _write(text: str, out_path: Optional[str]):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -70,7 +73,10 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("G2SC_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"G2SC_SEED must be an integer, got {env!r}") from None
     return checks.DEFAULT_SEED
 
 

@@ -77,24 +77,26 @@ def addmul(acc: Dict[ExpKey, Coef], terms, coef=None, shift=None) -> None:
     terms is an MPoly or a dict of terms, shift an exponent vector read out
     of an MPoly, split or another addmul.  With coef None the terms are
     added unscaled.  Zero sums stay in acc; the MPoly constructor drops
-    them.
+    them.  The new value comes first in each sum, so a Fraction that starts
+    a new key takes Fraction's forward addition, not its reflected path
+    (an ABC isinstance check per call).
     """
     get = acc.get
     if shift is not None and any(shift):
         if coef is None:
             for exp, c in terms.items():
                 exp = tuple(map(add, exp, shift))
-                acc[exp] = get(exp, 0) + c
+                acc[exp] = c + get(exp, 0)
         else:
             for exp, c in terms.items():
                 exp = tuple(map(add, exp, shift))
-                acc[exp] = get(exp, 0) + coef * c
+                acc[exp] = coef * c + get(exp, 0)
     elif coef is None:
         for exp, c in terms.items():
-            acc[exp] = get(exp, 0) + c
+            acc[exp] = c + get(exp, 0)
     else:
         for exp, c in terms.items():
-            acc[exp] = get(exp, 0) + coef * c
+            acc[exp] = coef * c + get(exp, 0)
 
 
 def _order_key(exp: ExpKey):

@@ -39,6 +39,13 @@ class TestVerify:
         assert code == 0
         assert "seed: 99" in out
 
+    def test_seed_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("G2SC_SEED", "abc")
+        code, out, err = run(capsys, "verify", "weyl")
+        assert code == 2
+        assert out == ""
+        assert err == "error: G2SC_SEED must be an integer, got 'abc'\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "impossibility", "--format", "json")
         assert code == 0
@@ -119,6 +126,21 @@ class TestTable:
         assert last.startswith("ststst")
         poly_text = last.split("7 6", 1)[1].strip()
         assert parse_poly(poly_text) == schubert.top_class("paper")
+
+
+@pytest.mark.parametrize("argv", [("verify", "weyl"),
+                                  ("verify", "weyl", "--format", "json"),
+                                  ("table", "--family", "point"),
+                                  ("table", "--family", "point", "--format", "json")])
+def test_unwritable_out_is_one_line_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
 class TestGrammarTranscription:

@@ -10,6 +10,8 @@ from g2schubert.weyl import NonReducedWord
 
 X1, X2, Y1, Y2, V = s.X1, s.X2, s.Y1, s.Y2, s.VV
 SEED = 24601
+# the kinds generated from a top class; eq-* are substitutions of these
+BASE_KINDS = ["paper", "graham", "point", "twisted"]
 
 
 class TestOperators:
@@ -80,6 +82,35 @@ class TestFamilies:
                     assert image == fam.table[neighbor]
                 else:
                     assert image.is_zero()
+
+    @pytest.mark.parametrize("kind", BASE_KINDS)
+    @pytest.mark.parametrize("w0_word", weyl.LONGEST_WORDS)
+    def test_entries_match_per_word_replay(self, kind, w0_word):
+        # the per-entry path, with no chain: each entry applies its whole
+        # operator word to the top class
+        fam = s.generate_family(kind, w0_word)
+        top = s.top_class(kind)
+        w0 = weyl.longest()
+        for w in weyl.all_elements():
+            u = w0 * w.inverse()
+            word = w0_word if u is w0 else u.word
+            assert fam.table[w] == s.div_diff_word(
+                word, top, twisted=kind == "twisted"), (kind, w0_word, w.name)
+
+    @pytest.mark.parametrize("kind", BASE_KINDS)
+    @pytest.mark.parametrize("w0_word", weyl.LONGEST_WORDS)
+    def test_one_operator_step_per_nonempty_word(self, kind, w0_word, monkeypatch):
+        calls = []
+        real = s.div_diff
+
+        def counting(op, f):
+            calls.append(op)
+            return real(op, f)
+
+        monkeypatch.setattr(s, "div_diff", counting)
+        s.generate_family.__wrapped__(kind, w0_word)
+        assert len(calls) == 11
+        assert ("tv" in calls) == (kind == "twisted")
 
     def test_equivariant_substitution(self):
         eq = s.generate_family("eq-paper")
