@@ -19,6 +19,7 @@ verification comes from --seed, then G2SC_SEED, then a fixed default.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -31,6 +32,22 @@ from .exactalg import MPoly, parse_poly
 
 def _poly_terms_json(poly: MPoly) -> List[dict]:
     return [{"coeff": str(coef), "exps": exps} for exps, coef in poly.named_terms()]
+
+
+def _check_out(out_path: str):
+    """Raise the error _write would give for out_path, before the verb does
+    its work.  The file is not opened, so a verb that then fails leaves an
+    existing file as it was."""
+    parent = os.path.dirname(out_path) or os.curdir
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out_path if os.path.exists(out_path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {out_path}: {os.strerror(code)}")
 
 
 def _write(text: str, out_path: Optional[str]):
@@ -327,6 +344,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         code = args.func(args)
         sys.stdout.flush()
         return code

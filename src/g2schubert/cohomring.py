@@ -65,7 +65,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import weyl
 from .exactalg import MPoly, elementary_symmetric
 from .exactalg.linsolve import _reduce
-from .exactalg.mpoly import addmul
+from .exactalg.mpoly import ONE_KEY, addmul, key_terms
 from .schubert import SchubertFamily
 
 X1 = MPoly.var("x1")
@@ -98,8 +98,6 @@ class NotInSpan(ArithmeticError):
 
 
 _RING_NAMES = {"Z": "Z", "Z_half": "Z[1/2]"}  # coefficient rings, as printed
-
-(_UNIT, _), = MPoly.one().items()  # the exponent of the monomial 1
 
 
 def _in_ring(ring: str, q) -> bool:
@@ -245,7 +243,7 @@ class Presentation:
         # yields strictly lower main monomials, so a main key popped from the
         # heap is never pushed again.
         memo = self._memo
-        pending = {key: {_UNIT: Fraction(1)}}
+        pending = {key: {ONE_KEY: Fraction(1)}}
         heap = [(self._heap_key(key), key)]
         done = {}
         terms = 0  # produced so far
@@ -294,7 +292,7 @@ class Presentation:
         out = {}
         for key, group in groups.items():
             nf = self.reduce_monomial(tuple(map(add, key, shift)) if shift else key)
-            for base, c in group.items():
+            for base, c in key_terms(group).items():
                 addmul(out, nf, c, base)
         return MPoly(out)
 
@@ -310,7 +308,7 @@ class Presentation:
         nf = NormalForm(self, {key: MPoly(group) for key, group in
                                self.reduce_poly(poly).split(self.main_vars).items()})
         for poly_c in nf.coeffs.values():
-            for _, c in poly_c.items():
+            for c in key_terms(poly_c).values():
                 if type(c) is not int and not _in_ring(self.ring, c):
                     raise NonIntegralReduction(
                         f"{self.name}: coefficient {c} is outside the "

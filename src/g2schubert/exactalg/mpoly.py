@@ -15,15 +15,31 @@ torus weights; v a twisting line class; alpha, h, f ring generators of the
 quotient presentations; c*F and c*Q symbolic Chern classes of a rank-3
 subbundle and its rank-4 quotient; a..e, g free Schubert cell parameters.)
 
-This module is the only one that knows how a monomial is stored: an
-exponent vector is a tuple of length 22, one slot per variable, in the
-precedence order above.  Other modules treat exponent vectors as opaque
-keys and reach terms by variable name: split and join regroup a polynomial
-by the exponents of some named variables, named_terms spells each term out,
-and addmul, the one kernel for sparse sums, accumulates scaled and shifted
-terms into a dict that the MPoly constructor then takes.  The canonical term
-order is graded lexicographic: higher total degree first, ties broken
-lexicographically with x1 largest.  The zero polynomial has no stored terms.
+This module is the only one that knows how a monomial is stored.  Inside
+it an exponent vector is packed into one Python int (Monagan and Pearce,
+CASC 2007): one 64-bit field per variable, in the precedence order above
+with x1 most significant, and above them a field holding the total degree.
+A field keeps its top bit clear as a guard, so an exponent stays below
+2**63; that bound is checked where exponents enter (the constructors, join,
+coeff) and, once per addmul call, on the highest product, since no field
+can exceed the degree field.  An exponent never wraps; past the bound the
+operation raises OverflowError("exponent too large").  With this layout a
+monomial product is one integer add, the canonical term order, graded
+lexicographic (higher total degree first, ties broken lexicographically
+with x1 largest), is integer order, and divisibility is one subtraction
+and a test of the guard bits.
+
+The public accessors still speak in tuples: items, terms and leading_term
+give each exponent vector as a tuple of length 22, and the MPoly
+constructor takes a mapping keyed by such tuples.  Other modules treat the
+packed keys as opaque and reach terms by variable name: split and join
+regroup a polynomial by the exponents of some named variables (split keys
+each group by a tuple of those exponents, and each term inside it by an
+opaque key), named_terms spells each term out, and addmul, the one kernel
+for sparse sums, accumulates scaled and shifted terms into a dict of opaque
+keys that the MPoly constructor then takes; key_terms reads an MPoly's
+terms with their opaque keys, and ONE_KEY is the key of the monomial 1.
+The zero polynomial has no stored terms.
 
 All values are immutable after construction; the arithmetic methods return
 new objects, so instances can be shared freely.
@@ -31,8 +47,8 @@ new objects, so instances can be shared freely.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from operator import add
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .scalars import exact as _exact
@@ -46,9 +62,20 @@ VARIABLES: Tuple[str, ...] = (
 NVARS = len(VARIABLES)
 VAR_INDEX: Dict[str, int] = {name: i for i, name in enumerate(VARIABLES)}
 
-ExpKey = Tuple[int, ...]
+ExpKey = Tuple[int, ...]  # an exponent vector, one entry per variable
 Coef = Union[int, Fraction]
-_ZERO_EXP: ExpKey = (0,) * NVARS
+
+# the packed layout: the degree field, then one field per variable, x1
+# first, each _BITS wide with its top bit a guard
+_BITS = 64
+_FIELDS = struct.Struct(f">{NVARS + 1}Q")
+_DEG_SHIFT = _BITS * NVARS
+_SHIFT = tuple(_BITS * (NVARS - 1 - i) for i in range(NVARS))
+_MASK = (1 << _BITS) - 1
+_GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(NVARS + 1))
+# a key at or above this has total degree >= 2**63: some field has overflowed
+_LIMIT = 1 << (_DEG_SHIFT + _BITS - 1)
+ONE_KEY = 0  # the key of the monomial 1
 
 
 class UnboundVariable(KeyError):
@@ -59,37 +86,64 @@ class NotDivisible(ArithmeticError):
     """exact_divide found no exact quotient."""
 
 
-def _exponent(names: Iterable[str], exponents: Iterable[int]) -> ExpKey:
-    """The exponent vector of prod(name^e)."""
-    key = [0] * NVARS
+def _pack(exp: Sequence[int]) -> int:
+    """The key of the exponent vector exp."""
+    if len(exp) != NVARS:
+        raise ValueError(f"an exponent vector has {NVARS} entries, got {len(exp)}")
+    if min(exp) < 0:
+        raise ValueError("negative exponent")
+    degree = sum(exp)
+    if degree >= 1 << (_BITS - 1):
+        raise OverflowError("exponent too large")
+    return int.from_bytes(_FIELDS.pack(degree, *exp), "big")
+
+
+def _unpack(key: int) -> ExpKey:
+    """The exponent vector of key."""
+    return _FIELDS.unpack(key.to_bytes(_FIELDS.size, "big"))[1:]
+
+
+def _exponent(names: Iterable[str], exponents: Iterable[int]) -> int:
+    """The key of prod(name^e)."""
+    exp = [0] * NVARS
     for name, e in zip(names, exponents):
         if name not in VAR_INDEX:
             raise UnboundVariable(f"unknown variable {name!r}")
-        if e < 0:
-            raise ValueError("negative exponent")
-        key[VAR_INDEX[name]] += e
-    return tuple(key)
+        exp[VAR_INDEX[name]] += e
+    return _pack(exp)
 
 
-def addmul(acc: Dict[ExpKey, Coef], terms, coef=None, shift=None) -> None:
+def key_terms(terms: "MPoly | Mapping[int, Coef]") -> Mapping[int, Coef]:
+    """The terms of an MPoly, or of a dict of terms, as {key: coefficient}
+    with opaque keys: the form addmul takes as a shift and split gives as
+    the rest of each term.  Read-only."""
+    return terms._t if isinstance(terms, MPoly) else terms
+
+
+def addmul(acc: Dict[int, Coef], terms, coef=None, shift: int = ONE_KEY) -> None:
     """acc += coef * x^shift * terms, in place.
 
-    terms is an MPoly or a dict of terms, shift an exponent vector read out
-    of an MPoly, split or another addmul.  With coef None the terms are
-    added unscaled.  Zero sums stay in acc; the MPoly constructor drops
-    them.  The new value comes first in each sum, so a Fraction that starts
-    a new key takes Fraction's forward addition, not its reflected path
-    (an ABC isinstance check per call).
+    terms is an MPoly or a dict of terms, shift an opaque key read out of
+    an MPoly, split or another addmul.  With coef None the terms are added
+    unscaled.  Zero sums stay in acc; the MPoly constructor drops them.
+    OverflowError if an exponent of the product would reach 2**63.  The
+    new value comes first in each sum, so a Fraction that starts a new key
+    takes Fraction's forward addition, not its reflected path (an ABC
+    isinstance check per call).
     """
+    terms = key_terms(terms)
     get = acc.get
-    if shift is not None and any(shift):
+    if shift:
+        # the highest key has the highest degree, which bounds every field
+        if terms and max(terms) + shift >= _LIMIT:
+            raise OverflowError("exponent too large")
         if coef is None:
             for exp, c in terms.items():
-                exp = tuple(map(add, exp, shift))
+                exp += shift
                 acc[exp] = c + get(exp, 0)
         else:
             for exp, c in terms.items():
-                exp = tuple(map(add, exp, shift))
+                exp += shift
                 acc[exp] = coef * c + get(exp, 0)
     elif coef is None:
         for exp, c in terms.items():
@@ -99,24 +153,20 @@ def addmul(acc: Dict[ExpKey, Coef], terms, coef=None, shift=None) -> None:
             acc[exp] = coef * c + get(exp, 0)
 
 
-def _order_key(exp: ExpKey):
-    # graded-lex: total degree, then lexicographic with x1 most significant
-    return (sum(exp), exp)
-
-
 class MPoly:
     """Immutable sparse polynomial with int or Fraction coefficients."""
 
     __slots__ = ("_t",)
 
-    def __init__(self, terms: Mapping[ExpKey, Coef] | None = None):
+    def __init__(self, terms: "Mapping[ExpKey | int, Coef] | None" = None):
+        # keyed by exponent tuples, or by keys from addmul, split or key_terms
         t = {}
         if terms:
             for exp, coef in terms.items():
                 if type(coef) is not int:
                     coef = _exact(coef)
                 if coef:
-                    t[exp] = coef
+                    t[exp if type(exp) is int else _pack(exp)] = coef
         object.__setattr__(self, "_t", t)
 
     def __setattr__(self, name, value):
@@ -137,7 +187,7 @@ class MPoly:
         c = value if type(value) is int else _exact(value)
         if c == 0:
             return _ZERO
-        return MPoly({_ZERO_EXP: c})
+        return MPoly({ONE_KEY: c})
 
     @staticmethod
     def var(name: str) -> "MPoly":
@@ -155,7 +205,7 @@ class MPoly:
         """The sum of x^key * coeffs[key], where key holds the exponents of
         names; coeffs maps keys to MPolys or to dicts of terms.  The inverse
         of split."""
-        acc: Dict[ExpKey, Coef] = {}
+        acc: Dict[int, Coef] = {}
         for key, terms in coeffs.items():
             addmul(acc, terms, shift=_exponent(names, key))
         return MPoly(acc)
@@ -183,28 +233,27 @@ class MPoly:
         """Total degree; -1 for the zero polynomial."""
         if not self._t:
             return -1
-        return max(sum(exp) for exp in self._t)
+        return max(self._t) >> _DEG_SHIFT
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(exp) for exp in self._t}
+        degs = {exp >> _DEG_SHIFT for exp in self._t}
         return len(degs) <= 1
 
     def homogeneous_part(self, d: int) -> "MPoly":
-        return MPoly({exp: c for exp, c in self._t.items() if sum(exp) == d})
+        return MPoly({exp: c for exp, c in self._t.items()
+                      if exp >> _DEG_SHIFT == d})
 
     def variables(self) -> Tuple[str, ...]:
         """Names of the variables that actually occur, in precedence order."""
-        seen = [False] * NVARS
+        seen = 0
         for exp in self._t:
-            for i, e in enumerate(exp):
-                if e:
-                    seen[i] = True
-        return tuple(VARIABLES[i] for i in range(NVARS) if seen[i])
+            seen |= exp
+        return tuple(name for name, e in zip(VARIABLES, _unpack(seen)) if e)
 
     def terms(self) -> Iterator[Tuple[ExpKey, Coef]]:
         """Iterate (exponent, coefficient) in canonical graded-lex order."""
-        for exp in sorted(self._t, key=_order_key, reverse=True):
-            yield exp, self._t[exp]
+        for exp in sorted(self._t, reverse=True):
+            yield _unpack(exp), self._t[exp]
 
     def named_terms(self) -> Iterator[Tuple[Dict[str, int], Coef]]:
         """Iterate ({name: exponent}, coefficient) in canonical order; only
@@ -212,22 +261,22 @@ class MPoly:
         for exp, coef in self.terms():
             yield {VARIABLES[i]: e for i, e in enumerate(exp) if e}, coef
 
-    def items(self):
-        """Raw (exponent, coefficient) pairs in arbitrary order."""
-        return self._t.items()
-
-    def split(self, names: Sequence[str]) -> Dict[Tuple[int, ...], Dict[ExpKey, Coef]]:
-        """self as a polynomial in names: {exponents of names: {rest: coef}},
-        where rest is the exponent of the other variables."""
-        idx = [VAR_INDEX[name] for name in names]
-        out: Dict[Tuple[int, ...], Dict[ExpKey, Coef]] = {}
+    def items(self) -> Iterator[Tuple[ExpKey, Coef]]:
+        """Iterate (exponent, coefficient) in arbitrary order."""
         for exp, coef in self._t.items():
-            key = tuple([exp[i] for i in idx])
+            yield _unpack(exp), coef
+
+    def split(self, names: Sequence[str]) -> Dict[Tuple[int, ...], Dict[int, Coef]]:
+        """self as a polynomial in names: {exponents of names: {rest: coef}},
+        where rest is the opaque key of the other variables' exponents."""
+        shifts = [_SHIFT[VAR_INDEX[name]] for name in names]
+        out: Dict[Tuple[int, ...], Dict[int, Coef]] = {}
+        for exp, coef in self._t.items():
+            key = tuple([exp >> s & _MASK for s in shifts])
             if any(key):
-                rest = list(exp)
-                for i in idx:
-                    rest[i] = 0
-                exp = tuple(rest)
+                exp -= sum(key) << _DEG_SHIFT
+                for e, s in zip(key, shifts):
+                    exp -= e << s
             group = out.get(key)
             if group is None:
                 group = out[key] = {}
@@ -237,8 +286,8 @@ class MPoly:
     def leading_term(self) -> Tuple[ExpKey, Coef]:
         if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self._t, key=_order_key)
-        return exp, self._t[exp]
+        exp = max(self._t)
+        return _unpack(exp), self._t[exp]
 
     def coeff(self, exps: Mapping[str, int]) -> Coef:
         return self._t.get(_exponent(exps, exps.values()), 0)
@@ -247,8 +296,8 @@ class MPoly:
         """The value of a constant polynomial."""
         if not self._t:
             return 0
-        if len(self._t) == 1 and _ZERO_EXP in self._t:
-            return self._t[_ZERO_EXP]
+        if len(self._t) == 1 and ONE_KEY in self._t:
+            return self._t[ONE_KEY]
         raise ValueError(f"not a constant polynomial: {self}")
 
     # ---- arithmetic ----
@@ -283,7 +332,7 @@ class MPoly:
             big, small = self._t, o._t
         else:
             big, small = o._t, self._t
-        t: Dict[ExpKey, Coef] = {}
+        t: Dict[int, Coef] = {}
         for exp, c in small.items():
             addmul(t, big, c, exp)
         return MPoly(t)
@@ -332,19 +381,17 @@ class MPoly:
                 power_cache[key] = images[i] ** e
             return power_cache[key]
 
+        touched = [(i, _SHIFT[i]) for i in sorted(images)]
         out = _ZERO
         for exp, coef in self._t.items():
             term = MPoly.const(coef)
-            untouched = [0] * NVARS
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if i in images:
+            for i, shift in touched:
+                e = exp >> shift & _MASK
+                if e:
                     term = term * power(i, e)
-                else:
-                    untouched[i] = e
-            if any(untouched):
-                term = term * MPoly({tuple(untouched): Fraction(1)})
+                    exp -= (e << shift) + (e << _DEG_SHIFT)
+            if exp:  # the untouched variables
+                term = term * MPoly({exp: 1})
             out = out + term
         return out
 
@@ -375,11 +422,8 @@ class MPoly:
 
 
 _ZERO = MPoly()
-_ONE = MPoly({_ZERO_EXP: 1})
-_VAR_CACHE = {
-    name: MPoly({tuple(1 if j == i else 0 for j in range(NVARS)): 1})
-    for i, name in enumerate(VARIABLES)
-}
+_ONE = MPoly({ONE_KEY: 1})
+_VAR_CACHE = {name: MPoly({_exponent((name,), (1,)): 1}) for name in VARIABLES}
 
 
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:
@@ -393,13 +437,15 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return MPoly.zero()
-    g_exp, g_coef = g.leading_term()
-    quotient: Dict[ExpKey, Fraction] = {}
+    g_exp = max(g._t)
+    g_coef = g._t[g_exp]
+    quotient: Dict[int, Fraction] = {}
     rem = f
     while not rem.is_zero():
-        r_exp, r_coef = rem.leading_term()
-        q_exp = tuple(a - b for a, b in zip(r_exp, g_exp))
-        if any(e < 0 for e in q_exp):
+        r_exp = max(rem._t)
+        r_coef = rem._t[r_exp]
+        q_exp = r_exp - g_exp
+        if q_exp & _GUARD:  # some exponent borrowed
             raise NotDivisible(f"({f}) is not divisible by ({g})")
         q_coef = Fraction(r_coef) / g_coef
         quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_coef

@@ -143,6 +143,28 @@ def test_unwritable_out_is_one_line_exit_2(capsys, tmp_path, argv):
     assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
+def test_unwritable_out_is_refused_before_the_verb_runs(capsys, tmp_path,
+                                                        monkeypatch):
+    def no_suite(*args):
+        pytest.fail("a suite ran although --out cannot be written")
+
+    monkeypatch.setattr(checks, "run_suite", no_suite)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "verify", "all", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_failing_verb_leaves_existing_out_untouched(capsys, tmp_path):
+    path = tmp_path / "kept.txt"
+    path.write_text("earlier output\n")
+    code, out, err = run(capsys, "reduce", "--presentation", "Junk", "x1",
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert "unknown presentation" in err
+    assert path.read_text() == "earlier output\n"
+
+
 class TestGrammarTranscription:
     def test_twisted_display_parses_to_the_twist(self):
         from g2schubert import schubert
@@ -189,6 +211,18 @@ class TestReduce:
                            "FlIntegralPoint", "x1^1600000")
         assert code == 0
         assert out.strip() == "0"
+
+    def test_power_far_above_top_degree_is_zero(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--presentation",
+                           "FlIntegralPoint", "x1^100000000000")
+        assert code == 0
+        assert out.strip() == "0"
+
+    def test_exponent_past_two_to_the_63_is_refused(self, capsys):
+        code, out, err = run(capsys, "reduce", "--presentation",
+                             "FlIntegralPoint", f"x1^{2 ** 63}")
+        assert (code, out) == (2, "")
+        assert err == "error: exponent too large\n"
 
     def test_bundle_power_within_term_budget(self, capsys):
         code, out, _ = run(capsys, "reduce", "--presentation",

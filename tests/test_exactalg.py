@@ -214,6 +214,59 @@ class TestCanonicalForm:
             assert parse_poly(name) == MPoly.var(name)
 
 
+class TestPackedLayout:
+    """Each exponent vector is one int inside mpoly; the accessors must
+    still behave as if it were the tuple they return."""
+
+    BIG = 2 ** 63
+
+    @staticmethod
+    def polys():
+        rng = random.Random(RNG_SEED + 8)
+        names = ("x1", "x2", "y1", "alpha", "c3Q", "a", "g")
+        for _ in range(40):
+            f = rand_poly(rng, names, max_deg=rng.choice((3, 9, 60)), terms=9)
+            yield f * MPoly.monomial({rng.choice(names): rng.randint(0, 2 ** 40)})
+
+    def test_terms_are_graded_lex_sorted_items(self):
+        for f in self.polys():
+            expected = sorted(f.items(), key=lambda t: (sum(t[0]), t[0]),
+                              reverse=True)
+            assert list(f.terms()) == expected
+            assert f.leading_term() == expected[0]
+            assert all(len(exp) == len(VARIABLES) for exp, _ in expected)
+
+    def test_tuple_keyed_round_trip(self):
+        for f in self.polys():
+            assert MPoly(dict(f.items())) == f
+
+    @pytest.mark.parametrize("f,g", [
+        (X1 * X2 ** 3, X1 ** 2),
+        (X2 ** 5, X1 * X2),
+    ], ids=["x1-borrows", "x1-borrows-below-x2"])
+    def test_borrow_without_degree_borrow_is_not_divisible(self, f, g):
+        # the total degree of f exceeds g's, but an exponent does not
+        with pytest.raises(NotDivisible):
+            exact_divide(f, g)
+
+    @pytest.mark.parametrize("build", [
+        lambda: MPoly.var("g") ** (2 ** 62) * MPoly.var("g") ** (2 ** 62),
+        lambda: X2 ** (2 ** 63),
+        lambda: MPoly.join(("x1",), {(2 ** 62,): X1 ** (2 ** 62)}),
+        lambda: MPoly.join(("x1",), {(2 ** 63,): MPoly.one()}),
+        lambda: MPoly({(2 ** 63,) + (0,) * (len(VARIABLES) - 1): 1}),
+    ], ids=["mul", "pow", "join", "join-key", "init"])
+    def test_exponent_two_to_the_63_overflows(self, build):
+        with pytest.raises(OverflowError, match="exponent too large"):
+            build()
+
+    def test_largest_exponent_does_not_wrap(self):
+        top = X1 ** (self.BIG - 1)
+        assert top.leading_term() == ((self.BIG - 1,) + (0,) * (len(VARIABLES) - 1), 1)
+        assert top.degree() == self.BIG - 1
+        assert exact_divide(top, X1 ** (2 ** 62)) == X1 ** (2 ** 62 - 1)
+
+
 class TestLinear:
     def test_inconsistent_pair(self):
         sys = LinSystem([[1], [1]], [1, 2])
@@ -287,7 +340,9 @@ class TestGaussRat:
 
 
 class TestLayoutBoundary:
-    LAYOUT = {"NVARS", "_ZERO_EXP", "VAR_INDEX", "ExpKey"}
+    LAYOUT = {"NVARS", "VAR_INDEX", "ExpKey", "_BITS", "_FIELDS", "_DEG_SHIFT",
+              "_SHIFT", "_MASK", "_GUARD", "_LIMIT", "_pack", "_unpack",
+              "_exponent", "_t"}
 
     @staticmethod
     def references(names, allowed):
