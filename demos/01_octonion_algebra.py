@@ -36,14 +36,14 @@ print("minimal equation residue:", residue)
 
 # The bilinear form is recoverable from gamma alone (wedge to the top form
 # and divide by -3); this also detects degenerate trilinear forms.
-res = o.bryant_form(ctx.gamma)
-print("\nBryant form equals beta:", res.bil.matrix == ctx.beta.matrix)
-print("nondegenerate:", res.nondegenerate)
+bil = o.bryant_form(ctx.gamma)
+print("\nBryant form equals beta:", bil.matrix == ctx.beta.matrix)
+print("nondegenerate:", bil.is_nondegenerate())
 
 # Compatibility is a biquadratic identity, so a finite spanning sample of
-# pairs certifies it on the whole space.
-rep = o.check_compatible(ctx.gamma, ctx.beta)
-print("compatible on", rep.checked, "spanning pairs:", rep.ok)
+# pairs certifies it on the whole space; a failure would return the pair.
+print("compatible on", len(o.spanning_sample()), "spanning pairs:",
+      o.check_compatible(ctx.gamma, ctx.beta) is None)
 
 # Each isotropic vector u has a 3-dimensional annihilator E_u; for the basis
 # vectors these are spanned by basis vectors and cut out the 12 torus-fixed

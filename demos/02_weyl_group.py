@@ -12,7 +12,7 @@ for w in weyl.all_elements():
     perm = " ".join(str(i) for i in w.perm)
     print(f"  {w.name:8s} l={w.length}  {w.pair[0]} {w.pair[1]}   {perm}")
 
-s, t = weyl.simple_s(), weyl.simple_t()
+s, t = weyl.element("s"), weyl.element("t")
 print("\ns * s = ", (s * s).name)
 print("(st)^6 =", (weyl.element('st') * weyl.element('st') *
                    weyl.element('st') * weyl.element('st') *

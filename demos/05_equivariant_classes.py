@@ -60,9 +60,19 @@ print("upper-triangular support:",
 # Graham's combination: half the sum of the xi and eta cube products is
 # -1/27 (3 P_tst + 3(t1+t2) P_st + (t1+t2)(2t1-t2) P_t) exactly, so the
 # class is integral only after multiplying by 27.
-rep = s.graham_integrality_identity()
-print("\ncube-sum identity holds:", rep.ok)
-print("27 x class has integral coefficients:", rep.combo27_integral)
-print("the class itself integral:", rep.combo_integral)
-for name, coef in rep.combo27.items():
+half_cubes, combo27 = s.graham_integrality_identity()
+eq_graham = s.generate_family("eq-graham")
+combo = sum((coef * eq_graham[name] for name, coef in combo27.items()),
+            MPoly.zero())
+print("\ncube-sum identity holds:", half_cubes == Fraction(-1, 27) * combo)
+
+
+def integral(coefs):
+    return all(c.denominator == 1 for f in coefs for _, c in f.terms())
+
+
+print("27 x class has integral coefficients:", integral(combo27.values()))
+print("the class itself integral:",
+      integral(Fraction(1, 27) * coef for coef in combo27.values()))
+for name, coef in combo27.items():
     print(f"  27-scaled coefficient on {name}: {coef}")

@@ -209,12 +209,10 @@ def cmd_kernel(args) -> int:
 
 def cmd_bryant(args) -> int:
     ctx = octonion.standard_forms("f")
-    res = octonion.bryant_form(ctx.gamma)
-    lines = [" ".join(f"{res.bil.matrix[i][j]!s:>4}" for j in range(7))
-             for i in range(7)]
-    lines.append(f"nondegenerate: {res.nondegenerate}")
-    lines.append(f"matches the standard form: "
-                 f"{res.bil.matrix == ctx.beta.matrix}")
+    bil = octonion.bryant_form(ctx.gamma)
+    lines = [" ".join(f"{x!s:>4}" for x in row) for row in bil.matrix]
+    lines.append(f"nondegenerate: {bil.is_nondegenerate()}")
+    lines.append(f"matches the standard form: {bil.matrix == ctx.beta.matrix}")
     _write("\n".join(lines), args.out)
     return 0
 

@@ -55,7 +55,7 @@ NonIntegralReduction rather than silently rescaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
@@ -498,26 +498,16 @@ def get_presentation(name: str) -> Presentation:
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass
-class PresentationReport:
-    name: str
-    rank: int
-    failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_presentation(p: Presentation) -> PresentationReport:
+def verify_presentation(p: Presentation) -> List[str]:
     """Rank, closure, defining relations, idempotence, associativity and,
     where _SPECIALIZATIONS names one, the ring at base variables 0.
 
-    Every failed property adds one line to the report's failures, named by
-    the property.  Associativity is certified exhaustively by
-    _check_associativity; a failure names the table pair, or the basis
-    triple with both reduced sides.  Nothing it computes outlives the call
-    except the presentation's own rewrite memo.
+    Returns the failures, one line per failed property, named by the
+    property; the presentation is verified when the list is empty.
+    Associativity is certified exhaustively by _check_associativity; a
+    failure names the table pair, or the basis triple with both reduced
+    sides.  Nothing it computes outlives the call except the presentation's
+    own rewrite memo.
     """
     failures: List[str] = []
     if len(p.basis) != p.expected_rank:
@@ -545,7 +535,7 @@ def verify_presentation(p: Presentation) -> PresentationReport:
     if table is not None:
         _check_associativity(p, table, failures)
     _check_specialization(p, failures)
-    return PresentationReport(p.name, len(p.basis), failures)
+    return failures
 
 
 def _check_associativity(p: Presentation, table, failures):
@@ -656,31 +646,13 @@ def chern_quotient(c: ChernVector, line: MPoly) -> ChernVector:
     return ChernVector(out)
 
 
-@dataclass(frozen=True)
-class QuadricRelReport:
-    ok: bool
-    residue: MPoly
-    fiber_ok: bool
-    degree_ok: bool
-
-    def __bool__(self):
-        return self.ok and self.fiber_ok and self.degree_ok
-
-
-def quadric_eg_rel_check() -> QuadricRelReport:
-    """In the instantiated rank-7 quadric bundle ring,
-    2 h f - (h^4 + c1(V/F) h^3 + c2(V/F) h^2 + c3(V/F) h + c4(V/F))
-    reduces to zero (c4(V/F) = 0 here)."""
-    pres = quadric_bundle_y()
+def quadric_eg_residue() -> MPoly:
+    """The reduction, in the instantiated rank-7 quadric bundle ring, of
+    2 h f - (h^4 + c1(V/F) h^3 + c2(V/F) h^2 + c3(V/F) h + c4(V/F)), with
+    c4(V/F) = 0 here; the relation holds when it is zero."""
     q = quadric_quotient_chern().classes
-    lhs = 2 * H * F
     rhs = H ** 4 + q[1] * H ** 3 + q[2] * H ** 2 + q[3] * H + q[4]
-    residue = pres.reduce_poly(lhs - rhs)
-    degree_ok = (lhs - rhs).degree() <= 4
-
-    fiber = quadric_bundle_fiber(3)
-    fiber_ok = fiber.reduce_poly(2 * H * F - H ** 4).is_zero()
-    return QuadricRelReport(residue.is_zero(), residue, fiber_ok, degree_ok)
+    return quadric_bundle_y().reduce_poly(2 * H * F - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -448,7 +448,7 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
         if q_exp & _GUARD:  # some exponent borrowed
             raise NotDivisible(f"({f}) is not divisible by ({g})")
         q_coef = Fraction(r_coef) / g_coef
-        quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + q_coef
+        quotient[q_exp] = q_coef  # q_exp strictly decreases, so it is new
         rem = rem - MPoly({q_exp: q_coef}) * g
     return MPoly(quotient)
 

@@ -13,7 +13,10 @@ makes C = k + V an octonion algebra with product
 and norm N(u) = 1/2 beta(u,u) on V.  This module builds the two standard
 models (the orthonormal e-basis and the isotropic f-basis), the Bryant form
 recovering beta from gamma, the 3-dimensional isotropic kernels E_u, the
-torus action, and the parametrization of the big Schubert cell.
+torus action, and the parametrization of the big Schubert cell.  The two
+identity checks, check_compatible and torus_invariance_check, return None
+when the identity holds and a failing case otherwise; the verify suites in
+checks turn that witness into a verdict.
 
 The algebra operations are generic over the scalar ring: coordinates may be
 ints, Fractions, GaussRats, or MPolys (the big-cell identity is checked with
@@ -408,35 +411,22 @@ def spanning_sample() -> List[Tuple[VecV, VecV]]:
     return [(u, v) for u in pool for v in pool]
 
 
-@dataclass(frozen=True)
-class CompatReport:
-    ok: bool
-    counterexample: Optional[Tuple[VecV, VecV]] = None
-    lhs: object = None
-    rhs: object = None
-    checked: int = 0
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_compatible(gamma: TriForm, beta: BilForm) -> CompatReport:
-    """Evaluate the compatibility identity on a spanning sample of pairs.
+def check_compatible(gamma: TriForm, beta: BilForm) -> Optional[Tuple]:
+    """Evaluate the compatibility identity on the spanning sample of pairs:
+    None when it holds, else the first failing (u, v, lhs, rhs).
 
     Both sides are biquadratic in (u, v), so passing on the sample returned
     by spanning_sample() certifies the identity on all of V x V.
     """
     if not beta.is_nondegenerate():
         raise SingularForm("compatibility requires a nondegenerate beta")
-    count = 0
     for u, v in spanning_sample():
         phi = gamma.functional(u, v)
         lhs = 2 * _apply(phi, beta.dagger(phi))
         rhs = beta(u, u) * beta(v, v) - beta(u, v) ** 2
-        count += 1
         if lhs != rhs:
-            return CompatReport(False, (u, v), lhs, rhs, count)
-    return CompatReport(True, checked=count)
+            return u, v, lhs, rhs
+    return None
 
 
 def _contract(gamma: TriForm, p: int) -> Dict[Tuple[int, int], Rational]:
@@ -478,36 +468,24 @@ def _wedge(f1: Dict[Tuple[int, ...], Rational],
     return out
 
 
-@dataclass(frozen=True)
-class BryantResult:
-    """The bilinear form recovered from a trilinear form.
-
-    seven_coeffs[p][q] is the coefficient of the top form f*_{1..7} in
-    gamma(f_p,.,.) ^ gamma(f_q,.,.) ^ gamma; the bilinear form divides this
-    by -3 (exactly; a failed division signals corrupted input).
-    """
-
-    bil: BilForm
-    seven_coeffs: List[List[Rational]]
-    nondegenerate: bool
-
-
-def bryant_form(gamma: TriForm) -> BryantResult:
+def bryant_form(gamma: TriForm) -> BilForm:
     """Recover the compatible bilinear form, fixing wedge^7 V* = k via the
-    ordered basis functional f*_{1..7}."""
+    ordered basis functional f*_{1..7}.
+
+    Entry (p, q) is the coefficient of f*_{1..7} in
+    gamma(f_p,.,.) ^ gamma(f_q,.,.) ^ gamma, divided by -3 (exactly; a failed
+    division signals corrupted input).  A degenerate gamma gives a singular
+    form.
+    """
     top = tuple(range(1, DIM + 1))
     omegas = [_contract(gamma, p) for p in range(1, DIM + 1)]
     gamma_dict = dict(gamma.coeffs)
-    seven = [[0] * DIM for _ in range(DIM)]
     mat = [[0] * DIM for _ in range(DIM)]
     for p in range(DIM):
         for q in range(p, DIM):
             w = _wedge(_wedge(omegas[p], omegas[q]), gamma_dict)
-            coef = w.get(top, 0)
-            seven[p][q] = seven[q][p] = coef
-            mat[p][q] = mat[q][p] = _div(-coef, 3)
-    bil = BilForm(mat)
-    return BryantResult(bil, seven, bil.is_nondegenerate())
+            mat[p][q] = mat[q][p] = _div(-w.get(top, 0), 3)
+    return BilForm(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -590,30 +568,20 @@ def torus_weights() -> Tuple[MPoly, ...]:
     return (t1, t2, t1 - t2, MPoly.zero(), t2 - t1, -t2, -t1)
 
 
-@dataclass(frozen=True)
-class TorusReport:
-    ok: bool
-    offending: Optional[Tuple] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def torus_invariance_check(ctx: AlgebraCtx) -> TorusReport:
-    """Verify the torus preserves both forms: every support triple of gamma
-    and support pair of beta has weight sum zero."""
+def torus_invariance_check(ctx: AlgebraCtx) -> Optional[Tuple]:
+    """Whether the torus preserves both forms, i.e. every support triple of
+    gamma and support pair of beta has weight sum zero: None when it does,
+    else the first offending ("gamma" or "beta", indices, weight sum)."""
     if ctx.basis_kind != "f":
         raise ValueError("torus weights are defined in the f-basis")
     weights = torus_weights()
-    for (p, q, r) in ctx.gamma.support():
-        total = weights[p - 1] + weights[q - 1] + weights[r - 1]
-        if not total.is_zero():
-            return TorusReport(False, ("gamma", (p, q, r), total))
-    for (p, q) in ctx.beta.support_pairs():
-        total = weights[p - 1] + weights[q - 1]
-        if not total.is_zero():
-            return TorusReport(False, ("beta", (p, q), total))
-    return TorusReport(True)
+    for form, support in (("gamma", ctx.gamma.support()),
+                          ("beta", ctx.beta.support_pairs())):
+        for indices in support:
+            total = sum((weights[i - 1] for i in indices), MPoly.zero())
+            if not total.is_zero():
+                return form, indices, total
+    return None
 
 
 def big_cell_rows(params: Optional[Sequence] = None) -> Tuple[VecV, VecV]:

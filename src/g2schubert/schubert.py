@@ -97,13 +97,13 @@ def div_diff_word(word: str, f: MPoly, twisted: bool = False) -> MPoly:
 
 def top_class(kind: str) -> MPoly:
     """The closed top-degree class that seeds each family."""
-    if kind in ("paper", "eq-paper"):
+    if kind == "paper":
         f1 = (X1 ** 3 - 2 * X1 ** 2 * Y1 + X1 * Y1 ** 2 - X1 * Y2 ** 2
               + X1 * Y1 * Y2 - Y1 ** 2 * Y2 + Y1 * Y2 ** 2)
         f2 = X1 ** 2 + X1 * Y1 + Y1 * Y2 - Y2 ** 2
         f3 = X2 - X1 - Y2
         poly = Fraction(1, 2) * f1 * f2 * f3
-    elif kind in ("graham", "eq-graham"):
+    elif kind == "graham":
         g1 = 2 * X1 - X2 - Y1 + 2 * Y2
         g2 = 2 * X1 - X2 - Y1 - Y2
         g3 = X1 - 2 * X2 + Y1 + Y2
@@ -221,60 +221,26 @@ def graham_eta(base1: MPoly, base2: MPoly) -> Tuple[MPoly, MPoly, MPoly]:
             third * (base1 + base2))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    ok: bool
-    difference: MPoly
-
-    def __bool__(self):
-        return self.ok
-
-
-def graham_product_form_check() -> IdentityReport:
-    """The quartic-times-linear-factors product form of the degree-6 class
-    equals the expanded top class exactly."""
+def graham_product_form() -> MPoly:
+    """Graham's product form of the degree-6 class: -27/2 times three
+    linear factors in xi and eta and the cube sum xi1 xi2 xi3 + eta1 eta2
+    eta3.  As a polynomial it equals top_class("graham")."""
     xi1, xi2, xi3 = graham_xi()
     e1, e2, e3 = graham_eta(Y1, Y2)
-    product = (Fraction(-27, 2) * (xi1 - e2) * (xi1 - e3) * (xi2 - e3)
-               * (xi1 * xi2 * xi3 + e1 * e2 * e3))
-    diff = product - top_class("graham")
-    return IdentityReport(diff.is_zero(), diff)
+    return (Fraction(-27, 2) * (xi1 - e2) * (xi1 - e3) * (xi2 - e3)
+            * (xi1 * xi2 * xi3 + e1 * e2 * e3))
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
-    ok: bool
-    difference: MPoly
-    combo27: Dict[str, MPoly]
-    combo27_integral: bool
-    combo_integral: bool
-
-    def __bool__(self):
-        return self.ok
-
-
-def _has_integer_coeffs(f: MPoly) -> bool:
-    return all(c.denominator == 1 for _, c in f.terms())
-
-
-def graham_integrality_identity() -> IntegralityReport:
-    """The half-sum of xi/eta cubes equals -1/27 of an explicit combination
-    of three equivariant Schubert classes, as polynomials in x and t; the
-    1/27 cannot be cleared, so only 27 times the class is integral."""
-    fam = generate_family("eq-graham")
+def graham_integrality_identity() -> Tuple[MPoly, Dict[str, MPoly]]:
+    """The half-sum of the xi and eta cubes, in x and t, and the integral
+    coefficients {word: c_word} of the combination of equivariant classes
+    P_tst, P_st, P_t that it equals -1/27 times, as polynomials.  The 1/27
+    cannot be cleared, so only 27 times the class is integral."""
     xi1, xi2, xi3 = graham_xi()
     e1, e2, e3 = graham_eta(T1, T2)
-    lhs = Fraction(1, 2) * (xi1 * xi2 * xi3 + e1 * e2 * e3)
-    c_tst = MPoly.const(3)
-    c_st = 3 * (T1 + T2)
-    c_t = (T1 + T2) * (2 * T1 - T2)
-    rhs = Fraction(-1, 27) * (c_tst * fam["tst"] + c_st * fam["st"] + c_t * fam["t"])
-    diff = lhs - rhs
-    combo27 = {"tst": c_tst, "st": c_st, "t": c_t}
-    combo27_ok = all(_has_integer_coeffs(p) for p in combo27.values())
-    combo_ok = all(_has_integer_coeffs(Fraction(1, 27) * p)
-                   for p in combo27.values())
-    return IntegralityReport(diff.is_zero(), diff, combo27, combo27_ok, combo_ok)
+    half_cubes = Fraction(1, 2) * (xi1 * xi2 * xi3 + e1 * e2 * e3)
+    return half_cubes, {"tst": MPoly.const(3), "st": 3 * (T1 + T2),
+                        "t": (T1 + T2) * (2 * T1 - T2)}
 
 
 def remark_triple_cover_class() -> MPoly:
@@ -451,9 +417,6 @@ class PositiveRewrite:
     coefficients: Optional[Dict[Tuple[int, int, int], Fraction]]
     farkas_multipliers: Optional[List[Fraction]]
     monomials: List[Tuple[int, int, int]]
-
-    def __bool__(self):
-        return self.feasible
 
     def expansion(self) -> MPoly:
         if not self.feasible:

@@ -103,14 +103,6 @@ def identity() -> WeylElt:
     return _BY_WORD[""]
 
 
-def simple_s() -> WeylElt:
-    return _BY_WORD["s"]
-
-
-def simple_t() -> WeylElt:
-    return _BY_WORD["t"]
-
-
 def longest() -> WeylElt:
     return _BY_WORD["ststst"]
 

@@ -67,7 +67,7 @@ def _rand(rng, names, max_deg=5, terms=5):
 class TestVerifyPresentations:
     def test_memo_is_keyed_by_main_part(self):
         p = c.fl_integral_bundle()
-        assert c.verify_presentation(p).ok
+        assert c.verify_presentation(p) == []
         # a key holds the exponents of the main variables and nothing else
         assert all(len(key) == len(p.main_vars) for key in p._memo)
         assert len(p._memo) <= 112
@@ -76,17 +76,15 @@ class TestVerifyPresentations:
         half = c.fl_half_point()
         p = c.Presentation(half.name, half.main_vars, half.base_vars,
                            half.rules, half.ring, 11)
-        rep = c.verify_presentation(p)
-        assert not rep.ok
-        assert rep.failures == ["rank: basis has 12 monomials, expected 11"]
+        assert c.verify_presentation(p) == [
+            "rank: basis has 12 monomials, expected 11"]
 
     def test_specialization_mismatch_is_a_named_failure(self):
         # c1(F) = y1 + 1 leaves h^3 -> 2f + h^2 at base variables 0
         bundle = c.quadric_bundle(3)
         p = bundle.specialize("QuadricBundle3", ("y1",) + bundle.base_vars[1:],
                               {"c1F": Y1 + 1})
-        assert c.verify_presentation(p).failures == [
-            "specialized rule for h differs"]
+        assert c.verify_presentation(p) == ["specialized rule for h differs"]
 
     def test_verified_presentation_is_freed_at_once(self):
         # nothing that verify_presentation leaves behind refers back to the
@@ -95,7 +93,7 @@ class TestVerifyPresentations:
         gc.disable()
         try:
             p = c.fl_integral_point()
-            assert c.verify_presentation(p).ok
+            assert c.verify_presentation(p) == []
             ref = weakref.ref(p)
             del p
             assert ref() is None
@@ -188,8 +186,7 @@ class TestVerifyPresentations:
 
     def test_half_equivariant_ring(self):
         pres = c.get_presentation("FlHalfBundleT")
-        rep = c.verify_presentation(pres)
-        assert rep.ok and rep.rank == 12
+        assert c.verify_presentation(pres) == [] and len(pres.basis) == 12
         # Giambelli: the 12 equivariant classes have distinct normal forms
         # and expand the ring over Z[1/2][t1, t2]
         import g2schubert.schubert as sch
@@ -220,8 +217,8 @@ class TestDerivedRules:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("factory", [c.quadric_bundle, c.quadric_bundle_fiber])
     def test_quadric_bundles_of_every_rank(self, factory, n):
-        rep = c.verify_presentation(factory(n))
-        assert rep.ok and rep.rank == 2 * n, rep.failures
+        p = factory(n)
+        assert c.verify_presentation(p) == [] and len(p.basis) == 2 * n
 
     def test_even_rank_fiber(self):
         fiber = c.quadric_bundle_fiber(2)
@@ -293,12 +290,12 @@ class TestAssociativityCertificate:
         for n, pair in enumerate(repeated):
             table[pair] = self._corrupt(p, table[pair], n)
         p.mult_table = lambda: table
-        rep = c.verify_presentation(p)
+        failures = c.verify_presentation(p)
         named = {pair for pair in repeated
                  if any(f.startswith(f"associativity: table entry {pair} ")
-                        for f in rep.failures)}
+                        for f in failures)}
         assert named == set(repeated)
-        assert len(rep.failures) == len(repeated)
+        assert len(failures) == len(repeated)
 
     def test_every_product_times_every_basis_element(self):
         # corrupting a whole class keeps the entries consistent, so only the
@@ -310,27 +307,27 @@ class TestAssociativityCertificate:
             for pair in cls:
                 table[pair] = self._corrupt(p, good[pair], n)
             p.mult_table = lambda: table
-            rep = c.verify_presentation(p)
-            assert len(rep.failures) == 1, (cls, rep.failures)
-            (failure,) = rep.failures
+            failures = c.verify_presentation(p)
+            assert len(failures) == 1, (cls, failures)
+            (failure,) = failures
             assert failure.startswith(f"associativity fails at basis {cls[0] + (0,)}:")
 
     def test_every_triple_only_memo_entry_is_read(self):
         # the memo holds nf of each main monomial; an entry that only triple
         # products reach, made wrong, must break some triple with a witness
         p = c.fl_integral_point()
-        assert c.verify_presentation(p).ok
+        assert c.verify_presentation(p) == []
         triple_only = _products(p, 3) - _products(p, 2)
         assert len(triple_only) == 67 and triple_only <= set(p._memo)
         for exp in triple_only:
             saved = p._memo[exp]
             p._memo[exp] = saved + 1
             try:
-                rep = c.verify_presentation(p)
+                failures = c.verify_presentation(p)
             finally:
                 p._memo[exp] = saved
-            assert len(rep.failures) == 1, (exp, rep.failures)
-            (failure,) = rep.failures
+            assert len(failures) == 1, (exp, failures)
+            (failure,) = failures
             assert failure.startswith("associativity fails at basis (")
             table_side, direct = failure.split(": table side ")[1].split(", direct ")
             assert direct == str(saved + 1) and table_side == str(saved)
@@ -361,8 +358,10 @@ class TestChern:
             assert c.chern_quotient(total, line) == c.chern_from_roots(roots)
 
     def test_eg_relation(self):
-        rep = c.quadric_eg_rel_check()
-        assert rep.ok and rep.fiber_ok and rep.degree_ok
+        assert c.quadric_eg_residue().is_zero()
+        # over a point every Chern class is 0, leaving 2 h f = h^4
+        fiber = c.quadric_bundle_fiber(3)
+        assert fiber.reduce_poly(2 * H * F - H ** 4).is_zero()
 
     def test_normal_bundle_top_class_rebuilds_f_square_rule(self):
         # c_3 of ((V/F)/O(1)) tensor O(1) equals the f^2 coefficient

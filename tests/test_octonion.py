@@ -94,10 +94,7 @@ class TestMixedScalars:
 @pytest.mark.parametrize("make", [
     lambda ctx: o.Oct.unit(),
     lambda ctx: ctx,
-    lambda ctx: o.check_compatible(ctx.gamma, ctx.beta),
-    lambda ctx: o.torus_invariance_check(ctx),
-    lambda ctx: o.bryant_form(ctx.gamma),
-], ids=["Oct", "AlgebraCtx", "CompatReport", "TorusReport", "BryantResult"])
+], ids=["Oct", "AlgebraCtx"])
 def test_records_are_immutable(fctx, make):
     record = make(fctx)
     name = dataclasses.fields(record)[0].name
@@ -193,28 +190,30 @@ class TestCompatibility:
     def test_perturbed_beta_fails(self, fctx):
         bad = [list(row) for row in fctx.beta.matrix]
         bad[3][3] = Fraction(-1)
-        rep = o.check_compatible(fctx.gamma, o.BilForm(bad))
-        assert not rep.ok
-        assert rep.counterexample is not None
-        assert rep.lhs != rep.rhs
+        u, v, lhs, rhs = o.check_compatible(fctx.gamma, o.BilForm(bad))
+        assert lhs != rhs
+        # the first sample pair whose gamma(u, v, .) is supported on f4, the
+        # perturbed entry
+        assert (u, v) == (f(1), f(7))
 
 
 class TestBryant:
     def test_seven_form_integers(self, fctx):
-        res = o.bryant_form(fctx.gamma)
+        # the top-form coefficient of gamma_p ^ gamma_q ^ gamma is -3 beta_pq
+        matrix = o.bryant_form(fctx.gamma).matrix
         for p in range(7):
             for q in range(7):
                 if p == q == 3:
-                    assert res.seven_coeffs[p][q] == 6
+                    assert -3 * matrix[p][q] == 6
                 elif p + q == 6:
-                    assert res.seven_coeffs[p][q] == 3
+                    assert -3 * matrix[p][q] == 3
                 else:
-                    assert res.seven_coeffs[p][q] == 0
+                    assert -3 * matrix[p][q] == 0
 
     def test_zero_form_degenerate(self):
-        res = o.bryant_form(o.TriForm({}))
-        assert all(x == 0 for row in res.bil.matrix for x in row)
-        assert not res.nondegenerate
+        bil = o.bryant_form(o.TriForm({}))
+        assert all(x == 0 for row in bil.matrix for x in row)
+        assert not bil.is_nondegenerate()
 
 
 class TestKernels:
@@ -284,6 +283,21 @@ class TestTorus:
     def test_requires_f_basis(self, ectx):
         with pytest.raises(ValueError):
             o.torus_invariance_check(ectx)
+
+    def test_gamma_triple_with_nonzero_weight(self, fctx):
+        # weights t1 + t2 + (t1 - t2) on f1 ^ f2 ^ f3
+        gamma = o.TriForm({**fctx.gamma.coeffs, (1, 2, 3): 1})
+        ctx = o.AlgebraCtx(gamma, fctx.beta, "f")
+        assert o.torus_invariance_check(ctx) == ("gamma", (1, 2, 3),
+                                                 2 * MPoly.var("t1"))
+
+    def test_beta_pair_with_nonzero_weight(self, fctx):
+        # weights t1 + t2 on f1 f2; gamma is invariant, so beta is reached
+        matrix = [list(row) for row in fctx.beta.matrix]
+        matrix[0][1] = matrix[1][0] = 1
+        ctx = o.AlgebraCtx(fctx.gamma, o.BilForm(matrix), "f")
+        assert o.torus_invariance_check(ctx) == (
+            "beta", (1, 2), MPoly.var("t1") + MPoly.var("t2"))
 
 
 class TestBigCell:

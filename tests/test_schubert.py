@@ -57,6 +57,13 @@ class TestTopClasses:
     def test_twist_inverse(self):
         assert s.twist_substitution(X1).subs({"v": MPoly.zero()}) == X1
 
+    @pytest.mark.parametrize("kind", ["eq-paper", "eq-graham", "nonsense"])
+    def test_unknown_kind(self, kind):
+        # the eq-* families are substitutions of the base families and have
+        # no top class of their own
+        with pytest.raises(ValueError, match="unknown top class kind"):
+            s.top_class(kind)
+
 
 class TestFamilies:
     def test_point_family_low_degrees(self):
@@ -173,10 +180,7 @@ class TestGrahamIdentities:
 
     def test_random_point_evaluations(self):
         rng = random.Random(SEED + 5)
-        xi1, xi2, xi3 = s.graham_xi()
-        e1, e2, e3 = s.graham_eta(Y1, Y2)
-        product = (Fraction(-27, 2) * (xi1 - e2) * (xi1 - e3) * (xi2 - e3)
-                   * (xi1 * xi2 * xi3 + e1 * e2 * e3))
+        product = s.graham_product_form()
         top = s.top_class("graham")
         for _ in range(10):
             point = {n: MPoly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))

@@ -38,13 +38,13 @@ class TestElements:
             assert len(words) == (2 if w is weyl.longest() else 1)
 
     def test_simple_reflections(self):
-        assert weyl.simple_s().pair == (2, 1)
-        assert weyl.simple_t().pair == (1, 3)
+        assert weyl.element("s").pair == (2, 1)
+        assert weyl.element("t").pair == (1, 3)
 
 
 class TestGroupLaw:
     def test_involutions(self):
-        s, t = weyl.simple_s(), weyl.simple_t()
+        s, t = weyl.element("s"), weyl.element("t")
         assert s * s is weyl.identity()
         assert t * t is weyl.identity()
 
@@ -68,8 +68,8 @@ class TestGroupLaw:
 
 class TestEmbedding:
     def test_generators(self):
-        assert weyl.simple_s().perm == (2, 1, 5, 4, 3, 7, 6)
-        assert weyl.simple_t().perm == (1, 3, 2, 4, 6, 5, 7)
+        assert weyl.element("s").perm == (2, 1, 5, 4, 3, 7, 6)
+        assert weyl.element("t").perm == (1, 3, 2, 4, 6, 5, 7)
 
     def test_longest_reverses(self):
         assert weyl.longest().perm == (7, 6, 5, 4, 3, 2, 1)
