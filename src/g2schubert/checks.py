@@ -264,12 +264,11 @@ def _random_x_polys(rng, count, max_deg=6, n_terms=6):
 
 def suite_divdiff(report: SuiteReport, rng: random.Random):
     polys = _random_x_polys(rng, 50)
-    ok_s = all(schubert.div_diff("s", schubert.div_diff("s", f)).is_zero()
-               for f in polys)
-    ok_t = all(schubert.div_diff("t", schubert.div_diff("t", f)).is_zero()
-               for f in polys)
-    report.add("both operators square to zero (50 random polynomials)",
-               ok_s and ok_t)
+    # d_s f and d_t f, shared by the three checks that apply one operator
+    images = [{r: schubert.div_diff(r, f) for r in "st"} for f in polys]
+    ok = all(schubert.div_diff(r, image[r]).is_zero()
+             for image in images for r in "st")
+    report.add("both operators square to zero (50 random polynomials)", ok)
 
     ok = True
     for f in polys:
@@ -286,12 +285,11 @@ def suite_divdiff(report: SuiteReport, rng: random.Random):
     xs = ("x1", "x2")
     ok = all(schubert.div_diff_generic(f, weyl.simple_root(r, xs),
                                        weyl.action(weyl.element(r), xs))
-             == schubert.div_diff(r, f) for f in polys for r in "st")
+             == image[r] for f, image in zip(polys, images) for r in "st")
     report.add("root-dictionary operator matches the explicit ones", ok)
 
-    ok = all(schubert.div_diff("tv", f).subs({"v": MPoly.zero()})
-             == schubert.div_diff("t", f)
-             for f in polys)
+    ok = all(schubert.div_diff("tv", f).subs({"v": MPoly.zero()}) == image["t"]
+             for f, image in zip(polys, images))
     report.add("twisted operator at v = 0 is the untwisted one", ok)
 
     ok = True
@@ -522,11 +520,18 @@ def suite_equivariant(report: SuiteReport, rng: random.Random):
         (c * eq_graham[word] for word, c in combo27.items()), MPoly.zero())
     report.add("equivariant combination identity for the half cube-sum",
                diff.is_zero(), "" if diff.is_zero() else str(diff))
+    # decided by computation: 27 times the class expands with integral
+    # coefficients, while the class itself has a normal form outside the
+    # integral span, where every Schubert class lies
+    expansion27 = cohomring.schubert_expand(27 * half_cubes, eq_graham, eq)
+    try:
+        cohomring.schubert_expand(half_cubes, eq_graham, eq)
+        integral_class = True
+    except cohomring.NonIntegralReduction:
+        integral_class = False
     report.add("27 times the class has an integral expansion, the class "
                "itself does not",
-               all(map(_integral, combo27.values()))
-               and not all(_integral(Fraction(1, 27) * c)
-                           for c in combo27.values()))
+               all(map(_integral, expansion27.values())) and not integral_class)
 
     lhs_t0 = Fraction(1, 2) * prod(schubert.graham_xi())
     rhs_t0 = Fraction(-1, 9) * eq_graham["tst"].subs(

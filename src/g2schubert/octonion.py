@@ -39,7 +39,7 @@ second, since int * Fraction takes Fraction's slower reflected path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -282,11 +282,34 @@ class BilForm:
 
 @dataclass(frozen=True)
 class AlgebraCtx:
-    """A compatible (gamma, beta) pair with its octonion product."""
+    """A compatible (gamma, beta) pair with its octonion product.
+
+    The structure constants of the product, built on first use, are kept
+    on the instance as BilForm keeps its dagger rows."""
 
     gamma: TriForm
     beta: BilForm
     basis_kind: str
+    _constants: Optional[Tuple] = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    def structure_constants(self) -> Tuple[Tuple[Tuple[int, int, Rational], ...], ...]:
+        """The structure constants on the basis b = (e, b_1..b_7) of C, with
+        b_1..b_7 the basis of V this context is written in: entry i lists
+        (j, k, c) for each nonzero coordinate c = (b_i b_k)_j.  The 64
+        products are taken with mul once per context."""
+        if self._constants is None:
+            basis = [Oct.unit()] + [Oct.imag(basis_vec(i)) for i in range(1, DIM + 1)]
+            constants = []
+            for bi in basis:
+                entries = []
+                for k, bk in enumerate(basis):
+                    prod = self.mul(bi, bk)
+                    entries.extend((j, k, c) for j, c in
+                                   enumerate((prod.re,) + prod.im.coords) if c != 0)
+                constants.append(tuple(entries))
+            object.__setattr__(self, "_constants", tuple(constants))
+        return self._constants
 
     def dagger(self, phi: Sequence) -> VecV:
         return self.beta.dagger(phi)
@@ -608,11 +631,16 @@ def big_cell_rows(params: Optional[Sequence] = None) -> Tuple[VecV, VecV]:
 
 def left_mult_matrix(ctx: AlgebraCtx, u: Oct) -> List[List]:
     """Matrix of left multiplication by u on C = k + V, in the basis
-    (e, f_1..f_7); used for exact rank computations."""
-    cols = []
-    images = [ctx.mul(u, Oct.unit())]
-    for j in range(1, DIM + 1):
-        images.append(ctx.mul(u, Oct.imag(basis_vec(j))))
-    for img in images:
-        cols.append([img.re] + list(img.im.coords))
-    return [[cols[k][j] for k in range(8)] for j in range(8)]
+    (e, b_1..b_7) with b_1..b_7 the basis of ctx.basis_kind (f_1..f_7 or
+    e_1..e_7); used for exact rank computations.
+
+    Column k is u b_k, so entry [j][k] = sum_i u_i (b_i b_k)_j, summed over
+    the context's structure constants: no product is taken per call."""
+    mat = [[0] * 8 for _ in range(8)]
+    for ui, entries in zip((u.re,) + u.im.coords, ctx.structure_constants()):
+        if ui == 0:
+            continue
+        for j, k, c in entries:
+            row = mat[j]
+            row[k] = ui * c + row[k]
+    return mat

@@ -15,7 +15,11 @@ P_w = d_{w0 w^-1} P_{w0}; the numerator of each step is exactly divisible by
 the linear denominator, so everything stays in the polynomial ring.  The
 table is built along the divided-difference chain: writing w0 w^-1 = c.W
 with c a letter, P_w = d_c of the entry whose operator word is W, so the
-12 entries take 11 operator steps.
+12 entries take 11 operator steps.  The chain runs on L times the top
+class, with L the lcm of its coefficients' denominators, so every step
+divides an integral polynomial; each entry is divided by L once at the end.
+Only P_id depends on the reduced word chosen for w0, so the table for the
+second longest word is the first one with P_id recomputed: one step.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import weyl
@@ -161,8 +166,13 @@ class SchubertFamily:
         return [(w, self.table[w]) for w in weyl.all_elements()]
 
 
+def _operator(kind: str, letter: str) -> str:
+    """The operator a family of this kind applies for a letter."""
+    return "tv" if (kind == "twisted" and letter == "t") else letter
+
+
 @lru_cache(maxsize=None)
-def generate_family(kind: str, w0_word: str = "ststst") -> SchubertFamily:
+def generate_family(kind: str, w0_word: Optional[str] = None) -> SchubertFamily:
     """Generate the 12-entry table P_w = d_{w0 w^-1} P_{w0}, along the chain.
 
     The table is filled by operator word: the entry for c.W is d_c of the
@@ -171,9 +181,16 @@ def generate_family(kind: str, w0_word: str = "ststst") -> SchubertFamily:
     w0 has exactly one reduced word, so each suffix is an entry already
     computed.  w0_word picks the reduced word of the longest element that
     gives the one ambiguous entry (w = id); the tables agree either way.
+    The default (None) is "ststst", and both spellings share one table.  For
+    "tststs" only P_id is recomputed, as d_t of the entry whose operator
+    word is "ststs", from the default table: one operator step.  The eq-*
+    kinds substitute t for y in the base family of the same word.
     """
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
+    default = weyl.LONGEST_WORDS[0]
+    if w0_word is None:
+        return generate_family(kind, default)
     if w0_word not in weyl.LONGEST_WORDS:
         raise ValueError(f"{w0_word!r} is not a reduced word for the longest element")
     if kind in ("eq-paper", "eq-graham"):
@@ -181,14 +198,22 @@ def generate_family(kind: str, w0_word: str = "ststst") -> SchubertFamily:
         table = {w: p.subs({"y1": T1, "y2": T2}) for w, p in base.table.items()}
         return SchubertFamily(kind, table)
     w0 = weyl.longest()
+    if w0_word != default:
+        base = generate_family(kind, default).table
+        rest = weyl.element(w0_word[1:]).inverse() * w0
+        table = dict(base)
+        table[weyl.identity()] = div_diff(_operator(kind, w0_word[0]), base[rest])
+        return SchubertFamily(kind, table)
     words = {u: (w0_word if u is w0 else u.word) for u in weyl.all_elements()}
-    by_word: Dict[str, MPoly] = {"": top_class(kind)}
+    top = top_class(kind)
+    scale = lcm(*(c.denominator for _, c in top.items()))
+    by_word: Dict[str, MPoly] = {"": scale * top}
     for word in words.values():
         # elements come by length, so the suffix word[1:] is already done
         if word:
-            op = "tv" if (kind == "twisted" and word[0] == "t") else word[0]
-            by_word[word] = div_diff(op, by_word[word[1:]])
-    table = {w: by_word[words[w0 * w.inverse()]] for w in weyl.all_elements()}
+            by_word[word] = div_diff(_operator(kind, word[0]), by_word[word[1:]])
+    table = {w: by_word[words[w0 * w.inverse()]] * Fraction(1, scale)
+             for w in weyl.all_elements()}
     return SchubertFamily(kind, table)
 
 

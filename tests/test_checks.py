@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from g2schubert import checks
+from g2schubert import checks, schubert
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_all.json"
 
@@ -30,3 +30,18 @@ def test_suite_matches_golden(name):
     mismatched = [g for g in got if g not in expected] + [
         f"missing: {e}" for e in expected if e not in got]
     assert got == expected, "\n".join(map(str, mismatched))
+
+
+def test_graham_check_fails_when_the_class_is_integral(monkeypatch):
+    # a mutant whose half cube-sum is 27 times the real one: its class is
+    # integral, which the check must see by expanding it
+    real = schubert.graham_integrality_identity
+
+    def mutant():
+        half_cubes, combo27 = real()
+        return 27 * half_cubes, combo27
+
+    monkeypatch.setattr(schubert, "graham_integrality_identity", mutant)
+    verdicts = {r.name: r.passed for r in checks.run_suite("equivariant").results}
+    assert verdicts["27 times the class has an integral expansion, the class "
+                    "itself does not"] is False

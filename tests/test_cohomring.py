@@ -12,7 +12,7 @@ import pytest
 from g2schubert import cohomring as c
 from g2schubert import schubert as s
 from g2schubert import weyl
-from g2schubert.exactalg import MPoly, VARIABLES, parse_poly
+from g2schubert.exactalg import MPoly, VARIABLES, determinant, parse_poly
 
 X1, X2, ALPHA, H, F = c.X1, c.X2, c.ALPHA, c.H, c.F
 Y1, Y2 = c.Y1, c.Y2
@@ -419,6 +419,38 @@ class TestExpansion:
         degenerate = s.SchubertFamily("broken", broken)
         with pytest.raises(c.NotInSpan):
             c.schubert_expand(Fraction(1, 2) * X1 ** 5 * X2, degenerate, half)
+
+
+class TestGrahamIntegrality:
+    """Graham's question: the half cube-sum is -1/27 times an integral
+    combination of equivariant classes, and 1/27 cannot be cleared."""
+
+    def test_eq_graham_blocks_are_unimodular(self):
+        # so the expansion on eq-graham is unique, and an integral class
+        # has an integral expansion
+        eq = c.fl_equivariant()
+        fam = s.generate_family("eq-graham")
+        nfs = {w: eq.normal_form(fam.table[w]) for w in weyl.all_elements()}
+        dets = []
+        for d in range(7):
+            layer = [w for w in weyl.all_elements() if w.length == d]
+            keys = [k for k in eq.basis if eq.key_degree(k) == d]
+            dets.append(determinant(
+                [[nfs[w].coeffs.get(k, MPoly.zero()).constant_value()
+                  for w in layer] for k in keys]))
+        assert dets == [1, 1, -1, 1, -1, 1, 1]
+
+    def test_only_27_times_the_class_is_integral(self):
+        eq = c.fl_equivariant()
+        fam = s.generate_family("eq-graham")
+        half_cubes, _ = s.graham_integrality_identity()
+        t1, t2 = c.T1, c.T2
+        expansion = c.schubert_expand(27 * half_cubes, fam, eq)
+        assert {w.name: p for w, p in expansion.items() if not p.is_zero()} == {
+            "tst": MPoly.const(-3), "st": -3 * t1 - 3 * t2,
+            "t": -2 * t1 ** 2 - t1 * t2 + t2 ** 2}
+        with pytest.raises(c.NonIntegralReduction, match="1/9"):
+            c.schubert_expand(half_cubes, fam, eq)
 
 
 class TestDuality:

@@ -311,3 +311,49 @@ class TestBigCell:
         row1, row2 = o.big_cell_rows([1, 0, 0, 0, 0, 0])
         assert row1 == o.VecV([0, 1, 0, 0, 0, 0, 1])
         assert fctx.mul_imag(row1, row2).is_zero()
+
+
+def _left_mult_by_products(ctx, u):
+    """The definition: column k is the product u b_k, taken with mul."""
+    basis = [o.Oct.unit()] + [o.Oct.imag(f(k)) for k in range(1, 8)]
+    cols = []
+    for b in basis:
+        img = ctx.mul(u, b)
+        cols.append([img.re] + list(img.im.coords))
+    return [[cols[k][j] for k in range(8)] for j in range(8)]
+
+
+class TestLeftMultMatrix:
+    """left_mult_matrix sums structure constants; the oracle takes the
+    eight products u b_k."""
+
+    @pytest.mark.parametrize("kind", ["f", "e"])
+    def test_random_octonions(self, kind):
+        ctx = o.standard_forms(kind)
+        rng = random.Random(SEED + 7)
+        for _ in range(20):
+            u = o.Oct(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rand_vec(rng))
+            assert o.left_mult_matrix(ctx, u) == _left_mult_by_products(ctx, u)
+
+    def test_symbolic_big_cell_row(self, fctx):
+        row1, row2 = o.big_cell_rows()
+        for row in (row1, row2):
+            u = o.Oct.imag(row)
+            assert o.left_mult_matrix(fctx, u) == _left_mult_by_products(fctx, u)
+
+    def test_products_taken_once_per_context(self, monkeypatch):
+        ctx = o.standard_forms("f")
+        calls = []
+        real = o.AlgebraCtx.mul
+
+        def counting(self, u, v):
+            calls.append((u, v))
+            return real(self, u, v)
+
+        monkeypatch.setattr(o.AlgebraCtx, "mul", counting)
+        u = rand_oct(random.Random(SEED))
+        first = o.left_mult_matrix(ctx, u)
+        assert len(calls) == 64
+        calls.clear()
+        assert o.left_mult_matrix(ctx, u) == first
+        assert calls == []
