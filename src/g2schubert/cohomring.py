@@ -63,8 +63,8 @@ from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import weyl
-from .exactalg import MPoly, elementary_symmetric
-from .exactalg.linsolve import _reduce
+from .exactalg import MPoly, elementary_symmetric, quotient
+from .exactalg.linsolve import _integral_rows, _reduce
 from .exactalg.mpoly import ONE_KEY, addmul, key_terms
 from .schubert import SchubertFamily
 
@@ -665,9 +665,10 @@ def schubert_expand(f: MPoly, family: SchubertFamily,
     Solved degree by degree, top down: the coefficient of a degree-d basis
     monomial in nf(P_w) is a constant when l(w) = d and vanishes when
     l(w) < d, so each degree is a constant-matrix solve once the longer
-    classes are known.  The matrix is reduced once, with the polynomial
-    right-hand sides carried along as one more column (a pivot only scales
-    them by constants); a free coefficient is 0.  NotInSpan when no exact
+    classes are known.  The matrix is reduced once by the fraction-free
+    kernel of linsolve, with the polynomial right-hand sides carried along
+    as one more column of coefficients per monomial (a step only combines
+    them with constants); a free coefficient is 0.  NotInSpan when no exact
     expansion exists.
     """
     elements = weyl.all_elements()
@@ -678,21 +679,27 @@ def schubert_expand(f: MPoly, family: SchubertFamily,
     for d in range(max_len, -1, -1):
         layer = [w for w in elements if w.length == d]
         keys = [k for k in p.basis if p.key_degree(k) == d]
-        rows = []
+        rows, rhs = [], []
         for key in keys:
-            row = [Fraction(nfs[w].coeffs.get(key, MPoly.zero()).constant_value())
-                   for w in layer]
+            rows.append([nfs[w].coeffs.get(key, MPoly.zero()).constant_value()
+                         for w in layer])
             acc = target.coeffs.get(key, MPoly.zero())
             for w, cw in coeffs.items():
                 contrib = nfs[w].coeffs.get(key, MPoly.zero())
                 if not contrib.is_zero() and not cw.is_zero():
                     acc = acc - cw * contrib
-            rows.append(row + [acc])
-        pivots, _ = _reduce(rows, len(layer))
-        if any(row[-1] for row in rows[len(pivots):]):
+            rhs.append(key_terms(acc))
+        monomials = sorted({m for terms in rhs for m in terms})
+        rows, _ = _integral_rows(row + [terms.get(m, 0) for m in monomials]
+                                 for row, terms in zip(rows, rhs))
+        n = len(layer)
+        pivots, last, _ = _reduce(rows, n)
+        if any(any(row[n:]) for row in rows[len(pivots):]):
             raise NotInSpan(f"no expansion at degree {d}")
         coeffs.update((w, MPoly.zero()) for w in layer)
-        coeffs.update((layer[c], row[-1]) for c, row in zip(pivots, rows))
+        coeffs.update((layer[c], MPoly({m: quotient(x, last)
+                                        for m, x in zip(monomials, row[n:])}))
+                      for c, row in zip(pivots, rows))
     residual = target.as_poly()
     for w, cw in coeffs.items():
         residual = residual - cw * nfs[w].as_poly()

@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, linear solving,
 and small LP feasibility, all over int and fractions.Fraction."""
 
-from .scalars import GaussRat, Rational, exact, quotient
+from .scalars import GaussRat, Rational, common_denominator, exact, quotient
 from .mpoly import (
     MPoly,
     NotDivisible,
@@ -24,7 +24,7 @@ from .linsolve import (
 from .lp import LpFeasibility, LpInfeasible, LpPoint, lp_feasible
 
 __all__ = [
-    "GaussRat", "Rational", "exact", "quotient",
+    "GaussRat", "Rational", "common_denominator", "exact", "quotient",
     "MPoly", "NotDivisible", "UnboundVariable", "VARIABLES",
     "elementary_symmetric", "exact_divide",
     "PolySyntaxError", "UnknownVariable", "parse_poly",

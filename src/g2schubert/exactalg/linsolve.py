@@ -1,10 +1,24 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one Gauss-Jordan kernel.
 
-One Gauss-Jordan kernel does all the elimination: _pivot makes one entry 1
-and clears its column, and _reduce brings a matrix to reduced echelon form
-with it, carrying any extra columns along.  solve_linear, nullspace, rank,
-matrix_inverse and determinant each read their answer from one reduction,
-and the simplex of lp_feasible pivots with _pivot.
+The kernel is fraction-free (Bareiss, Math. Comp. 22, 1968).
+_integral_rows scales each input row to integers once, by the lcm of its
+denominators; every entry passes through scalars.exact, so a float raises
+TypeError as it does in MPoly.  _pivot takes one step on the pivot p in
+row r, column c: every other row i becomes
+
+    (p * row_i - row_i[c] * row_r) / prev,
+
+with prev the previous pivot (1 before the first step).  The division is
+an exact integer division, because every entry is then a minor of the
+scaled matrix.  _reduce brings a matrix to fraction-free reduced echelon
+form with it, carrying any extra columns along.  Afterwards every pivot row
+holds the last pivot in its pivot column, so the reduced echelon form is
+the rows divided by that pivot, and a reader divides by it once.
+solve_linear, nullspace, rank, matrix_inverse and determinant each read
+their answer from one reduction, cohomring.schubert_expand reduces with
+its right-hand sides carried as columns of coefficients, and the simplex
+of lp_feasible pivots with _pivot.  Answers are int when integral and
+Fraction otherwise, the rule of scalars.
 
 solve_linear returns either a solution of A x = b or an inconsistency
 certificate: a row vector y with y^T A = 0 and y^T b != 0, exhibiting the
@@ -15,11 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import List, Optional, Sequence, Tuple
 
-
-def _frac_matrix(rows) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+from .scalars import Rational, common_denominator, exact, quotient
 
 
 @dataclass(frozen=True)
@@ -36,7 +49,7 @@ class LinSystem:
 
 @dataclass(frozen=True)
 class LinSolution:
-    vector: List[Fraction]
+    vector: List[Rational]
 
     @property
     def consistent(self) -> bool:
@@ -47,8 +60,8 @@ class LinSolution:
 class LinInconsistency:
     """Row combination proving 0 = value with value != 0."""
 
-    combination: List[Fraction]
-    value: Fraction
+    combination: List[Rational]
+    value: Rational
 
     @property
     def consistent(self) -> bool:
@@ -64,45 +77,67 @@ class LinInconsistency:
         return total == self.value and self.value != 0
 
 
-def _pivot(rows: List[List[Fraction]], r: int, c: int) -> None:
-    """Scale row r so its entry in column c is 1, then clear column c from
-    every other row."""
-    inv = 1 / rows[r][c]
-    top = rows[r] = [x * inv for x in rows[r]]
+def _integral_rows(rows) -> Tuple[List[List[int]], List[int]]:
+    """Each row times the lcm of its entries' denominators, as ints, and
+    those lcms.  TypeError on a float entry."""
+    out, scales = [], []
+    for row in rows:
+        row = [x if type(x) is int else exact(x) for x in row]
+        scale = common_denominator(row)
+        if scale != 1:
+            row = [x * scale if type(x) is int
+                   else x.numerator * (scale // x.denominator) for x in row]
+        out.append(row)
+        scales.append(scale)
+    return out, scales
+
+
+def _pivot(rows: List[List[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free step on the pivot p = rows[r][c]: every other row
+    i becomes (p * row_i - row_i[c] * row_r) / prev.  Returns p, the prev
+    of the next step."""
+    top = rows[r]
+    p = top[c]
     for i, row in enumerate(rows):
+        if i == r:
+            continue
         factor = row[c]
-        if i != r and factor != 0:
-            rows[i] = [x - factor * y for x, y in zip(row, top)]
+        if factor:
+            rows[i] = [(p * x - factor * y) // prev for x, y in zip(row, top)]
+        elif p != prev:
+            rows[i] = [p * x // prev for x in row]
+    return p
 
 
-def _reduce(rows: List[List[Fraction]], ncols: int) -> Tuple[List[int], Fraction]:
-    """Bring the first ncols columns of rows to reduced echelon form in place;
-    any later columns are carried along.
+def _reduce(rows: List[List[int]], ncols: int) -> Tuple[List[int], int, List[int]]:
+    """Bring the first ncols columns of integer rows to fraction-free
+    reduced echelon form in place; any later columns are carried along.
 
     Column by column, the pivot is the first nonzero entry at or below the
-    current row.  Returns the pivot columns and the product of the pivots,
-    signed by the row swaps (the determinant when every column pivots).
+    current row.  Returns the pivot columns, the last pivot (1 when there
+    is none; the reduced echelon form is the rows divided by it) and the
+    row order: order[k] is the input index of the row now at position k.
     """
     pivots: List[int] = []
-    det = Fraction(1)
+    last = 1
+    order = list(range(len(rows)))
     for c in range(ncols):
         r = len(pivots)
         if r == len(rows):
             break
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            det = -det
-        det *= rows[r][c]
-        _pivot(rows, r, c)
+            order[r], order[p] = order[p], order[r]
+        last = _pivot(rows, r, c, last)
         pivots.append(c)
-    return pivots, det
+    return pivots, last, order
 
 
-def _identity(n: int) -> List[List[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def _unit(i: int, n: int) -> List[int]:
+    return [int(i == j) for j in range(n)]
 
 
 def solve_linear(sys: LinSystem):
@@ -110,62 +145,69 @@ def solve_linear(sys: LinSystem):
 
     Returns LinSolution (free variables set to 0) or LinInconsistency.
     [A | b | I] is reduced on the columns of A, so the identity columns
-    record which combination of the input rows each reduced row is.
+    record which combination of the input rows each reduced row is.  A row
+    left without a pivot is the last pivot times its input row's scale
+    times the row of the rational reduction, so it is divided by both.
     """
     m = len(sys.rhs)
     n = len(sys.matrix[0]) if m else 0
-    rows = [row + [Fraction(b)] + tracker for row, b, tracker
-            in zip(_frac_matrix(sys.matrix), sys.rhs, _identity(m))]
-    pivots, _ = _reduce(rows, n)
-    for row in rows[len(pivots):]:
-        if row[n] != 0:
-            return LinInconsistency(combination=row[n + 1:], value=row[n])
-    x = [Fraction(0)] * n
+    rows, scales = _integral_rows(list(row) + [b] + _unit(i, m) for i, (row, b)
+                                  in enumerate(zip(sys.matrix, sys.rhs)))
+    pivots, last, order = _reduce(rows, n)
+    for row, i in zip(rows[len(pivots):], order[len(pivots):]):
+        if row[n]:
+            d = last * scales[i]
+            return LinInconsistency(combination=[quotient(y, d) for y in row[n + 1:]],
+                                    value=quotient(row[n], d))
+    x: List[Rational] = [0] * n
     for row, c in zip(rows, pivots):
-        x[c] = row[n]
+        x[c] = quotient(row[n], last)
     return LinSolution(vector=x)
 
 
-def nullspace(matrix) -> List[List[Fraction]]:
+def nullspace(matrix) -> List[List[Rational]]:
     """Basis of the kernel of a rational matrix, from the reduced echelon form.
 
     Basis vectors are indexed by the free columns; each has a 1 in its free
     column, so a coordinate-subspace kernel comes back as coordinate vectors.
     """
-    a = _frac_matrix(matrix)
+    a, _ = _integral_rows(matrix)
     n = len(a[0]) if a else 0
-    pivots, _ = _reduce(a, n)
+    pivots, last, _ = _reduce(a, n)
     basis = []
     for free in range(n):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
+        vec = _unit(free, n)
         for row, c in zip(a, pivots):
-            vec[c] = -row[free]
+            vec[c] = quotient(-row[free], last)
         basis.append(vec)
     return basis
 
 
 def rank(matrix) -> int:
     n = len(matrix[0]) if matrix else 0
-    return len(_reduce(_frac_matrix(matrix), n)[0])
+    return len(_reduce(_integral_rows(matrix)[0], n)[0])
 
 
-def matrix_inverse(matrix) -> Optional[List[List[Fraction]]]:
+def matrix_inverse(matrix) -> Optional[List[List[Rational]]]:
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(matrix)
-    rows = [row + tracker for row, tracker
-            in zip(_frac_matrix(matrix), _identity(n))]
-    pivots, _ = _reduce(rows, n)
+    rows, _ = _integral_rows(list(row) + _unit(i, n) for i, row in enumerate(matrix))
+    pivots, last, _ = _reduce(rows, n)
     if len(pivots) < n:
         return None
-    return [row[n:] for row in rows]
+    return [[quotient(x, last) for x in row[n:]] for row in rows]
 
 
-def determinant(matrix) -> Fraction:
-    """Exact determinant of a square rational matrix: the signed product of
-    the pivots, or 0 when a column has no pivot."""
+def determinant(matrix) -> Rational:
+    """Exact determinant of a square rational matrix: the last pivot,
+    signed by the row order and divided by the row scales, or 0 when a
+    column has no pivot."""
     n = len(matrix)
-    pivots, det = _reduce(_frac_matrix(matrix), n)
-    return det if len(pivots) == n else Fraction(0)
+    rows, scales = _integral_rows(matrix)
+    pivots, last, order = _reduce(rows, n)
+    if len(pivots) < n:
+        return 0
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+    return quotient(-last if inversions % 2 else last, prod(scales))

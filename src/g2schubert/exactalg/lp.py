@@ -1,20 +1,26 @@
 """Exact linear-program feasibility over the rationals.
 
 Decides whether {x : A x = b, x >= 0} is nonempty, by a phase-1 simplex with
-Bland's rule (anti-cycling) on exact Fractions.  The answer is exact either
-way: a feasible rational point, or a Farkas certificate y with y^T A <= 0
-componentwise and y^T b > 0.  Each simplex step is one pivot of the
-Gauss-Jordan kernel in linsolve, with the reduced-cost row as the last
-tableau row.
+Bland's rule (anti-cycling).  The answer is exact either way: a feasible
+rational point, or a Farkas certificate y with y^T A <= 0 componentwise and
+y^T b > 0.  Each simplex step is one pivot of the fraction-free Gauss-Jordan
+kernel in linsolve, with the reduced-cost row as the last tableau row: the
+tableau is kept as integers over one common denominator, which each step
+replaces by its pivot.
+The ratio test compares by cross-multiplication, and the point or the
+multipliers are divided by the denominator once, at the end, and then
+re-verified exactly against the input.  A float entry raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import List, Sequence
 
-from .linsolve import _identity, _pivot
+from .linsolve import _integral_rows, _pivot, _unit
+from .scalars import Rational, quotient
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,7 @@ class LpFeasibility:
 
 @dataclass(frozen=True)
 class LpPoint:
-    vector: List[Fraction]
+    vector: List[Rational]
 
     @property
     def feasible(self) -> bool:
@@ -50,7 +56,7 @@ class LpPoint:
 class LpInfeasible:
     """Farkas certificate: y^T A <= 0 and y^T b > 0."""
 
-    multipliers: List[Fraction]
+    multipliers: List[Rational]
 
     @property
     def feasible(self) -> bool:
@@ -71,19 +77,28 @@ def lp_feasible(prob: LpFeasibility):
     """Exact feasibility of {A x = b, x >= 0}; returns LpPoint or LpInfeasible."""
     m = len(prob.rhs)
     n = len(prob.matrix[0]) if m else 0
-    # rows with a negative rhs are negated, so the artificials start feasible
-    signs = [Fraction(-1 if Fraction(rhs) < 0 else 1) for rhs in prob.rhs]
-    a = [[s * Fraction(x) for x in row] for s, row in zip(signs, prob.matrix)]
-    b = [s * Fraction(rhs) for s, rhs in zip(signs, prob.rhs)]
     if m == 0:
-        return LpPoint(vector=[Fraction(0)] * n)
+        return LpPoint(vector=[0] * n)
+    rows, scales = _integral_rows(list(row) + [rhs]
+                                  for row, rhs in zip(prob.matrix, prob.rhs))
+    # rows with a negative rhs are negated, so the artificials start feasible
+    signs = [-1 if row[n] < 0 else 1 for row in rows]
 
     # tableau columns: n problem vars, m artificials, then rhs; the last row
     # is the reduced cost of minimizing the sum of artificials:
-    # r_j = c_j - 1^T tab_j, with c = 1 exactly on the artificial columns
+    # r_j = c_j - 1^T tab_j, with c = 1 exactly on the artificial columns.
+    # tab / denom is the tableau.  denom starts at the product of the row
+    # scales, the determinant of the artificial basis of the scaled rows,
+    # so every later entry is an integer; every pivot is positive, so denom
+    # stays positive and an entry's sign is the sign of its tableau entry.
+    denom = prod(scales)
     width = n + m
-    tab = [row + unit + [rhs] for row, unit, rhs in zip(a, _identity(m), b)]
-    tab.append([Fraction(1 if n <= j < width else 0) - sum(row[j] for row in tab)
+    tab = []
+    for i, (row, sign, scale) in enumerate(zip(rows, signs, scales)):
+        k = sign * (denom // scale)
+        tab.append([k * x for x in row[:n]] + [denom * u for u in _unit(i, m)]
+                   + [k * row[n]])
+    tab.append([denom * (n <= j < width) - sum(row[j] for row in tab)
                 for j in range(width + 1)])
     basis = [n + i for i in range(m)]
 
@@ -92,35 +107,39 @@ def lp_feasible(prob: LpFeasibility):
         enter = next((j for j in range(width) if tab[m][j] < 0), None)
         if enter is None:
             break
+        # ratio test: the least tab[i][width] / tab[i][enter] over positive
+        # tab[i][enter], compared by cross-multiplication
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tab[i][width] * tab[leave][enter]
+                rhs = tab[leave][width] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # phase-1 objective is bounded below by 0; cannot happen
             raise RuntimeError("phase-1 simplex became unbounded")
-        _pivot(tab, leave, enter)
+        denom = _pivot(tab, leave, enter, denom)
         basis[leave] = enter
 
     cost = tab[m]
-    objective = -cost[width]
-    if objective > 0:
-        # duals: reduced cost of artificial i is 1 - y_i, so y_i = 1 - cost[n+i]
-        y = [Fraction(1) - cost[n + i] for i in range(m)]
-        cert = LpInfeasible(multipliers=[signs[i] * y[i] for i in range(m)])
+    if cost[width] < 0:
+        # the objective -cost[width] / denom is positive.  Duals: the
+        # reduced cost of artificial i is 1 - y_i, so y_i = 1 - cost[n+i] / denom
+        cert = LpInfeasible(multipliers=[quotient(sign * (denom - cost[n + i]), denom)
+                                         for i, sign in enumerate(signs)])
         if not cert.verify(prob):
             raise RuntimeError("internal error: invalid Farkas certificate")
         return cert
 
-    x = [Fraction(0)] * n
+    x: List[Rational] = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][width]
+            x[var] = quotient(tab[i][width], denom)
     point = LpPoint(vector=x)
     if not point.verify(prob):
         raise RuntimeError("internal error: invalid feasible point")

@@ -5,7 +5,7 @@ A coefficient is stored as an int when it is integral and as a Fraction
 (denominator > 1) otherwise, so integral arithmetic never pays for Fraction;
 the constructors take int or Fraction coefficients and raise TypeError on a
 float, which is never exact.  Dividing two coefficients read out of a
-polynomial needs Fraction(a) / b, since int / int is a float.  The variable
+polynomial needs scalars.quotient, since int / int is a float.  The variable
 universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
@@ -51,7 +51,7 @@ import struct
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
-from .scalars import exact as _exact
+from .scalars import exact as _exact, quotient as _quotient
 
 VARIABLES: Tuple[str, ...] = (
     "x1", "x2", "y1", "y2", "t1", "t2", "v", "alpha", "h", "f",
@@ -431,7 +431,9 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
 
     Uses leading-term division in the graded-lex order; for an exact multiple
     the leading term of f is always divisible by the leading term of g, so
-    the loop peels off one quotient term per step.
+    the loop peels off one quotient term per step.  Coefficients divide by
+    scalars.quotient, so an integral polynomial divided by one with leading
+    coefficient +-1 (every divided-difference root) stays in int arithmetic.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -439,7 +441,7 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
         return MPoly.zero()
     g_exp = max(g._t)
     g_coef = g._t[g_exp]
-    quotient: Dict[int, Fraction] = {}
+    out: Dict[int, Coef] = {}
     rem = f
     while not rem.is_zero():
         r_exp = max(rem._t)
@@ -447,10 +449,10 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
         q_exp = r_exp - g_exp
         if q_exp & _GUARD:  # some exponent borrowed
             raise NotDivisible(f"({f}) is not divisible by ({g})")
-        q_coef = Fraction(r_coef) / g_coef
-        quotient[q_exp] = q_coef  # q_exp strictly decreases, so it is new
+        q_coef = _quotient(r_coef, g_coef)
+        out[q_exp] = q_coef  # q_exp strictly decreases, so it is new
         rem = rem - MPoly({q_exp: q_coef}) * g
-    return MPoly(quotient)
+    return MPoly(out)
 
 
 def elementary_symmetric(i: int, values: Iterable[MPoly]) -> MPoly:

@@ -14,6 +14,7 @@ int-or-Fraction rule, and its division is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -38,6 +39,17 @@ def quotient(a: Rational, b: Rational) -> Rational:
         return Fraction(a, b) if r else q
     q = (a if isinstance(a, Fraction) else Fraction(a)) / b
     return q.numerator if q.denominator == 1 else q
+
+
+def common_denominator(values) -> int:
+    """The lcm of the denominators of exact rationals: the least L with
+    every L * value an int.  A plain loop, so an all-int input allocates
+    nothing beyond its iterator."""
+    scale = 1
+    for x in values:
+        if type(x) is not int:
+            scale = lcm(scale, x.denominator)
+    return scale
 
 
 class GaussRat:

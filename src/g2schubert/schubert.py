@@ -15,9 +15,11 @@ P_w = d_{w0 w^-1} P_{w0}; the numerator of each step is exactly divisible by
 the linear denominator, so everything stays in the polynomial ring.  The
 table is built along the divided-difference chain: writing w0 w^-1 = c.W
 with c a letter, P_w = d_c of the entry whose operator word is W, so the
-12 entries take 11 operator steps.  The chain runs on L times the top
-class, with L the lcm of its coefficients' denominators, so every step
-divides an integral polynomial; each entry is divided by L once at the end.
+12 entries take 11 operator steps.  Every operator runs on L times its
+input, with L the lcm of the input's denominators, and divides by L once
+(div_diff_generic); a family's chain shares that helper, running on L times
+the top class and dividing each entry by L once at the end, so no step of
+the chain meets a Fraction.
 Only P_id depends on the reduced word chosen for w0, so the table for the
 second longest word is the first one with P_id recomputed: one step.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import weyl
@@ -35,10 +36,12 @@ from .exactalg import (
     LinSystem,
     LpFeasibility,
     MPoly,
+    common_denominator,
     exact_divide,
     lp_feasible,
     solve_linear,
 )
+from .exactalg.mpoly import key_terms
 from .weyl import NonReducedWord, WeylElt
 
 X1 = MPoly.var("x1")
@@ -77,11 +80,24 @@ def div_diff(kind: str, f: MPoly) -> MPoly:
 def div_diff_generic(f: MPoly, root: MPoly, action: Mapping[str, MPoly]) -> MPoly:
     """The general form (f - w.f) / root for a reflection acting by the given
     substitution.  With weyl.simple_root and weyl.action in (x1, x2) it is
-    the explicit operator of that letter, which the divdiff suite checks."""
-    numerator = f - f.subs(action)
+    the explicit operator of that letter, which the divdiff suite checks.
+
+    It runs on L f, with L the lcm of the denominators of f's coefficients,
+    and multiplies the quotient by 1/L once.  Each root here has leading
+    coefficient +-1, so the substitution and the division stay in int
+    arithmetic."""
+    g, scale = _integral_multiple(f)
+    numerator = g - g.subs(action)
     if numerator.is_zero():
         return MPoly.zero()
-    return exact_divide(numerator, root)
+    q = exact_divide(numerator, root)
+    return q if scale == 1 else q * Fraction(1, scale)
+
+
+def _integral_multiple(f: MPoly) -> Tuple[MPoly, int]:
+    """(L f, L), with L the lcm of the denominators of f's coefficients."""
+    scale = common_denominator(key_terms(f).values())
+    return (f, 1) if scale == 1 else (scale * f, scale)
 
 
 def div_diff_word(word: str, f: MPoly, twisted: bool = False) -> MPoly:
@@ -205,9 +221,8 @@ def generate_family(kind: str, w0_word: Optional[str] = None) -> SchubertFamily:
         table[weyl.identity()] = div_diff(_operator(kind, w0_word[0]), base[rest])
         return SchubertFamily(kind, table)
     words = {u: (w0_word if u is w0 else u.word) for u in weyl.all_elements()}
-    top = top_class(kind)
-    scale = lcm(*(c.denominator for _, c in top.items()))
-    by_word: Dict[str, MPoly] = {"": scale * top}
+    top, scale = _integral_multiple(top_class(kind))
+    by_word: Dict[str, MPoly] = {"": top}
     for word in words.values():
         # elements come by length, so the suffix word[1:] is already done
         if word:

@@ -108,6 +108,14 @@ class TestExactDivide:
     def test_zero_dividend(self):
         assert exact_divide(MPoly.zero(), X1 - X2).is_zero()
 
+    def test_integral_quotient_stays_int(self):
+        # a leading coefficient of -1, as on a divided-difference root
+        q = exact_divide((3 * X1 + 5 * X2) * (-X1 + 2 * X2), -X1 + 2 * X2)
+        assert q == 3 * X1 + 5 * X2
+        assert all(type(c) is int for _, c in q.items())
+        half = exact_divide(X1 ** 2 - X2 ** 2, 2 * X1 - 2 * X2)
+        assert half == Fraction(1, 2) * (X1 + X2)
+
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
             exact_divide(X1 ** 2 + X2, X1 - X2)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -43,6 +44,43 @@ class TestOperators:
             assert s._ROOTS[r] == weyl.simple_root(r, xs)
             assert ({"x1": X1, "x2": X2, **s._ACTIONS[r]}
                     == weyl.action(weyl.element(r), xs))
+
+
+# each operator written out by hand, (substitution, root), for an oracle
+# that multiplies instead of dividing
+HAND_OPERATORS = {
+    "s": ({"x1": X2, "x2": X1}, X1 - X2),
+    "t": ({"x2": X1 - X2}, -X1 + 2 * X2),
+    "tv": ({"x2": X1 - X2 - V}, -X1 + 2 * X2 + V),
+}
+
+
+def _fraction_polys():
+    """Seeded polynomials in x1, x2, y1, v with coefficients of denominator
+    1 to 6, then the 12 graham entries (denominators up to 54)."""
+    rng = random.Random(SEED + 6)
+    polys = []
+    for _ in range(25):
+        total = MPoly.zero()
+        for _ in range(rng.randint(1, 6)):
+            exps = {name: rng.randint(0, 3) for name in ("x1", "x2", "y1", "v")}
+            total = total + MPoly.monomial(
+                exps, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        polys.append(total)
+    return polys + [p for _, p in s.generate_family("graham").entries()]
+
+
+@pytest.mark.parametrize("kind", HAND_OPERATORS)
+def test_operator_runs_on_the_integral_multiple(kind):
+    action, root = HAND_OPERATORS[kind]
+    denominators = set()
+    for f in _fraction_polys():
+        scale = lcm(*(c.denominator for _, c in f.items()))
+        denominators.add(scale)
+        q = s.div_diff(kind, f)
+        assert q * root == f - f.subs(action), f
+        assert q == s.div_diff(kind, scale * f) * Fraction(1, scale), f
+    assert 54 in denominators
 
 
 class TestTopClasses:
