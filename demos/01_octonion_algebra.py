@@ -49,9 +49,9 @@ print("compatible on", len(o.spanning_sample()), "spanning pairs:",
 # vectors these are spanned by basis vectors and cut out the 12 torus-fixed
 # flags.
 print("\nE_u triples:")
-for i, triple in sorted(o.fixed_point_triples(ctx).items()):
+for i, triple in sorted(o.fixed_point_triples().items()):
     print(f"  E_f{i} = <f{triple[0]}, f{triple[1]}, f{triple[2]}>")
-print("fixed flags:", o.fixed_points(ctx))
+print("fixed flags:", o.fixed_points())
 
 # The big Schubert cell: two polynomial rows whose octonion product vanishes
 # identically in the six free parameters.

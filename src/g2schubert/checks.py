@@ -180,14 +180,14 @@ def suite_octonion(report: SuiteReport, rng: random.Random):
     report.add("perturbed beta(f4,f4) = -1 breaks compatibility",
                bad is not None)
 
-    triples = octonion.fixed_point_triples(ctx)
+    triples = octonion.fixed_point_triples()
     expected = {1: (1, 2, 3), 2: (2, 1, 5), 3: (3, 1, 6),
                 5: (5, 2, 7), 6: (6, 3, 7), 7: (7, 5, 6)}
     want = {i: (i,) + tuple(sorted(expected[i][1:])) for i in expected}
     report.add("isotropic kernels give the six standard triples",
                triples == want)
 
-    pts = octonion.fixed_points(ctx)
+    pts = octonion.fixed_points()
     report.add("12 distinct fixed points",
                len(pts) == 12 and len(set(pts)) == 12)
 

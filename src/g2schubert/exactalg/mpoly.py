@@ -358,6 +358,9 @@ class MPoly:
         return self._t == o._t
 
     def __hash__(self):
+        # a constant, zero included, equals its value and hashes as it
+        if self._t.keys() <= {ONE_KEY}:
+            return hash(self._t.get(ONE_KEY, 0))
         return hash(frozenset(self._t.items()))
 
     # ---- substitution ----

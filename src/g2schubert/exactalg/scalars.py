@@ -120,6 +120,9 @@ class GaussRat:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # a real GaussRat equals its rational part and hashes as it
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def is_zero(self) -> bool:

@@ -13,10 +13,14 @@ makes C = k + V an octonion algebra with product
 and norm N(u) = 1/2 beta(u,u) on V.  This module builds the two standard
 models (the orthonormal e-basis and the isotropic f-basis), the Bryant form
 recovering beta from gamma, the 3-dimensional isotropic kernels E_u, the
-torus action, and the parametrization of the big Schubert cell.  The two
-identity checks, check_compatible and torus_invariance_check, return None
-when the identity holds and a failing case otherwise; the verify suites in
-checks turn that witness into a verdict.
+torus action, and the parametrization of the big Schubert cell.  Gamma is
+evaluated on vectors in one place, TriForm.functional: the product, the
+Bryant form and the kernels read gamma(u, v, .) from it.  What is built once
+per form (beta's inverse rows, the product's structure constants) is a
+functools.cached_property.  The two identity checks, check_compatible and
+torus_invariance_check, return None when the identity holds and a failing
+case otherwise; the verify suites in checks turn that witness into a
+verdict.
 
 The algebra operations are generic over the scalar ring: coordinates may be
 ints, Fractions, GaussRats, or MPolys (the big-cell identity is checked with
@@ -39,9 +43,10 @@ second, since int * Fraction takes Fraction's slower reflected path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (
@@ -49,6 +54,7 @@ from .exactalg import (
     MPoly,
     NotDivisible,
     Rational,
+    common_denominator,
     exact,
     exact_divide,
     matrix_inverse,
@@ -219,13 +225,11 @@ def _apply(phi: Sequence, w: VecV):
 class BilForm:
     """Symmetric bilinear form as a 7x7 rational matrix.
 
-    The form keeps its nonzero entries as a sparse list, and dagger keeps
-    the rows of the inverse as (denominator, ((column, numerator), ...)),
-    built on first use; so neither compares an entry with 0 per call, and
-    dagger divides by each row's common denominator instead of multiplying
-    by Fractions."""
-
-    __slots__ = ("matrix", "_entries", "_dagger_rows")
+    The form keeps its nonzero entries as a sparse list, and dagger reads
+    the rows of the inverse as (denominator, ((column, numerator), ...))
+    from a cached_property, built on first use; so neither compares an
+    entry with 0 per call, and dagger divides by each row's common
+    denominator instead of multiplying by Fractions."""
 
     def __init__(self, matrix: Sequence[Sequence]):
         rows = tuple(tuple(exact(x) for x in row) for row in matrix)
@@ -238,7 +242,6 @@ class BilForm:
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "_entries", tuple(
             (i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if c))
-        object.__setattr__(self, "_dagger_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BilForm is immutable")
@@ -256,20 +259,21 @@ class BilForm:
     def is_nondegenerate(self) -> bool:
         return self.det() != 0
 
+    @cached_property
+    def _inverse_rows(self) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
+        inv = matrix_inverse([list(r) for r in self.matrix])
+        if inv is None:
+            raise SingularForm("bilinear form is degenerate")
+        rows = []
+        for row in inv:
+            d = common_denominator(row)
+            rows.append((d, tuple((j, exact(x * d)) for j, x in enumerate(row) if x)))
+        return tuple(rows)
+
     def dagger(self, phi: Sequence) -> VecV:
         """The vector v with beta(v, u) = phi(u) for all u."""
-        rows = object.__getattribute__(self, "_dagger_rows")
-        if rows is None:
-            inv = matrix_inverse([list(r) for r in self.matrix])
-            if inv is None:
-                raise SingularForm("bilinear form is degenerate")
-            rows = []
-            for row in inv:
-                d = lcm(*(x.denominator for x in row))
-                rows.append((d, tuple((j, exact(x * d)) for j, x in enumerate(row) if x)))
-            object.__setattr__(self, "_dagger_rows", rows)
         coords = []
-        for d, terms in rows:
+        for d, terms in self._inverse_rows:
             acc = 0
             for j, n in terms:
                 acc = phi[j] * n + acc
@@ -284,41 +288,35 @@ class BilForm:
 class AlgebraCtx:
     """A compatible (gamma, beta) pair with its octonion product.
 
-    The structure constants of the product, built on first use, are kept
-    on the instance as BilForm keeps its dagger rows."""
+    The structure constants of the product are a cached_property, built on
+    first use, as BilForm's inverse rows are."""
 
     gamma: TriForm
     beta: BilForm
     basis_kind: str
-    _constants: Optional[Tuple] = field(default=None, init=False, repr=False,
-                                        compare=False)
 
+    @cached_property
     def structure_constants(self) -> Tuple[Tuple[Tuple[int, int, Rational], ...], ...]:
         """The structure constants on the basis b = (e, b_1..b_7) of C, with
         b_1..b_7 the basis of V this context is written in: entry i lists
         (j, k, c) for each nonzero coordinate c = (b_i b_k)_j.  The 64
         products are taken with mul once per context."""
-        if self._constants is None:
-            basis = [Oct.unit()] + [Oct.imag(basis_vec(i)) for i in range(1, DIM + 1)]
-            constants = []
-            for bi in basis:
-                entries = []
-                for k, bk in enumerate(basis):
-                    prod = self.mul(bi, bk)
-                    entries.extend((j, k, c) for j, c in
-                                   enumerate((prod.re,) + prod.im.coords) if c != 0)
-                constants.append(tuple(entries))
-            object.__setattr__(self, "_constants", tuple(constants))
-        return self._constants
-
-    def dagger(self, phi: Sequence) -> VecV:
-        return self.beta.dagger(phi)
+        basis = [Oct.unit()] + [Oct.imag(basis_vec(i)) for i in range(1, DIM + 1)]
+        constants = []
+        for bi in basis:
+            entries = []
+            for k, bk in enumerate(basis):
+                prod = self.mul(bi, bk)
+                entries.extend((j, k, c) for j, c in
+                               enumerate((prod.re,) + prod.im.coords) if c != 0)
+            constants.append(tuple(entries))
+        return tuple(constants)
 
     def mul(self, u: Oct, v: Oct) -> Oct:
         """The octonion product on k + V."""
         uv_imag_beta = self.beta(u.im, v.im)
         re = u.re * v.re - _div(uv_imag_beta, 2)
-        cross = self.dagger(self.gamma.functional(u.im, v.im))
+        cross = self.beta.dagger(self.gamma.functional(u.im, v.im))
         im = v.im.scale(u.re) + u.im.scale(v.re) + cross
         return Oct(re, im)
 
@@ -327,9 +325,6 @@ class AlgebraCtx:
 
     def norm(self, u: Oct):
         return u.re * u.re + _div(self.beta(u.im, u.im), 2)
-
-    def norm_imag(self, u: VecV):
-        return _div(self.beta(u, u), 2)
 
     def conjugate(self, u: Oct) -> Oct:
         return Oct(u.re, -u.im)
@@ -452,62 +447,34 @@ def check_compatible(gamma: TriForm, beta: BilForm) -> Optional[Tuple]:
     return None
 
 
-def _contract(gamma: TriForm, p: int) -> Dict[Tuple[int, int], Rational]:
-    """The 2-form gamma(f_p, ., .)."""
-    out: Dict[Tuple[int, int], Rational] = {}
-    for (a, b, c), coef in gamma.coeffs.items():
-        if p == a:
-            key, sign = (b, c), 1
-        elif p == b:
-            key, sign = (a, c), -1
-        elif p == c:
-            key, sign = (a, b), 1
-        else:
-            continue
-        out[key] = out.get(key, 0) + sign * coef
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _merge_sign(left: Tuple[int, ...], right: Tuple[int, ...]) -> int:
-    inversions = sum(1 for i in left for j in right if i > j)
-    return -1 if inversions % 2 else 1
-
-
-def _wedge(f1: Dict[Tuple[int, ...], Rational],
-           f2: Dict[Tuple[int, ...], Rational]) -> Dict[Tuple[int, ...], Rational]:
-    out: Dict[Tuple[int, ...], Rational] = {}
-    for idx1, c1 in f1.items():
-        set1 = set(idx1)
-        for idx2, c2 in f2.items():
-            if set1 & set(idx2):
-                continue
-            sign = _merge_sign(idx1, idx2)
-            key = tuple(sorted(idx1 + idx2))
-            val = out.get(key, 0) + sign * c1 * c2
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
-    return out
-
-
 def bryant_form(gamma: TriForm) -> BilForm:
     """Recover the compatible bilinear form, fixing wedge^7 V* = k via the
     ordered basis functional f*_{1..7}.
 
-    Entry (p, q) is the coefficient of f*_{1..7} in
-    gamma(f_p,.,.) ^ gamma(f_q,.,.) ^ gamma, divided by -3 (exactly; a failed
-    division signals corrupted input).  A degenerate gamma gives a singular
-    form.
+    Entry (p, q) is the coefficient of f*_{1..7} in omega_p ^ omega_q ^ gamma,
+    omega_p = gamma(f_p,.,.), divided by -3 (exactly; a failed division
+    signals corrupted input): the sum of sign(i + j + k) omega_p[i] omega_q[j]
+    gamma[k] over index pairs i, j and support triples k covering 1..7.  A
+    degenerate gamma gives a singular form.
     """
-    top = tuple(range(1, DIM + 1))
-    omegas = [_contract(gamma, p) for p in range(1, DIM + 1)]
-    gamma_dict = dict(gamma.coeffs)
+    indices = range(1, DIM + 1)
+    omegas = [{(a, b): c for a in indices
+               for b, c in enumerate(gamma.functional(basis_vec(p), basis_vec(a)), 1)
+               if a < b and c != 0}
+              for p in indices]
     mat = [[0] * DIM for _ in range(DIM)]
     for p in range(DIM):
         for q in range(p, DIM):
-            w = _wedge(_wedge(omegas[p], omegas[q]), gamma_dict)
-            mat[p][q] = mat[q][p] = _div(-w.get(top, 0), 3)
+            top = 0
+            for i, wi in omegas[p].items():
+                for j, wj in omegas[q].items():
+                    # the one triple that completes i and j, if they are disjoint
+                    k = tuple(sorted(set(indices).difference(i, j)))
+                    if k in gamma.coeffs:
+                        term = wi * wj * gamma.coeffs[k]
+                        inversions = sum(x > y for x, y in combinations(i + j + k, 2))
+                        top = (-term if inversions % 2 else term) + top
+            mat[p][q] = mat[q][p] = _div(-top, 3)
     return BilForm(mat)
 
 
@@ -522,7 +489,7 @@ def isotropic_kernel(ctx: AlgebraCtx, u: VecV) -> List[VecV]:
     """
     if u.is_zero():
         raise ValueError("kernel requested at the zero vector")
-    n = ctx.norm_imag(u)
+    n = ctx.norm(Oct.imag(u))
     if n != 0:
         raise NotIsotropic(f"N(u) = {n} is nonzero")
     kernel = nullspace(ctx.gamma.kernel_matrix(u))
@@ -535,11 +502,10 @@ def isotropic_kernel(ctx: AlgebraCtx, u: VecV) -> List[VecV]:
     return basis
 
 
-def fixed_point_triples(ctx: Optional[AlgebraCtx] = None) -> Dict[int, Tuple[int, int, int]]:
-    """For each isotropic basis vector f_i, the triple (i, a, b) with
-    E_{f_i} spanned by f_i, f_a, f_b (a < b)."""
-    if ctx is None:
-        ctx = standard_forms("f")
+def fixed_point_triples() -> Dict[int, Tuple[int, int, int]]:
+    """For each isotropic basis vector f_i of the standard f-basis forms, the
+    triple (i, a, b) with E_{f_i} spanned by f_i, f_a, f_b (a < b)."""
+    ctx = standard_forms("f")
     triples: Dict[int, Tuple[int, int, int]] = {}
     for i in (1, 2, 3, 5, 6, 7):
         kernel = isotropic_kernel(ctx, basis_vec(i))
@@ -556,9 +522,9 @@ def fixed_point_triples(ctx: Optional[AlgebraCtx] = None) -> Dict[int, Tuple[int
     return triples
 
 
-def fixed_points(ctx: Optional[AlgebraCtx] = None) -> List[Tuple[int, int]]:
+def fixed_points() -> List[Tuple[int, int]]:
     """The 12 torus-fixed flags e(i j), ordered by i then by the triple."""
-    triples = fixed_point_triples(ctx)
+    triples = fixed_point_triples()
     points = []
     for i in sorted(triples):
         _, second, third = triples[i]
@@ -637,7 +603,7 @@ def left_mult_matrix(ctx: AlgebraCtx, u: Oct) -> List[List]:
     Column k is u b_k, so entry [j][k] = sum_i u_i (b_i b_k)_j, summed over
     the context's structure constants: no product is taken per call."""
     mat = [[0] * 8 for _ in range(8)]
-    for ui, entries in zip((u.re,) + u.im.coords, ctx.structure_constants()):
+    for ui, entries in zip((u.re,) + u.im.coords, ctx.structure_constants):
         if ui == 0:
             continue
         for j, k, c in entries:

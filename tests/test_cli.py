@@ -14,6 +14,8 @@ from g2schubert.cli import main
 from g2schubert.cohomring import MAX_REWRITE_TERMS
 from g2schubert.exactalg import parse_poly
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -302,26 +304,45 @@ class TestOctVerbs:
             "1,0,0,0,0,0,0", "0,1,0,0,0,0,0", "0,0,1,0,0,0,0"]
 
     def test_kernel_rejects_anisotropic(self, capsys):
-        code, _, err = run(capsys, "kernel", "1,0,0,0,0,0,1")
-        assert code == 2
+        assert run(capsys, "kernel", "1,0,0,0,0,0,1") == (
+            2, "", "error: N(u) = -1 is nonzero\n")
+        # the e-basis norm is a sum of squares: no rational vector is isotropic
+        assert run(capsys, "kernel", "--basis", "e", "1,0,0,0,0,0,0") == (
+            2, "", "error: N(u) = 1 is nonzero\n")
 
     def test_bryant(self, capsys):
         code, out, _ = run(capsys, "bryant")
         assert code == 0
-        assert "matches the standard form: True" in out
+        assert out == (GOLDEN / "bryant.txt").read_text()
 
     def test_cell_symbolic(self, capsys):
-        code, out, _ = run(capsys, "cell")
-        assert code == 0
-        assert "product is zero: True" in out
-        assert "rows isotropic: True" in out
+        assert run(capsys, "cell") == (0, (
+            "row1: -a e - b d - c^2, a, b, c, d, e, 1\n"
+            "row2: -c e g - b g + c d - a, d e g - c g - d^2, -e^2 g + d e + c,"
+            " e g - d, g, 1, 0\n"
+            "product is zero: True\nrows isotropic: True\n"), "")
 
     def test_cell_numeric(self, capsys):
-        code, out, _ = run(capsys, "cell", "--params",
-                           "a=0,b=0,c=0,d=0,e=0,g=0")
-        assert code == 0
-        assert "row1: 0, 0, 0, 0, 0, 0, 1" in out
+        assert run(capsys, "cell", "--params", "a=0,b=0,c=0,d=0,e=0,g=0") == (0, (
+            "row1: 0, 0, 0, 0, 0, 0, 1\nrow2: 0, 0, 0, 0, 0, 1, 0\n"
+            "product is zero: True\nrows isotropic: True\n"), "")
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["oct-mul", "1,2,-1/2,0,3,0,1,-1", "0,1,1,2/3,0,-1,0,5"],
+         "5,11/3,-4,-1/3,6,-5/2,2/3,-9\n"),
+        (["oct-mul", "--basis", "e", "1,2,-1/2,0,3,0,1,-1", "0,1,1,2/3,0,-1,0,5"],
+         "7/2,-4/3,-4/3,-77/6,-7/3,17/6,14,17/2\n"),
+        (["kernel", "1,0,1,0,-1,0,1"],
+         "-1,0,0,0,1,0,0\n0,-1,0,1,0,1,0\n0,0,1,0,0,0,1\n"),
+        (["kernel", "1,2,1/2,1,-2,1/2,-1"],
+         "0,0,-1/4,-1/2,1,0,0\n0,-4,-2,-2,0,1,0\n-1,-4,-1,-1,0,0,1\n"),
+        (["cell", "--params", "a=1,b=0,g=-1/2"],
+         "row1: -c^2 - e, 1, 0, c, d, e, 1\n"
+         "row2: c d + 1/2 c e - 1, -d^2 - 1/2 d e + 1/2 c, d e + 1/2 e^2 + c, -d - 1/2 e,"
+         " -1/2, 1, 0\nproduct is zero: True\nrows isotropic: True\n"),
+    ], ids=["oct-mul-f", "oct-mul-e", "kernel-f", "kernel-f-fractions", "cell-params"])
+    def test_output_pinned(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
     @pytest.mark.parametrize("argv", [
         ["oct-mul", "1/0,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],

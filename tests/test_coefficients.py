@@ -112,8 +112,8 @@ def test_octonion_forms_and_products(basis):
             assert_oct(ctx.mul(u, v), ("mul", a, b))
     for (i, u), (j, v) in combinations(enumerate(vecs), 2):
         phi = ctx.gamma.functional(u, v)
-        assert_vec(ctx.dagger(phi), ("dagger", i, j))
-        assert_vec(ctx.dagger([3 * c for c in phi]), ("dagger 3", i, j))
+        assert_vec(ctx.beta.dagger(phi), ("dagger", i, j))
+        assert_vec(ctx.beta.dagger([3 * c for c in phi]), ("dagger 3", i, j))
 
 
 def test_octonion_kernels_and_basis_change():

@@ -347,6 +347,25 @@ class TestGaussRat:
         assert (GaussRat(2) / GaussRat(0, 1)) == GaussRat(0, -2)
 
 
+@pytest.mark.parametrize("scalar, value", [
+    (MPoly.const(2), 2),
+    (MPoly.zero(), 0),
+    (MPoly.const(Fraction(1, 2)), Fraction(1, 2)),
+    (MPoly.const(Fraction(-6, 3)), -2),
+    (GaussRat(3), 3),
+    (GaussRat(Fraction(-1, 3)), Fraction(-1, 3)),
+    (GaussRat(0), 0),
+], ids=["MPoly-int", "MPoly-zero", "MPoly-Fraction", "MPoly-integral-Fraction",
+        "GaussRat-int", "GaussRat-Fraction", "GaussRat-zero"])
+def test_equal_scalars_hash_equal(scalar, value):
+    # Python's rule: a == b implies hash(a) == hash(b), so a set or dict key
+    # holds a constant and its value once
+    assert scalar == value
+    assert hash(scalar) == hash(value)
+    assert len({scalar, value}) == 1
+    assert {value: "v"}[scalar] == "v"
+
+
 class TestLayoutBoundary:
     LAYOUT = {"NVARS", "VAR_INDEX", "ExpKey", "_BITS", "_FIELDS", "_DEG_SHIFT",
               "_SHIFT", "_MASK", "_GUARD", "_LIMIT", "_pack", "_unpack",

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -106,22 +107,22 @@ class TestDagger:
     def test_minus_f7_star(self, fctx):
         phi = [Fraction(0)] * 7
         phi[6] = Fraction(-1)
-        assert fctx.dagger(phi) == f(1)
+        assert fctx.beta.dagger(phi) == f(1)
 
     def test_f4_star(self, fctx):
         phi = [Fraction(0)] * 7
         phi[3] = Fraction(1)
-        assert fctx.dagger(phi) == f(4).scale(Fraction(-1, 2))
+        assert fctx.beta.dagger(phi) == f(4).scale(Fraction(-1, 2))
 
     def test_zero(self, fctx):
-        assert fctx.dagger([Fraction(0)] * 7).is_zero()
+        assert fctx.beta.dagger([Fraction(0)] * 7).is_zero()
 
     def test_dagger_inverse(self, fctx):
         rng = random.Random(SEED)
         for _ in range(10):
             v = rand_vec(rng)
             phi = [fctx.beta(v, f(j)) for j in range(1, 8)]
-            assert fctx.dagger(phi) == v
+            assert fctx.beta.dagger(phi) == v
 
 
 class TestProduct:
@@ -215,6 +216,55 @@ class TestBryant:
         assert all(x == 0 for row in bil.matrix for x in row)
         assert not bil.is_nondegenerate()
 
+    @pytest.mark.parametrize("kind", ["f", "e", "zero", "random"])
+    def test_matches_the_alternating_sum(self, kind):
+        if kind in ("f", "e"):
+            gamma = o.standard_forms(kind).gamma
+        elif kind == "zero":
+            gamma = o.TriForm({})
+        else:
+            rng = random.Random(SEED + 11)
+            gamma = o.TriForm({t: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for t in itertools.combinations(range(1, 8), 3)
+                               if rng.random() < 0.5})
+        assert o.bryant_form(gamma).matrix == _bryant_by_alternation(gamma)
+
+    def test_e_basis_form_is_minus_eight_beta(self, ectx):
+        matrix = o.bryant_form(ectx.gamma).matrix
+        assert matrix == tuple(tuple(-8 * x for x in row) for row in ectx.beta.matrix)
+        assert all(matrix[p][p] == -16 for p in range(7))
+
+
+def _bryant_by_alternation(gamma):
+    """Bryant's form from its definition: the coefficient of f*_{1..7} in
+    omega_p ^ omega_q ^ gamma is the alternating sum over S7 of
+    omega_p (x) omega_q (x) gamma, divided by 2! 2! 3!; entry (p, q) is that
+    coefficient divided by -3.  Gamma is read on basis indices straight from
+    its stored coefficients, by sorting the index triple."""
+    def value(a, b, c):
+        triple = (a, b, c)
+        if len(set(triple)) < 3:
+            return 0
+        inversions = sum(x > y for x, y in itertools.combinations(triple, 2))
+        return (-1) ** inversions * gamma.coeffs.get(tuple(sorted(triple)), 0)
+
+    dense = {t: value(*t) for t in itertools.product(range(1, 8), repeat=3)}
+    signed = []
+    for perm in itertools.permutations(range(1, 8)):
+        g = dense[perm[4:]]
+        if g != 0:
+            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+            signed.append((perm, (-1) ** inversions * g))
+    matrix = []
+    for p in range(1, 8):
+        row = []
+        for q in range(1, 8):
+            top = sum(dense[(p,) + perm[:2]] * dense[(q,) + perm[2:4]] * g
+                      for perm, g in signed)
+            row.append(Fraction(top, 2 * 2 * 6) / -3)
+        matrix.append(tuple(row))
+    return tuple(matrix)
+
 
 class TestKernels:
     def test_kernel_of_f1(self, fctx):
@@ -240,7 +290,7 @@ class TestKernels:
             o.isotropic_kernel(fctx, f(1) + f(7))
 
     def test_fixed_points_list(self, fctx):
-        assert o.fixed_points(fctx) == [
+        assert o.fixed_points() == [
             (1, 2), (1, 3), (2, 1), (2, 5), (3, 1), (3, 6),
             (5, 2), (5, 7), (6, 3), (6, 7), (7, 5), (7, 6)]
 
