@@ -13,12 +13,12 @@ from g2schubert import schubert as s
 
 cert = s.impossibility_certificate()
 print("constraints on P = a x1^4 + b x1^3 x2 + c x1^2 x2^2 + d x1 x2^3 + e x2^4:")
-for line in cert.equation_text:
+for line in cert.equation_text():
     print("  ", line)
-print("Farkas multipliers:", [str(m) for m in cert.farkas_multipliers])
+print("Farkas multipliers:", [str(m) for m in cert.farkas.multipliers])
 print("certificate verifies:", cert.verify())
-print("nonnegativity forces", ", ".join(cert.forced_zero), "= 0,",
-      "after which the equations derive 0 =", cert.linear_value)
+print("nonnegativity forces", ", ".join(s.FORCED_ZERO), "= 0,",
+      "after which the equations derive 0 =", cert.linear.value)
 
 print("\npositive rewrites of the point family (x3 = x1 - x2):")
 fam = s.generate_family("point")

@@ -22,6 +22,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -61,9 +62,16 @@ def _write(text: str, out_path: Optional[str]):
         print(text)
 
 
+# the RATIONAL of the polynomial grammar, with an optional sign; Fraction's
+# own grammar also takes exponents such as 1e9999999, which cost seconds
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _rational(text: str) -> Fraction:
-    """A rational p or p/q given on the command line."""
+    """A rational [sign] p or p/q given on the command line."""
     text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a rational p or p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError:

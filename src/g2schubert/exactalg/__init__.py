@@ -14,21 +14,20 @@ from .parse import PolySyntaxError, UnknownVariable, parse_poly
 from .linsolve import (
     LinInconsistency,
     LinSolution,
-    LinSystem,
     determinant,
     matrix_inverse,
     nullspace,
     rank,
     solve_linear,
 )
-from .lp import LpFeasibility, LpInfeasible, LpPoint, lp_feasible
+from .lp import LpInfeasible, LpPoint, lp_feasible
 
 __all__ = [
     "GaussRat", "Rational", "common_denominator", "exact", "quotient",
     "MPoly", "NotDivisible", "UnboundVariable", "VARIABLES",
     "elementary_symmetric", "exact_divide",
     "PolySyntaxError", "UnknownVariable", "parse_poly",
-    "LinInconsistency", "LinSolution", "LinSystem",
+    "LinInconsistency", "LinSolution",
     "determinant", "matrix_inverse", "nullspace", "rank", "solve_linear",
-    "LpFeasibility", "LpInfeasible", "LpPoint", "lp_feasible",
+    "LpInfeasible", "LpPoint", "lp_feasible",
 ]

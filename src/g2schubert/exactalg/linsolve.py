@@ -20,31 +20,19 @@ its right-hand sides carried as columns of coefficients, and the simplex
 of lp_feasible pivots with _pivot.  Answers are int when integral and
 Fraction otherwise, the rule of scalars.
 
-solve_linear returns either a solution of A x = b or an inconsistency
-certificate: a row vector y with y^T A = 0 and y^T b != 0, exhibiting the
-contradiction 0 = y^T b as an explicit combination of the input rows.
+solve_linear(matrix, rhs) returns either a solution of A x = b or an
+inconsistency certificate: a row vector y with y^T A = 0 and y^T b != 0,
+exhibiting the contradiction 0 = y^T b as an explicit combination of the
+input rows.  The certificate's verify takes the same (matrix, rhs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .scalars import Rational, common_denominator, exact, quotient
-
-
-@dataclass(frozen=True)
-class LinSystem:
-    """A finite system of linear equations matrix * x = rhs."""
-
-    matrix: Sequence[Sequence[Fraction]]
-    rhs: Sequence[Fraction]
-
-    def __post_init__(self):
-        if len(self.matrix) != len(self.rhs):
-            raise ValueError("matrix and rhs size mismatch")
 
 
 @dataclass(frozen=True)
@@ -67,13 +55,13 @@ class LinInconsistency:
     def consistent(self) -> bool:
         return False
 
-    def verify(self, sys: LinSystem) -> bool:
-        m = len(sys.rhs)
-        ncols = len(sys.matrix[0]) if m else 0
+    def verify(self, matrix, rhs) -> bool:
+        m = len(rhs)
+        ncols = len(matrix[0]) if m else 0
         for j in range(ncols):
-            if sum(self.combination[i] * sys.matrix[i][j] for i in range(m)) != 0:
+            if sum(self.combination[i] * matrix[i][j] for i in range(m)) != 0:
                 return False
-        total = sum(self.combination[i] * sys.rhs[i] for i in range(m))
+        total = sum(self.combination[i] * rhs[i] for i in range(m))
         return total == self.value and self.value != 0
 
 
@@ -140,8 +128,8 @@ def _unit(i: int, n: int) -> List[int]:
     return [int(i == j) for j in range(n)]
 
 
-def solve_linear(sys: LinSystem):
-    """Solve an exact linear system.
+def solve_linear(matrix, rhs):
+    """Solve the exact linear system matrix * x = rhs.
 
     Returns LinSolution (free variables set to 0) or LinInconsistency.
     [A | b | I] is reduced on the columns of A, so the identity columns
@@ -149,10 +137,12 @@ def solve_linear(sys: LinSystem):
     left without a pivot is the last pivot times its input row's scale
     times the row of the rational reduction, so it is divided by both.
     """
-    m = len(sys.rhs)
-    n = len(sys.matrix[0]) if m else 0
+    if len(matrix) != len(rhs):
+        raise ValueError("matrix and rhs size mismatch")
+    m = len(rhs)
+    n = len(matrix[0]) if m else 0
     rows, scales = _integral_rows(list(row) + [b] + _unit(i, m) for i, (row, b)
-                                  in enumerate(zip(sys.matrix, sys.rhs)))
+                                  in enumerate(zip(matrix, rhs)))
     pivots, last, order = _reduce(rows, n)
     for row, i in zip(rows[len(pivots):], order[len(pivots):]):
         if row[n]:

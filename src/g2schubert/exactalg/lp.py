@@ -1,12 +1,13 @@
 """Exact linear-program feasibility over the rationals.
 
-Decides whether {x : A x = b, x >= 0} is nonempty, by a phase-1 simplex with
-Bland's rule (anti-cycling).  The answer is exact either way: a feasible
-rational point, or a Farkas certificate y with y^T A <= 0 componentwise and
-y^T b > 0.  Each simplex step is one pivot of the fraction-free Gauss-Jordan
-kernel in linsolve, with the reduced-cost row as the last tableau row: the
-tableau is kept as integers over one common denominator, which each step
-replaces by its pivot.
+lp_feasible(matrix, rhs) decides whether {x : A x = b, x >= 0} is nonempty,
+by a phase-1 simplex with Bland's rule (anti-cycling).  The answer is exact
+either way: a feasible rational point, or a Farkas certificate y with
+y^T A <= 0 componentwise and y^T b > 0; either answer's verify takes the
+same (matrix, rhs).  Each simplex step is one pivot of the fraction-free
+Gauss-Jordan kernel in linsolve, with the reduced-cost row as the last
+tableau row: the tableau is kept as integers over one common denominator,
+which each step replaces by its pivot.
 The ratio test compares by cross-multiplication, and the point or the
 multipliers are divided by the denominator once, at the end, and then
 re-verified exactly against the input.  A float entry raises TypeError.
@@ -17,22 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import List, Sequence
+from typing import List
 
 from .linsolve import _integral_rows, _pivot, _unit
 from .scalars import Rational, quotient
-
-
-@dataclass(frozen=True)
-class LpFeasibility:
-    """Equality constraints matrix * x = rhs with x >= 0 componentwise."""
-
-    matrix: Sequence[Sequence[Fraction]]
-    rhs: Sequence[Fraction]
-
-    def __post_init__(self):
-        if len(self.matrix) != len(self.rhs):
-            raise ValueError("matrix and rhs size mismatch")
 
 
 @dataclass(frozen=True)
@@ -43,10 +32,10 @@ class LpPoint:
     def feasible(self) -> bool:
         return True
 
-    def verify(self, prob: LpFeasibility) -> bool:
+    def verify(self, matrix, rhs) -> bool:
         if any(x < 0 for x in self.vector):
             return False
-        for row, b in zip(prob.matrix, prob.rhs):
+        for row, b in zip(matrix, rhs):
             if sum(Fraction(r) * x for r, x in zip(row, self.vector)) != Fraction(b):
                 return False
         return True
@@ -62,25 +51,27 @@ class LpInfeasible:
     def feasible(self) -> bool:
         return False
 
-    def verify(self, prob: LpFeasibility) -> bool:
-        m = len(prob.rhs)
-        ncols = len(prob.matrix[0]) if m else 0
+    def verify(self, matrix, rhs) -> bool:
+        m = len(rhs)
+        ncols = len(matrix[0]) if m else 0
         for j in range(ncols):
-            if sum(self.multipliers[i] * Fraction(prob.matrix[i][j])
+            if sum(self.multipliers[i] * Fraction(matrix[i][j])
                    for i in range(m)) > 0:
                 return False
-        return sum(self.multipliers[i] * Fraction(prob.rhs[i])
+        return sum(self.multipliers[i] * Fraction(rhs[i])
                    for i in range(m)) > 0
 
 
-def lp_feasible(prob: LpFeasibility):
-    """Exact feasibility of {A x = b, x >= 0}; returns LpPoint or LpInfeasible."""
-    m = len(prob.rhs)
-    n = len(prob.matrix[0]) if m else 0
+def lp_feasible(matrix, rhs):
+    """Exact feasibility of {matrix * x = rhs, x >= 0}; returns LpPoint or
+    LpInfeasible."""
+    if len(matrix) != len(rhs):
+        raise ValueError("matrix and rhs size mismatch")
+    m = len(rhs)
+    n = len(matrix[0]) if m else 0
     if m == 0:
         return LpPoint(vector=[0] * n)
-    rows, scales = _integral_rows(list(row) + [rhs]
-                                  for row, rhs in zip(prob.matrix, prob.rhs))
+    rows, scales = _integral_rows(list(row) + [b] for row, b in zip(matrix, rhs))
     # rows with a negative rhs are negated, so the artificials start feasible
     signs = [-1 if row[n] < 0 else 1 for row in rows]
 
@@ -116,9 +107,9 @@ def lp_feasible(prob: LpFeasibility):
                 if leave is None:
                     leave = i
                     continue
-                lhs = tab[i][width] * tab[leave][enter]
-                rhs = tab[leave][width] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                here = tab[i][width] * tab[leave][enter]
+                best = tab[leave][width] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # phase-1 objective is bounded below by 0; cannot happen
@@ -132,7 +123,7 @@ def lp_feasible(prob: LpFeasibility):
         # reduced cost of artificial i is 1 - y_i, so y_i = 1 - cost[n+i] / denom
         cert = LpInfeasible(multipliers=[quotient(sign * (denom - cost[n + i]), denom)
                                          for i, sign in enumerate(signs)])
-        if not cert.verify(prob):
+        if not cert.verify(matrix, rhs):
             raise RuntimeError("internal error: invalid Farkas certificate")
         return cert
 
@@ -141,6 +132,6 @@ def lp_feasible(prob: LpFeasibility):
         if var < n:
             x[var] = quotient(tab[i][width], denom)
     point = LpPoint(vector=x)
-    if not point.verify(prob):
+    if not point.verify(matrix, rhs):
         raise RuntimeError("internal error: invalid feasible point")
     return point

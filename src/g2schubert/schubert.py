@@ -33,9 +33,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import weyl
 from .exactalg import (
-    LinSystem,
-    LpFeasibility,
+    LinInconsistency,
+    LpInfeasible,
     MPoly,
+    Rational,
     common_denominator,
     exact_divide,
     lp_feasible,
@@ -232,6 +233,21 @@ def generate_family(kind: str, w0_word: Optional[str] = None) -> SchubertFamily:
     return SchubertFamily(kind, table)
 
 
+def length_rule_violation(table: Mapping) -> Optional[Tuple[WeylElt, str]]:
+    """The first (w, letter) at which a table {w: P_w}, keyed by element or
+    word, breaks the length rule d_letter P_w = P_{w letter} if l(w letter)
+    < l(w) and 0 otherwise; None if it holds throughout."""
+    by_elt = {weyl.element(key): poly for key, poly in table.items()}
+    for w, poly in by_elt.items():
+        for letter in ("s", "t"):
+            neighbor = w * weyl.element(letter)
+            expected = (by_elt.get(neighbor) if neighbor.length < w.length
+                        else MPoly.zero())
+            if div_diff(letter, poly) != expected:
+                return w, letter
+    return None
+
+
 def equivariant_restriction(f: MPoly, v: weyl.WeylElt) -> MPoly:
     """Restrict an equivariant class (a polynomial in x and t) to the torus
     fixed point indexed by v.
@@ -316,7 +332,7 @@ _COEFF_VARS = ("a", "b", "c", "d", "e")
 _QUARTIC = sum((MPoly.var(name) * X1 ** (4 - i) * X2 ** i
                 for i, name in enumerate(_COEFF_VARS)), MPoly.zero())
 # nonnegativity and dt P = 0 force these coefficients of P to vanish
-_FORCED_ZERO = ("b", "c", "d", "e")
+FORCED_ZERO = ("b", "c", "d", "e")
 
 
 @dataclass(frozen=True)
@@ -324,112 +340,81 @@ class ImpossibilityCertificate:
     """Proof that no degree-4 polynomial with nonnegative coefficients can
     continue the forced chain.
 
-    equations: the linear constraints on the coefficients (a..e) of
+    matrix * (a, b, c, d, e) = rhs are the linear constraints on the
+    coefficients of
         P = a x1^4 + b x1^3 x2 + c x1^2 x2^2 + d x1 x2^3 + e x2^4
-    coming from dt P = 0 and ds P = P_tst.  farkas certifies the combined
-    system with a..e >= 0 infeasible; linear_certificate exhibits 0 = 1/2
-    once the nonnegativity-forced vanishing of b, c, d, e is substituted.
+    coming from dt P = 0 and ds P = P_tst.  farkas certifies the system
+    with a..e >= 0 infeasible; linear exhibits 0 = 1/2 in the system with
+    the nonnegativity-forced vanishing of FORCED_ZERO pinned first.
     """
 
-    equations: List[Tuple[Tuple[Fraction, ...], Fraction]]
-    equation_text: List[str]
-    farkas_multipliers: List[Fraction]
-    forced_zero: Tuple[str, ...]
-    linear_combination: List[Fraction]
-    linear_value: Fraction
+    matrix: List[List[Rational]]
+    rhs: List[Fraction]
+    farkas: LpInfeasible
+    linear: LinInconsistency
 
-    def lp_problem(self) -> LpFeasibility:
-        return LpFeasibility(matrix=[list(row) for row, _ in self.equations],
-                             rhs=[rhs for _, rhs in self.equations])
+    def equation_text(self) -> List[str]:
+        unknowns = [MPoly.var(name) for name in _COEFF_VARS]
+        return [f"{sum((c * u for c, u in zip(row, unknowns)), MPoly.zero())} = {value}"
+                for row, value in zip(self.matrix, self.rhs)]
 
     def verify(self) -> bool:
-        from .exactalg import LpInfeasible, LinInconsistency
-        lp_ok = LpInfeasible(self.farkas_multipliers).verify(self.lp_problem())
-        lin_ok = LinInconsistency(self.linear_combination, self.linear_value).verify(
-            _stage2_system(self.forced_zero, self.equations))
-        return lp_ok and lin_ok
+        return (self.farkas.verify(self.matrix, self.rhs)
+                and self.linear.verify(*_pinned(FORCED_ZERO, 0, self.matrix, self.rhs)))
 
 
-def _pin(name: str) -> List[Fraction]:
-    """The row of the coefficient `name` of P."""
-    row = [Fraction(0)] * 5
-    row[_COEFF_VARS.index(name)] = Fraction(1)
-    return row
-
-
-def _stage2_system(forced_zero, equations) -> LinSystem:
-    """The equations with each coefficient in forced_zero pinned to 0."""
-    return LinSystem([_pin(name) for name in forced_zero]
-                     + [list(row) for row, _ in equations],
-                     [Fraction(0)] * len(forced_zero)
-                     + [value for _, value in equations])
+def _pinned(names, value, matrix, rhs):
+    """(matrix, rhs) with a row 'name = value' put first for each coefficient
+    name of P."""
+    pins = [[Fraction(int(name == n)) for n in _COEFF_VARS] for name in names]
+    return pins + list(matrix), [Fraction(value)] * len(pins) + list(rhs)
 
 
 def _dt_equations():
-    """The rows of dt P = 0."""
+    """The system of dt P = 0."""
     return _coefficient_equations(div_diff("t", _QUARTIC), MPoly.zero())
 
 
 def _coefficient_equations(poly_in_unknowns: MPoly, target: MPoly):
     """Match an x-polynomial with linear a..e coefficients against a target,
-    returning rows of the induced linear system on (a, b, c, d, e)."""
-    equations = []
+    returning the induced linear system on (a, b, c, d, e) as (matrix, rhs)."""
+    unique = {}
     for _, group in sorted((poly_in_unknowns - target).split(("x1", "x2")).items(),
                            reverse=True):
         linear = MPoly(group)
-        row = tuple(linear.coeff({name: 1}) or Fraction(0) for name in _COEFF_VARS)
-        rhs = -Fraction(linear.coeff({}))
-        if any(row) or rhs:
-            equations.append((row, rhs))
-    # deduplicate up to scaling: key each equation by its entries divided by
-    # the first nonzero one, and keep the first equation with each key
-    unique = {}
-    for row, rhs in equations:
-        entries = row + (rhs,)
-        pivot = next(x for x in entries if x != 0)
-        unique.setdefault(tuple(Fraction(x) / pivot for x in entries), (row, rhs))
-    return list(unique.values())
+        row = [linear.coeff({name: 1}) or Fraction(0) for name in _COEFF_VARS]
+        value = -Fraction(linear.coeff({}))
+        entries = row + [value]
+        # deduplicate up to scaling: key each equation by its entries divided
+        # by the first nonzero one, and keep the first equation with each key
+        pivot = next((x for x in entries if x != 0), None)
+        if pivot is not None:
+            unique.setdefault(tuple(Fraction(x) / pivot for x in entries), (row, value))
+    return [row for row, _ in unique.values()], [value for _, value in unique.values()]
 
 
 def impossibility_certificate() -> ImpossibilityCertificate:
     """Build and certify the obstruction to a positive degree-4 entry."""
     # verify the forced chain is internally consistent first
-    for word, poly in FORCED_CHAIN.items():
-        w = weyl.element(word)
-        for letter, op in (("s", "s"), ("t", "t")):
-            neighbor = w * weyl.element(letter)
-            image = div_diff(op, poly)
-            if neighbor.length < w.length:
-                expected = FORCED_CHAIN[neighbor.word]
-                if image != expected:
-                    raise ArithmeticError(f"chain breaks at {word!r} / {letter}")
-            elif not image.is_zero():
-                raise ArithmeticError(f"chain breaks at {word!r} / {letter}")
+    broken = length_rule_violation(FORCED_CHAIN)
+    if broken:
+        raise ArithmeticError(f"chain breaks at {broken[0].word!r} / {broken[1]}")
 
-    equations = _dt_equations() + _coefficient_equations(
-        div_diff("s", _QUARTIC), FORCED_CHAIN["tst"])
-
-    result = lp_feasible(LpFeasibility(matrix=[list(r) for r, _ in equations],
-                                        rhs=[v for _, v in equations]))
-    if result.feasible:
+    dt_matrix, dt_rhs = _dt_equations()
+    ds_matrix, ds_rhs = _coefficient_equations(div_diff("s", _QUARTIC),
+                                               FORCED_CHAIN["tst"])
+    matrix, rhs = dt_matrix + ds_matrix, dt_rhs + ds_rhs
+    farkas = lp_feasible(matrix, rhs)
+    if farkas.feasible:
         raise ArithmeticError("expected the combined system to be infeasible")
 
-    # stage-2: nonnegativity plus dt P = 0 forces b = c = d = e = 0, after
+    # stage 2: nonnegativity plus dt P = 0 forces b = c = d = e = 0, after
     # which the remaining equations are linearly inconsistent
-    lin = solve_linear(_stage2_system(_FORCED_ZERO, equations))
-    if lin.consistent:
+    linear = solve_linear(*_pinned(FORCED_ZERO, 0, matrix, rhs))
+    if linear.consistent:
         raise ArithmeticError("expected stage-2 system to be inconsistent")
 
-    texts = [f"{sum((c * MPoly.var(n) for c, n in zip(row, _COEFF_VARS)), MPoly.zero())}"
-             f" = {rhs}" for row, rhs in equations]
-    cert = ImpossibilityCertificate(
-        equations=equations,
-        equation_text=texts,
-        farkas_multipliers=result.multipliers,
-        forced_zero=_FORCED_ZERO,
-        linear_combination=lin.combination,
-        linear_value=lin.value,
-    )
+    cert = ImpossibilityCertificate(matrix, rhs, farkas, linear)
     if not cert.verify():
         raise ArithmeticError("certificate failed its own verification")
     return cert
@@ -439,13 +424,9 @@ def forced_vanishing_is_certified() -> bool:
     """Each of b, c, d, e is zero on the cone {dt P = 0, coeffs >= 0}: the
     cone is scaling-invariant, so 'variable = 1' joined to the equations must
     be infeasible."""
-    eq_t = _dt_equations()
-    for name in _FORCED_ZERO:
-        rows = [list(r) for r, _ in eq_t] + [_pin(name)]
-        rhs = [v for _, v in eq_t] + [Fraction(1)]
-        if lp_feasible(LpFeasibility(rows, rhs)).feasible:
-            return False
-    return True
+    matrix, rhs = _dt_equations()
+    return not any(lp_feasible(*_pinned([name], 1, matrix, rhs)).feasible
+                   for name in FORCED_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +437,6 @@ class PositiveRewrite:
     feasible: bool
     coefficients: Optional[Dict[Tuple[int, int, int], Fraction]]
     farkas_multipliers: Optional[List[Fraction]]
-    monomials: List[Tuple[int, int, int]]
 
     def expansion(self) -> MPoly:
         if not self.feasible:
@@ -487,12 +467,12 @@ def positive_rewrite(f: MPoly, d: int) -> PositiveRewrite:
     target = x_vector(f)
     rows = [[columns[c][r] for c in range(len(monomials))]
             for r in range(d + 1)]
-    result = lp_feasible(LpFeasibility(matrix=rows, rhs=target))
+    result = lp_feasible(rows, target)
     if result.feasible:
         coeffs = {m: result.vector[idx] for idx, m in enumerate(monomials)
                   if result.vector[idx] != 0}
-        rewrite = PositiveRewrite(True, coeffs, None, monomials)
+        rewrite = PositiveRewrite(True, coeffs, None)
         if rewrite.expansion() != f:
             raise ArithmeticError("rewrite does not re-expand to the input")
         return rewrite
-    return PositiveRewrite(False, None, result.multipliers, monomials)
+    return PositiveRewrite(False, None, result.multipliers)

@@ -355,6 +355,18 @@ class TestOctVerbs:
         assert out == ""
         assert err == "error: zero denominator in '1/0'\n"
 
+    @pytest.mark.parametrize("numeral", ["1e9999999", "1.5", "1e3", "1_0", "0x10",
+                                         "\u0661", "1/", ""])
+    @pytest.mark.parametrize("verb", ["oct-mul", "kernel", "cell"])
+    def test_only_p_or_p_over_q_is_a_rational(self, capsys, verb, numeral):
+        # Fraction's own grammar would take the first five, and 10**9999999
+        # costs seconds to build before any limit on digits applies
+        argv = {"oct-mul": ["oct-mul", f"{numeral},0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
+                "kernel": ["kernel", f"0,0,0,0,0,0,{numeral}"],
+                "cell": ["cell", "--params", f"a={numeral}"]}[verb]
+        assert run(capsys, *argv) == (
+            2, "", f"error: {numeral!r} is not a rational p or p/q\n")
+
     @pytest.mark.parametrize("argv,message", [
         (["oct-mul", "1,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
          "an octonion needs 8 coefficients: e, f1..f7"),

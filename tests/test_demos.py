@@ -1,4 +1,5 @@
-"""Each demo runs to completion as a script against the source tree."""
+"""Each demo runs to completion as a script against the source tree, and a
+demo with a golden file, tests/golden/demo_<name>.txt, prints exactly it."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -19,3 +21,6 @@ def test_demo_exits_0(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    golden = GOLDEN / f"demo_{demo.stem}.txt"
+    if golden.exists():
+        assert proc.stdout == golden.read_text()

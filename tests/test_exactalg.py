@@ -8,8 +8,6 @@ import pytest
 import g2schubert
 from g2schubert.exactalg import (
     GaussRat,
-    LinSystem,
-    LpFeasibility,
     MPoly,
     NotDivisible,
     PolySyntaxError,
@@ -277,13 +275,12 @@ class TestPackedLayout:
 
 class TestLinear:
     def test_inconsistent_pair(self):
-        sys = LinSystem([[1], [1]], [1, 2])
-        res = solve_linear(sys)
+        res = solve_linear([[1], [1]], [1, 2])
         assert not res.consistent
-        assert res.verify(sys)
+        assert res.verify([[1], [1]], [1, 2])
 
     def test_simple_solve(self):
-        res = solve_linear(LinSystem([[1, 1], [1, -1]], [2, 0]))
+        res = solve_linear([[1, 1], [1, -1]], [2, 0])
         assert res.consistent
         assert res.vector == [Fraction(1), Fraction(1)]
 
@@ -295,30 +292,32 @@ class TestLinear:
             rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)]
                     for _ in range(m)]
             rhs = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
-            sys = LinSystem(rows, rhs)
-            res = solve_linear(sys)
+            res = solve_linear(rows, rhs)
             if res.consistent:
                 for row, b in zip(rows, rhs):
                     assert sum(r * x for r, x in zip(row, res.vector)) == b
             else:
-                assert res.verify(sys)
+                assert res.verify(rows, rhs)
+
+
+@pytest.mark.parametrize("solve", [solve_linear, lp_feasible])
+def test_matrix_and_rhs_must_have_one_row_each(solve):
+    with pytest.raises(ValueError, match="matrix and rhs size mismatch"):
+        solve([[1, 0], [0, 1]], [1])
 
 
 class TestLp:
     def test_simplex_feasible(self):
-        prob = LpFeasibility([[1, 1]], [1])
-        res = lp_feasible(prob)
-        assert res.feasible and res.verify(prob)
+        res = lp_feasible([[1, 1]], [1])
+        assert res.feasible and res.verify([[1, 1]], [1])
 
     def test_simplex_infeasible(self):
-        prob = LpFeasibility([[1]], [-1])
-        res = lp_feasible(prob)
-        assert not res.feasible and res.verify(prob)
+        res = lp_feasible([[1]], [-1])
+        assert not res.feasible and res.verify([[1]], [-1])
 
     def test_degenerate_system(self):
-        prob = LpFeasibility([[1, -1], [2, -2]], [0, 0])
-        res = lp_feasible(prob)
-        assert res.feasible and res.verify(prob)
+        res = lp_feasible([[1, -1], [2, -2]], [0, 0])
+        assert res.feasible and res.verify([[1, -1], [2, -2]], [0, 0])
 
     def test_random_problems_exact(self):
         rng = random.Random(RNG_SEED + 8)
@@ -327,9 +326,8 @@ class TestLp:
             rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
                     for _ in range(m)]
             rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-            prob = LpFeasibility(rows, rhs)
-            res = lp_feasible(prob)
-            assert res.verify(prob)
+            res = lp_feasible(rows, rhs)
+            assert res.verify(rows, rhs)
 
 
 class TestGaussRat:

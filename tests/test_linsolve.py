@@ -14,8 +14,6 @@ from itertools import permutations
 import pytest
 
 from g2schubert.exactalg import (
-    LinSystem,
-    LpFeasibility,
     determinant,
     lp_feasible,
     matrix_inverse,
@@ -121,14 +119,13 @@ def test_solve_linear(kind):
         consistent = _apply(a, [_entry(rng) for _ in range(n)])
         arbitrary = [_entry(rng) for _ in range(m)]
         for b in (consistent, arbitrary):
-            system = LinSystem(a, b)
-            res = solve_linear(system)
+            res = solve_linear(a, b)
             solvable = oracle.row_join(_to_sympy([[x] for x in b])).rank() == oracle_rank
             assert res.consistent == solvable, (m, n)
             if res.consistent:
                 assert _apply(a, res.vector) == b
             else:
-                assert res.verify(system)
+                assert res.verify(a, b)
 
 
 def _lp_cases():
@@ -183,10 +180,9 @@ def _sympy_feasible(rows, rhs):
 def test_lp_verdicts_match_sympy_simplex():
     verdicts = set()
     for rows, rhs in _lp_cases():
-        prob = LpFeasibility(rows, rhs)
-        res = lp_feasible(prob)
+        res = lp_feasible(rows, rhs)
         assert res.feasible == _sympy_feasible(rows, rhs), (rows, rhs)
-        assert res.verify(prob), (rows, rhs)
+        assert res.verify(rows, rhs), (rows, rhs)
         verdicts.add(res.feasible)
     assert verdicts == {True, False}
 
@@ -223,8 +219,8 @@ FLOAT_CALLS = {
     "rank": lambda: rank([[1, 0.5]]),
     "nullspace": lambda: nullspace([[1, 0.5]]),
     "matrix_inverse": lambda: matrix_inverse([[0.5]]),
-    "solve_linear": lambda: solve_linear(LinSystem([[1, 2]], [0.1])),
-    "lp_feasible": lambda: lp_feasible(LpFeasibility([[0.5]], [0.1])),
+    "solve_linear": lambda: solve_linear([[1, 2]], [0.1]),
+    "lp_feasible": lambda: lp_feasible([[0.5]], [0.1]),
 }
 
 
