@@ -34,7 +34,11 @@ genuine canonical form.  The table entry of a pair depends only on its
 product monomial, so the certificate checks each entry against the first
 pair with the same product and then multiplies each distinct product by
 every basis element once: that covers both association orders of every
-basis triple, and no product is reduced twice.
+basis triple, and no product is reduced twice.  Each such product is
+compared with the normal form of the triple's main monomial, read from
+_rule_normal_forms: an independent oracle that takes single rule steps in
+the opposite rule order and shares no code with the rewrite engine, so the
+engine memo keeps only the keys of the table.
 
 Rewriting is linear over the base ring: every left-hand side is a power of a
 main variable and the order reads only main exponents, so nf(b m) = b nf(m)
@@ -55,6 +59,7 @@ NonIntegralReduction rather than silently rescaled.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -504,10 +509,12 @@ def verify_presentation(p: Presentation) -> List[str]:
 
     Returns the failures, one line per failed property, named by the
     property; the presentation is verified when the list is empty.
-    Associativity is certified exhaustively by _check_associativity; a
-    failure names the table pair, or the basis triple with both reduced
-    sides.  Nothing it computes outlives the call except the presentation's
-    own rewrite memo.
+    Associativity is certified exhaustively by _check_associativity,
+    against the rule-step oracle _rule_normal_forms; a failure names the
+    table pair, or the basis triple with both reduced sides.  Nothing it
+    computes outlives the call except the presentation's own rewrite memo,
+    which holds the keys of the table and of the relations, never a key
+    that only a triple product reaches.
     """
     failures: List[str] = []
     if len(p.basis) != p.expected_rank:
@@ -549,10 +556,14 @@ def _check_associativity(p: Presentation, table, failures):
     distinct product is multiplied by every basis element once.  The
     association orders (e_a e_b) e_c, (e_a e_c) e_b and (e_b e_c) e_a of
     every triple are among those (product, e_z) pairs, and no product is
-    reduced twice.  The direct side of a pair is the one main monomial
-    e_x e_y e_z, read off reduce_monomial; the table side is the entry's
-    coefficient groups, shifted by the main key of e_z.  A failure names the
-    pair or the triple and carries both sides.
+    reduced twice.  The direct side of a pair is the normal form of the one
+    main monomial e_x e_y e_z, read from _rule_normal_forms, which does not
+    use the rewrite engine under test and leaves its memo alone; the table
+    side is the entry's coefficient groups, shifted by the main key of e_z
+    and reduced by the engine.  The oracle yields the main keys lowest first
+    and drops each normal form once no higher key needs it, so the check
+    runs key by key.  A failure names the pair, or the lowest failing
+    triple, and carries both sides.
     """
     first: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     for pair in sorted(table):
@@ -562,15 +573,72 @@ def _check_associativity(p: Presentation, table, failures):
             failures.append(f"associativity: table entry {pair} is "
                             f"{table[pair].as_poly()} but {rep}, with the same "
                             f"product, is {table[rep].as_poly()}")
+    # the basis triples (x, y, z) of each main key e_x e_y e_z; first holds
+    # its pairs in sorted order, so each list is sorted
+    triples: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
     for key_xy, (x, y) in first.items():
-        side = table[(x, y)].coeffs
         for z, key_z in enumerate(p.basis):
-            assoc = p._reduce_groups(side, key_z)
-            direct = p.reduce_monomial(tuple(map(add, key_xy, key_z)))
+            triples.setdefault(tuple(map(add, key_xy, key_z)), []).append((x, y, z))
+    failed = []
+    for key, direct in _rule_normal_forms(p, triples):
+        for x, y, z in triples[key]:
+            assoc = p._reduce_groups(table[(x, y)].coeffs, p.basis[z])
             if assoc != direct:
-                failures.append(f"associativity fails at basis {(x, y, z)}: "
-                                f"table side {assoc}, direct {direct}")
-                return
+                failed.append(((x, y, z), f"associativity fails at basis {(x, y, z)}: "
+                                          f"table side {assoc}, direct {direct}"))
+                break
+    if failed:
+        failures.append(min(failed)[1])
+
+
+def _rule_normal_forms(p: Presentation, keys):
+    """Yield (key, normal form) for each main key in keys, lowest first, by
+    single rule steps that share no code with the rewrite engine and never
+    touch its memo.
+
+    A reducible key takes the last rule that applies, where the engine takes
+    the first, so the two follow different reduction paths; the rules'
+    leading terms are coprime pure powers, a Groebner basis, so both paths
+    end at the same normal form.  Every key that one step reaches from keys
+    is collected first; then each key, lowest first, gets the sum of the
+    rule's base coefficients times the normal forms of the lower keys it
+    steps to.  A normal form is kept only until the last key that steps to
+    it is done, so the forms of all of keys are never held at once.
+    """
+    steps = {}  # key -> None when standard, else [(lower key, base terms)]
+    todo = list(keys)
+    while todo:
+        key = todo.pop()
+        if key in steps:
+            continue
+        hit = next((rule for rule in reversed(p._rule_idx)
+                    if key[rule[0]] >= rule[1]), None)
+        if hit is None:
+            steps[key] = None
+            continue
+        idx, power, rhs = hit
+        rest = list(key)
+        rest[idx] -= power
+        steps[key] = [(tuple(map(add, rmain, rest)), rterms) for rmain, rterms in rhs]
+        todo.extend(lower for lower, _ in steps[key])
+    uses = Counter(lower for step in steps.values() if step for lower, _ in step)
+    nfs = {}
+    for key in sorted(steps, key=p._heap_key, reverse=True):
+        if steps[key] is None:
+            nf = p._monomial(key)
+        else:
+            acc = {}
+            for lower, rterms in steps[key]:
+                for base, c in rterms.items():
+                    addmul(acc, nfs[lower], c, base)
+                uses[lower] -= 1
+                if not uses[lower]:
+                    del nfs[lower]
+            nf = MPoly(acc)
+        if uses[key]:
+            nfs[key] = nf
+        if key in keys:
+            yield key, nf
 
 
 # the ring each presentation must reduce to, rule for rule, when every base

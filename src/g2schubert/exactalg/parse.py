@@ -5,13 +5,20 @@
     factor  := primary ['^' INT]
     primary := RATIONAL | VARIABLE | '(' expr ')'
     RATIONAL:= INT ['/' INT]
+    INT     := ASCII digits 0-9
 
 Coefficients are integers or p/q rationals; '^' is the only power operator;
 '*' is optional.  A sum costs time linear in its terms.  One parse spends
 at most 300 000 term products, or 7 per character of the input if that is
-more, and raises PolySyntaxError past them.  Printing (MPoly.__str__) emits
-canonical graded-lex form, and parse(print(f)) == f: a printed term is a
-product of single terms, and no power of one term spends more than 7 term
+more, and at most 100 000 bits of coefficient growth, or 16 per character
+if that is more; it raises PolySyntaxError past either, at the offset of
+the product or of the power's exponent.  Growth is charged before each
+product and power: about the number of bits by which its largest
+coefficient may outgrow the largest coefficient of its factors (see
+_height), so 3^9999999 is refused before it is computed.  Printing
+(MPoly.__str__) emits canonical graded-lex form, and parse(print(f)) == f:
+a printed term is a literal coefficient times powers of variables, so it
+grows no coefficient, and no power of one term spends more than 7 term
 products per character it is written with.
 """
 
@@ -20,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .mpoly import MPoly, UnboundVariable, addmul
+from .mpoly import MPoly, UnboundVariable, addmul, key_terms
 
 # one parse may spend at most this many term products, or _PRODUCTS_PER_CHAR
 # per character of its input if that is more: a product charges
@@ -28,6 +35,10 @@ from .mpoly import MPoly, UnboundVariable, addmul
 # term, whatever its exponent)
 _MAX_TERM_PRODUCTS = 300_000
 _PRODUCTS_PER_CHAR = 7
+# and at most this many bits of coefficient growth, or _BITS_PER_CHAR per
+# character if that is more (see _height)
+_MAX_COEF_BITS = 100_000
+_BITS_PER_CHAR = 16
 
 
 class PolySyntaxError(ValueError):
@@ -45,6 +56,7 @@ class UnknownVariable(PolySyntaxError):
 
 
 _PUNCT = set("+-*^()/")
+_DIGITS = set("0123456789")  # str.isdigit would take '²' and '١' too
 
 
 def _power_products(k: int, n: int, limit: int) -> int:
@@ -68,6 +80,26 @@ def _power_products(k: int, n: int, limit: int) -> int:
     return products
 
 
+def _height(f: MPoly) -> int:
+    """About log2 |p q| for the largest coefficient p/q of f: 0 for 1 and
+    for the zero polynomial.  A product of coefficients of heights a and b
+    has height at most about a + b, and a sum of k of them adds log2 k, so
+    a product of polynomials charges the smaller height plus log2 of the
+    shorter term count, and the n-th power of a k-term polynomial of height
+    h charges n (h + log2 k) - h."""
+    bits = 2
+    for c in key_terms(f).values():  # a plain loop: this runs on every factor
+        b = abs(c.numerator).bit_length() + c.denominator.bit_length()
+        if b > bits:
+            bits = b
+    return bits - 2
+
+
+def _log2_ceil(k: int) -> int:
+    """ceil(log2 k), 0 for k <= 1."""
+    return max(k - 1, 0).bit_length()
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -80,9 +112,9 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -106,6 +138,8 @@ class _Parser:
         self.pos = 0
         self.products = 0  # term products spent so far
         self.budget = max(_MAX_TERM_PRODUCTS, _PRODUCTS_PER_CHAR * len(text))
+        self.bits = 0  # coefficient bits grown so far
+        self.bit_budget = max(_MAX_COEF_BITS, _BITS_PER_CHAR * len(text))
 
     def peek(self):
         return self.tokens[self.pos]
@@ -121,12 +155,17 @@ class _Parser:
             raise PolySyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    def charge(self, products: int, pos: int, what):
-        """Spend term products on the step at pos, which what() names."""
+    def charge(self, products: int, bits: int, pos: int, what):
+        """Spend term products and coefficient bits on the step at pos,
+        which what() names."""
         self.products += products
         if self.products > self.budget:
             raise PolySyntaxError(f"{what()} would take this input past "
                                   f"{self.budget} term products", pos)
+        self.bits += bits
+        if self.bits > self.bit_budget:
+            raise PolySyntaxError(f"{what()} would take this input past "
+                                  f"{self.bit_budget} coefficient bits", pos)
 
     def parse(self) -> MPoly:
         result = self.expr()
@@ -155,8 +194,13 @@ class _Parser:
             elif kind not in ("int", "name", "("):
                 return result
             right = self.factor()
-            self.charge(len(result) * len(right), pos, lambda: (
-                f"product of a {len(result)}-term and a {len(right)}-term polynomial"))
+            grown = _height(right)
+            if grown:  # most often right is a power of a variable, of height 0
+                grown = min(grown, _height(result))
+            self.charge(len(result) * len(right),
+                        grown + _log2_ceil(min(len(result), len(right))),
+                        pos, lambda: (f"product of a {len(result)}-term and "
+                                      f"a {len(right)}-term polynomial"))
             result = result * right
 
     def factor(self) -> MPoly:
@@ -165,8 +209,10 @@ class _Parser:
             self.advance()
             tok = self.expect("int")
             n = int(tok[1])
-            self.charge(_power_products(len(base), n, self.budget), tok[2],
-                        lambda: f"power ^{n} of a {len(base)}-term polynomial")
+            height = _height(base)
+            self.charge(_power_products(len(base), n, self.budget),
+                        max(0, n * (height + _log2_ceil(len(base))) - height),
+                        tok[2], lambda: f"power ^{n} of a {len(base)}-term polynomial")
             base = base ** n
         return base
 

@@ -258,6 +258,26 @@ class TestReduce:
         assert out == ""
         assert f"{culprit} would take this input past 300000 term products" in err
 
+    def test_power_of_a_large_coefficient_is_refused(self, capsys):
+        # one term, so almost no term products, but 3^9999999 alone has
+        # about 16 million bits
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", "--presentation",
+                             "FlIntegralPoint", "x1^7*3^9999999")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == ("error: power ^9999999 of a 1-term polynomial would take "
+                       "this input past 100000 coefficient bits (at offset 7)\n")
+
+    @pytest.mark.parametrize("text", ["x1^\u00b2", "x1^\u0661"],
+                             ids=["superscript-two", "arabic-indic-one"])
+    def test_a_non_ascii_digit_is_refused(self, capsys, text):
+        # str.isdigit holds for both; neither is an INT of the grammar
+        code, out, err = run(capsys, "reduce", "--presentation",
+                             "FlIntegralPoint", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: unexpected character {text[-1]!r} (at offset 3)\n"
+
     def test_bundle_power_beyond_term_budget(self, capsys):
         code, out, err = run(capsys, "reduce", "--presentation",
                              "FlIntegralBundle", "x1^200")

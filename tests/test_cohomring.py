@@ -74,6 +74,10 @@ class TestVerifyPresentations:
         # a key holds the exponents of the main variables and nothing else
         assert all(len(key) == len(p.main_vars) for key in p._memo)
         assert len(p._memo) <= 112
+        # the direct sides of the associativity certificate come from the
+        # rule-step oracle, so no key that only triple products reach is
+        # rewritten by the engine
+        assert (_products(p, 3) - _products(p, 2)).isdisjoint(p._memo)
 
     def test_rank_mismatch_is_a_named_failure(self):
         half = c.fl_half_point()
@@ -315,25 +319,49 @@ class TestAssociativityCertificate:
             (failure,) = failures
             assert failure.startswith(f"associativity fails at basis {cls[0] + (0,)}:")
 
-    def test_every_triple_only_memo_entry_is_read(self):
-        # the memo holds nf of each main monomial; an entry that only triple
-        # products reach, made wrong, must break some triple with a witness
+    def test_every_triple_only_direct_value_is_read(self, monkeypatch):
+        # the direct side of a triple is read from the rule-step oracle; a
+        # value that only triple products reach, made wrong, must break the
+        # lowest triple with that main key, with a witness
         p = c.fl_integral_point()
-        assert c.verify_presentation(p) == []
         triple_only = _products(p, 3) - _products(p, 2)
-        assert len(triple_only) == 67 and triple_only <= set(p._memo)
+        assert len(triple_only) == 67
+        lowest = {}
+        for t in itertools.product(range(len(p.basis)), repeat=3):
+            lowest.setdefault(tuple(map(sum, zip(*(p.basis[i] for i in t)))), t)
+        oracle = c._rule_normal_forms
+
+        def corrupt(wrong):
+            def corrupted(p, keys):
+                for key, nf in oracle(p, keys):
+                    yield key, nf + 1 if key in wrong else nf
+            monkeypatch.setattr(c, "_rule_normal_forms", corrupted)
+            failures = c.verify_presentation(p)
+            assert len(failures) == 1, (wrong, failures)
+            return failures[0]
+
         for exp in triple_only:
-            saved = p._memo[exp]
-            p._memo[exp] = saved + 1
-            try:
-                failures = c.verify_presentation(p)
-            finally:
-                p._memo[exp] = saved
-            assert len(failures) == 1, (exp, failures)
-            (failure,) = failures
-            assert failure.startswith("associativity fails at basis (")
+            failure = corrupt({exp})
+            assert failure.startswith(f"associativity fails at basis {lowest[exp]}: ")
             table_side, direct = failure.split(": table side ")[1].split(", direct ")
+            ((_, saved),) = oracle(p, [exp])
             assert direct == str(saved + 1) and table_side == str(saved)
+        # with all of them wrong, the lowest failing triple is named
+        failure = corrupt(triple_only)
+        assert failure.startswith("associativity fails at basis "
+                                  f"{min(lowest[exp] for exp in triple_only)}: ")
+
+
+@pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
+def test_rule_step_oracle_matches_the_engine(name):
+    # the oracle takes the last rule that applies, the engine the first;
+    # both must reach the normal form of every product of three basis
+    # monomials, and the oracle leaves the engine's memo alone
+    p = c.get_presentation(name)
+    keys = _products(p, 3)
+    nfs = dict(c._rule_normal_forms(p, keys))
+    assert not p._memo and set(nfs) == keys
+    assert all(nfs[key] == p.reduce_monomial(key) for key in keys)
 
 
 class TestChern:

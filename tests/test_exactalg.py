@@ -186,6 +186,23 @@ class TestCanonicalForm:
         f = high * (MPoly.var("y1") + MPoly.var("y2") + 1) ** 47
         assert parse_poly(str(f)) == f
 
+    def test_print_parse_roundtrip_past_fixed_coefficient_budget(self):
+        # a printed coefficient is a literal and grows nothing, however many
+        # bits the literals hold together
+        f = sum((3 ** (4000 + i) * MPoly.var("x1") ** i for i in range(40)),
+                MPoly.zero())
+        assert sum(c.bit_length() for _, c in f.items()) > 100_000
+        assert parse_poly(str(f)) == f
+
+    def test_coefficient_growth_is_refused_before_it_is_computed(self):
+        for text, pos in [("x1^7*3^9999999", 7), ("(2^60000)^2", 10),
+                          ("(3^40000 + x1)^3", 15), ("2^50000 * 2^40000", 8)]:
+            with pytest.raises(PolySyntaxError, match="coefficient bits") as err:
+                parse_poly(text)
+            assert err.value.pos == pos
+        # 2^100001 has height 100000, the fixed budget
+        assert parse_poly("2^100001") == MPoly.const(2 ** 100001)
+
     def test_split_join_inverse(self):
         rng = random.Random(RNG_SEED + 7)
         for names in [(), ("x2",), ("x1", "x2"), ("alpha", "x1"), ("y1", "x1", "x2")]:
