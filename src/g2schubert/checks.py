@@ -2,7 +2,15 @@
 
 Each suite re-derives a slice of the library's guarantees from scratch:
 identities are checked exactly (tolerance zero), and randomized checks draw
-from a seeded generator so runs are reproducible.  The library's helpers
+from a seeded generator so runs are reproducible.  A randomized check of the
+octonion, divdiff or families suite draws rationals, then runs on the
+integral multiple d * u of its draw u, with d the lcm of the draw's
+denominators (integral_multiple), so its arithmetic is on ints.  That keeps
+the evidence: each identity it tests is homogeneous in the drawn octonions
+(norm composition, the minimal equation, adjointness), scale-invariant (the
+rank of a left multiplication, the norm-zero quadric) or linear in the drawn
+polynomial (the divided differences, a ring substitution), so it holds at u
+exactly when it holds at d * u.  The library's helpers
 return values or failing witnesses, and the suites here are the one place
 where those become verdicts.  The CLI `verify` verb is a thin wrapper
 around run_suite.  A suite that raises keeps the checks it
@@ -17,11 +25,13 @@ import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from . import cohomring, octonion, schubert, weyl
 from .exactalg import (
     MPoly,
+    Rational,
+    common_denominator,
     determinant,
     elementary_symmetric,
     lp_feasible,
@@ -79,26 +89,33 @@ def random_mpoly(rng: random.Random, names, max_deg: int, n_terms: int,
     return total
 
 
-def random_vec(rng: random.Random) -> octonion.VecV:
-    return octonion.VecV([random_fraction(rng) for _ in range(7)])
+def integral_multiple(draw: Union[Sequence[Rational], MPoly]) -> Union[List[int], MPoly]:
+    """d * draw, with d the lcm of the denominators of draw's rationals: the
+    values as a list of ints, or the polynomial with int coefficients."""
+    if isinstance(draw, MPoly):
+        return common_denominator(c for _, c in draw.items()) * draw
+    d = common_denominator(draw)
+    return [int(x * d) for x in draw]
 
 
 def random_isotropic_vec(rng: random.Random) -> octonion.VecV:
-    """A nonzero rational vector on the norm-zero quadric of the f-basis:
-    N = -(u1 u7 + u2 u6 + u3 u5) - u4^2, so solve for u1 with u7 != 0."""
+    """A nonzero integral vector on the norm-zero quadric of the f-basis:
+    N = -(u1 u7 + u2 u6 + u3 u5) - u4^2, so draw u2..u7 rational, solve for
+    u1 with u7 != 0, and take the integral multiple."""
     while True:
-        tail = [random_fraction(rng) for _ in range(6)]  # u2..u7
-        u7 = tail[5]
+        tail = [random_fraction(rng) for _ in range(6)]
+        u2, u3, u4, u5, u6, u7 = tail
         if u7 == 0:
             continue
-        u2, u3, u4, u5, u6 = tail[0], tail[1], tail[2], tail[3], tail[4]
         u1 = -(u2 * u6 + u3 * u5 + u4 * u4) / u7
-        vec = octonion.VecV([u1, u2, u3, u4, u5, u6, u7])
-        return vec
+        return octonion.VecV(integral_multiple([u1] + tail))
 
 
 def random_oct(rng: random.Random) -> octonion.Oct:
-    return octonion.Oct(random_fraction(rng), random_vec(rng))
+    """The integral multiple of an octonion with 8 rational coordinates,
+    drawn scalar part first."""
+    re, *im = integral_multiple([random_fraction(rng) for _ in range(8)])
+    return octonion.Oct(re, octonion.VecV(im))
 
 
 def _integral(f: MPoly) -> bool:
@@ -256,7 +273,7 @@ def suite_weyl(report: SuiteReport, rng: random.Random):
 
 
 def _random_x_polys(rng, count, max_deg=6, n_terms=6):
-    return [random_mpoly(rng, ("x1", "x2"), max_deg, n_terms)
+    return [integral_multiple(random_mpoly(rng, ("x1", "x2"), max_deg, n_terms))
             for _ in range(count)]
 
 
@@ -352,7 +369,7 @@ def suite_families(report: SuiteReport, rng: random.Random):
     report.add("twisting the top class matches the twisted closed form, "
                "monomial for monomial",
                twisted == schubert.top_class("twisted"))
-    samples = [random_mpoly(rng, ("x1", "x2", "y1", "y2"), 5, 8)
+    samples = [integral_multiple(random_mpoly(rng, ("x1", "x2", "y1", "y2"), 5, 8))
                for _ in range(20)]
     report.add("twist then untwist is the identity",
                all(schubert.twist_substitution(

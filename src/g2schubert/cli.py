@@ -76,6 +76,17 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:  # the grammar matched: only the int-string limit is left
+        raise ValueError(f"a rational of {len(text)} characters has more digits "
+                         f"than Python converts") from None
+
+
+# the error Python raises when it reads or prints an int of more digits than
+# its int-string conversion limit, as when a result is too long to print; its
+# hint, sys.set_int_max_str_digits(), names an API a command-line user cannot
+# call
+_INT_STR_LIMIT = re.compile(r"Exceeds the limit \((\d+) digits\) for integer "
+                            r"string conversion")
 
 
 def _parse_coords(text: str, count: int):
@@ -363,6 +374,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.close(devnull)
         return 1
     except (ValueError, ArithmeticError) as exc:
+        limit = _INT_STR_LIMIT.match(str(exc))
+        if limit:
+            exc = f"a number of more than {limit[1]} digits is too long to read or print"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

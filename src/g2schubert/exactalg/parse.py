@@ -19,11 +19,15 @@ _height), so 3^9999999 is refused before it is computed.  Printing
 (MPoly.__str__) emits canonical graded-lex form, and parse(print(f)) == f:
 a printed term is a literal coefficient times powers of variables, so it
 grows no coefficient, and no power of one term spends more than 7 term
-products per character it is written with.
+products per character it is written with.  An INT of more digits than
+Python's int-string conversion limit (sys.get_int_max_str_digits, 4300 by
+default) raises PolySyntaxError at its offset; no printable coefficient has
+that many, since printing it would hit the same limit.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -57,6 +61,9 @@ class UnknownVariable(PolySyntaxError):
 
 _PUNCT = set("+-*^()/")
 _DIGITS = set("0123456789")  # str.isdigit would take '²' and '١' too
+# Python's int-string conversion limit, 0 for none: the limit and its getter
+# came with Python 3.11 and 3.10.7
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _power_products(k: int, n: int, limit: int) -> int:
@@ -103,6 +110,7 @@ def _log2_ceil(k: int) -> int:
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
+    limit = _max_str_digits()
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -116,6 +124,9 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
+            if limit and j - i > limit:  # int() would refuse it, with no offset
+                raise PolySyntaxError(f"integer literal of {j - i} digits is longer "
+                                      f"than the {limit} digits Python converts", i)
             tokens.append(("int", text[i:j], i))
             i = j
             continue

@@ -9,12 +9,14 @@ rows of the impossibility certificate, so a drift in either fails here.
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from g2schubert import checks, schubert, weyl
+from g2schubert import checks, octonion, schubert, weyl
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_all.json"
 
@@ -98,3 +100,94 @@ def test_length_rule_check_names_the_broken_entry(monkeypatch):
     assert check.detail.startswith("fails at ")
     assert results["paper: divided differences act by the length rule "
                    "(all 12 x 2 cases)"].passed
+
+
+def _failed(name):
+    return [r.name for r in checks.run_suite(name).results if not r.passed]
+
+
+def test_octonion_suite_sees_a_wrong_gamma_sign(monkeypatch):
+    # gamma of the f-basis with (1,5,6) = 1 instead of -1: still alternating,
+    # so the minimal equation and adjointness hold, but it is no longer
+    # compatible with beta
+    real = octonion.standard_forms
+
+    def mutant(basis_kind="f"):
+        ctx = real(basis_kind)
+        if basis_kind != "f":
+            return ctx
+        gamma = octonion.TriForm({**ctx.gamma.coeffs, (1, 5, 6): 1})
+        return octonion.AlgebraCtx(gamma, ctx.beta, "f")
+
+    monkeypatch.setattr(octonion, "standard_forms", mutant)
+    assert _failed("octonion") == [
+        "norm composition on 200 random pairs",
+        "Bryant form recovers the standard bilinear form",
+        "compatibility identity on 784 spanning pairs",
+        "big cell rows multiply to zero, symbolically",
+        "orthonormal-basis forms push to the isotropic-basis forms",
+    ]
+
+
+def test_divdiff_suite_sees_a_wrong_root_sign(monkeypatch):
+    # ds divides by x2 - x1: -ds still squares to zero, and both braid words
+    # hold three s letters, so only the root dictionary and the worked
+    # examples can tell
+    monkeypatch.setitem(schubert._ROOTS, "s", schubert.X2 - schubert.X1)
+    assert _failed("divdiff") == [
+        "root-dictionary operator matches the explicit ones",
+        "examples: ds x1 = 1, ds x2 = -1, ds x1x2 = 0",
+    ]
+
+
+def _old_oct_draw(rng):
+    return octonion.Oct(checks.random_fraction(rng), octonion.VecV(
+        [checks.random_fraction(rng) for _ in range(7)]))
+
+
+def _old_isotropic_draw(rng):
+    while True:
+        tail = [checks.random_fraction(rng) for _ in range(6)]
+        if tail[5] != 0:
+            u2, u3, u4, u5, u6, u7 = tail
+            return octonion.VecV([-(u2 * u6 + u3 * u5 + u4 * u4) / u7] + tail)
+
+
+def _twist_sample(rng):
+    return checks.random_mpoly(rng, ("x1", "x2", "y1", "y2"), 5, 8)
+
+
+# each integral draw of the suites, and the rational draw it is a multiple of
+_DRAWS = {
+    "octonion": (checks.random_oct, _old_oct_draw),
+    "isotropic vector": (checks.random_isotropic_vec, _old_isotropic_draw),
+    "divdiff polynomials": (
+        lambda rng: checks._random_x_polys(rng, 50),
+        lambda rng: [checks.random_mpoly(rng, ("x1", "x2"), 6, 6) for _ in range(50)]),
+    "twist sample": (lambda rng: [checks.integral_multiple(_twist_sample(rng))],
+                     lambda rng: [_twist_sample(rng)]),
+}
+
+
+def _groups(draw):
+    """The draw's (position, value) pairs, one list per multiple taken."""
+    if isinstance(draw, octonion.Oct):
+        return [list(enumerate([draw.re, *draw.im.coords]))]
+    if isinstance(draw, octonion.VecV):
+        return [list(enumerate(draw.coords))]
+    return [list(f.terms()) for f in draw]
+
+
+@pytest.mark.parametrize("draw", _DRAWS)
+def test_integral_draw_is_the_multiple_of_the_rational_draw(draw):
+    integral_draw, rational_draw = _DRAWS[draw]
+    for seed in range(20):
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        new, old = _groups(integral_draw(new_rng)), _groups(rational_draw(old_rng))
+        # the same calls to the generator, so the suite's later draws agree
+        assert new_rng.getstate() == old_rng.getstate()
+        assert len(new) == len(old)
+        for got, rational in zip(new, old):
+            assert all(type(x) is int for _, x in got)
+            d = lcm(*(Fraction(x).denominator for _, x in rational))
+            assert got == [(k, x * d) for k, x in rational]

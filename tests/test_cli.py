@@ -17,6 +17,16 @@ from g2schubert.exactalg import parse_poly
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+@pytest.fixture
+def int_str_limit():
+    """Python's default int-string conversion limit, 4300 digits, whatever
+    the environment set it to."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -269,6 +279,25 @@ class TestReduce:
         assert err == ("error: power ^9999999 of a 1-term polynomial would take "
                        "this input past 100000 coefficient bits (at offset 7)\n")
 
+    def test_a_literal_past_the_int_string_limit_is_refused(self, capsys,
+                                                            int_str_limit):
+        # Python's own error would end in a hint to call
+        # sys.set_int_max_str_digits(), which a user of the CLI cannot do
+        code, out, err = run(capsys, "reduce", "--presentation", "FlHalfPoint",
+                             "x1 + " + "7" * 5000)
+        assert (code, out) == (2, "")
+        assert err == ("error: integer literal of 5000 digits is longer than "
+                       "the 4300 digits Python converts (at offset 5)\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_result_too_long_to_print_is_refused(self, capsys, int_str_limit, fmt):
+        # 2^20000 is inside the coefficient budget and has 6021 digits
+        code, out, err = run(capsys, "reduce", "--presentation", "FlHalfPoint",
+                             "2^20000", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("error: a number of more than 4300 digits is too long "
+                       "to read or print\n")
+
     @pytest.mark.parametrize("text", ["x1^\u00b2", "x1^\u0661"],
                              ids=["superscript-two", "arabic-indic-one"])
     def test_a_non_ascii_digit_is_refused(self, capsys, text):
@@ -374,6 +403,14 @@ class TestOctVerbs:
         assert code == 2
         assert out == ""
         assert err == "error: zero denominator in '1/0'\n"
+
+    def test_a_rational_past_the_int_string_limit_is_refused(self, capsys,
+                                                             int_str_limit):
+        numeral = "1/" + "3" * 5000
+        assert run(capsys, "oct-mul", f"{numeral},0,0,0,0,0,0,0",
+                   "1,0,0,0,0,0,0,0") == (
+            2, "", "error: a rational of 5002 characters has more digits than "
+                   "Python converts\n")
 
     @pytest.mark.parametrize("numeral", ["1e9999999", "1.5", "1e3", "1_0", "0x10",
                                          "\u0661", "1/", ""])

@@ -18,6 +18,7 @@ from g2schubert.exactalg import (
     parse_poly,
     solve_linear,
 )
+from g2schubert.exactalg import parse
 from g2schubert.exactalg.mpoly import VARIABLES
 
 X1 = MPoly.var("x1")
@@ -202,6 +203,19 @@ class TestCanonicalForm:
             assert err.value.pos == pos
         # 2^100001 has height 100000, the fixed budget
         assert parse_poly("2^100001") == MPoly.const(2 ** 100001)
+
+    def test_a_literal_past_the_int_string_limit_is_refused(self, monkeypatch):
+        limit = 4300
+        monkeypatch.setattr(parse, "_max_str_digits", lambda: limit)
+        long = "1" * (limit + 1)
+        for text, pos in [(long, 0), (f"x1 + 2/{long}", 7), (f"x1^{long}", 3)]:
+            with pytest.raises(PolySyntaxError, match=f"literal of {limit + 1} "
+                               "digits is longer than the 4300") as err:
+                parse_poly(text)
+            assert err.value.pos == pos
+        # a coefficient of exactly the limit prints, and parses back
+        f = MPoly.const(Fraction(10 ** limit - 1, 10 ** (limit - 1) + 1)) * X1
+        assert parse_poly(str(f)) == f
 
     def test_split_join_inverse(self):
         rng = random.Random(RNG_SEED + 7)
