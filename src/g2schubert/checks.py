@@ -33,7 +33,6 @@ from .exactalg import (
     Rational,
     common_denominator,
     determinant,
-    elementary_symmetric,
     lp_feasible,
     rank,
     solve_linear,
@@ -385,10 +384,8 @@ def suite_families(report: SuiteReport, rng: random.Random):
                "top class", v0 == schubert.top_class("graham"))
 
     chern = schubert.top_class("chern")
-    roots = [schubert.Y1, schubert.Y2, schubert.Y1 - schubert.Y2]
-    sub = {"c1F": elementary_symmetric(1, roots),
-           "c2F": elementary_symmetric(2, roots),
-           "c3F": elementary_symmetric(3, roots)}
+    c = cohomring.chern_classes([schubert.Y1, schubert.Y2, schubert.Y1 - schubert.Y2])
+    sub = {f"c{i}F": c[i] for i in (1, 2, 3)}
     report.add("Chern-class form of the top class instantiates to the "
                "two-variable form", chern.subs(sub) == schubert.top_class("paper"))
 
@@ -445,9 +442,9 @@ def suite_ring(report: SuiteReport, rng: random.Random):
     # embedding into the half-bundle ring: reduce, substitute alpha, compare
     bundle_y = cohomring.get_presentation("FlIntegralBundleY")
     roots = [cohomring.Y1, cohomring.Y2, cohomring.Y1 - cohomring.Y2]
-    alpha_image = Fraction(1, 2) * (
-        x1 ** 3 - elementary_symmetric(1, roots) * x1 ** 2
-        + elementary_symmetric(2, roots) * x1 - elementary_symmetric(3, roots))
+    # half of prod (x1 - r), the characteristic polynomial of the roots
+    alpha_image = Fraction(1, 2) * cohomring.chern_tensor_line(
+        cohomring.chern_classes([-r for r in roots]), x1)
     ok = True
     for _ in range(50):
         cls = MPoly.zero()
@@ -658,30 +655,26 @@ def suite_quadric(report: SuiteReport, rng: random.Random):
     report.add("fiber specialization of the same identity",
                fiber.reduce_poly(2 * h * f - h ** 4).is_zero())
 
-    c = cohomring.chern_from_roots([cohomring.Y1, cohomring.Y2])
+    c = cohomring.chern_classes([cohomring.Y1, cohomring.Y2])
     line = cohomring.Y1 - cohomring.Y2
-    expected = (c.classes[2] + c.classes[1] * line + line ** 2)
+    expected = (c[2] + c[1] * line + line ** 2)
     report.add("top Chern class of a line twist (rank 2)",
                cohomring.chern_tensor_line(c, line) == expected)
 
     quot = cohomring.quadric_quotient_chern()
-    direct = cohomring.chern_from_roots(
+    direct = cohomring.chern_classes(
         [-cohomring.Y1, -cohomring.Y2, -(cohomring.Y1 - cohomring.Y2),
          MPoly.zero()])
     report.add("c(V/F3) = (1-y1)(1-y2)(1-(y1-y2)) with c4 = 0",
-               quot.classes[:4] == direct.classes[:4]
-               and quot.classes[4].is_zero())
+               quot[:4] == direct[:4] and quot[4].is_zero())
 
     ok = True
     for _ in range(10):
-        base = cohomring.chern_from_roots(
+        base = cohomring.chern_classes(
             [random_mpoly(rng, ("y1", "y2"), 1, 2) for _ in range(2)])
         line = random_mpoly(rng, ("y1", "y2"), 1, 2)
-        total = cohomring.ChernVector(
-            [MPoly.one(),
-             base.classes[1] + line,
-             base.classes[2] + base.classes[1] * line,
-             base.classes[2] * line])
+        total = (MPoly.one(), base[1] + line, base[2] + base[1] * line,
+                 base[2] * line)
         if cohomring.chern_quotient(total, line) != base:
             ok = False
             break

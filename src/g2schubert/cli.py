@@ -104,14 +104,29 @@ def _fmt_oct(u: octonion.Oct) -> str:
     return ",".join([str(u.re)] + [str(c) for c in u.im.coords])
 
 
+def _seed(text: str) -> int:
+    """A seed given by --seed or G2SC_SEED.  One of more digits than Python
+    converts raises OverflowError: argparse passes that on to main, which
+    prints it in one line, where for a ValueError argparse would print its
+    usage and the whole value."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        limit = _INT_STR_LIMIT.match(str(exc))
+        if limit is None:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise OverflowError(f"a seed of {len(text)} characters has more than "
+                            f"the {limit[1]} digits Python converts") from None
+
+
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("G2SC_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
+            return _seed(env)
+        except argparse.ArgumentTypeError:
             raise ValueError(f"G2SC_SEED must be an integer, got {env!r}") from None
     return checks.DEFAULT_SEED
 
@@ -304,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=checks.SUITE_NAMES + ("all",))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -359,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.out:
             _check_out(args.out)
         code = args.func(args)

@@ -52,6 +52,11 @@ reduce_monomial once per distinct main key and adds its normal form, shifted
 by each base part, with addmul.  One rewrite may produce at most
 MAX_REWRITE_TERMS terms; past that it raises RewriteBudgetExceeded.
 
+A total Chern class 1 + c_1 + ... + c_n is the tuple (1, c_1, ..., c_n) of
+MPoly: index i holds c_i, and index 0 holds 1.  chern_classes builds it from
+splitting roots; the catalogue's values of c1F..c3Q, chern_tensor_line and
+chern_quotient all take that shape.
+
 Integral presentations never divide: a normal form with a non-integer
 coefficient means the input was not in the integral span, and is reported as
 NonIntegralReduction rather than silently rescaled.
@@ -395,11 +400,8 @@ def fl_integral_bundle() -> Presentation:
 def _flag_chern(roots: Sequence[MPoly]) -> Dict[str, MPoly]:
     """Values of c1F..c3Q when F3 splits with the given roots and V/F3 with
     their negatives."""
-    values = {}
-    for i in (1, 2, 3):
-        values[f"c{i}F"] = e = elementary_symmetric(i, roots)
-        values[f"c{i}Q"] = -e if i % 2 else e
-    return values
+    sub, quot = chern_classes(roots), chern_classes([-r for r in roots])
+    return {f"c{i}{b}": c[i] for i in (1, 2, 3) for b, c in (("F", sub), ("Q", quot))}
 
 
 def fl_equivariant() -> Presentation:
@@ -452,18 +454,14 @@ def quadric_bundle_fiber(n: int = 3) -> Presentation:
                              dict.fromkeys(bundle.base_vars, 0))
 
 
-def _chern_v_rank7() -> "ChernVector":
-    """Total Chern class of the rank-7 bundle with isotropic splitting roots
-    y1, y2, y1-y2, 0 and their negatives."""
-    return chern_from_roots([Y1, Y2, Y1 - Y2, MPoly.zero(),
-                             -(Y1 - Y2), -Y2, -Y1])
-
-
-def quadric_quotient_chern() -> "ChernVector":
-    """c(V/F3) for the flag-bundle geometry, by dividing out the three
-    isotropic roots; equals (1-y1)(1-y2)(1-(y1-y2)) with c4 = 0."""
-    c = _chern_v_rank7()
-    for root in (Y1, Y2, Y1 - Y2):
+def quadric_quotient_chern() -> Tuple[MPoly, ...]:
+    """c(V/F3) for the flag-bundle geometry: the total Chern class of the
+    rank-7 bundle with isotropic splitting roots y1, y2, y1-y2, 0 and their
+    negatives, with the three isotropic roots divided out; equals
+    (1-y1)(1-y2)(1-(y1-y2)) with c4 = 0."""
+    isotropic = (Y1, Y2, Y1 - Y2)
+    c = chern_classes(isotropic + (MPoly.zero(),) + tuple(-r for r in isotropic))
+    for root in isotropic:
         c = chern_quotient(c, root)
     return c
 
@@ -661,66 +659,35 @@ def _check_specialization(p: Presentation, failures):
 
 
 # ---------------------------------------------------------------------------
-# Chern class helpers
+# Chern class helpers: a total Chern class 1 + c_1 + ... + c_n is the tuple
+# (1, c_1, ..., c_n) of MPoly, index i holding c_i and index 0 holding 1
 
-class ChernVector:
-    """A total Chern class 1 + c_1 + ... + c_n (constant term always 1)."""
-
-    def __init__(self, classes: Sequence[MPoly]):
-        classes = [c if isinstance(c, MPoly) else MPoly.const(c) for c in classes]
-        if not classes or classes[0] != MPoly.one():
-            raise ValueError("a total Chern class starts with 1")
-        self.classes = list(classes)
-
-    @property
-    def rank(self) -> int:
-        return len(self.classes) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, ChernVector):
-            return NotImplemented
-        return self.classes == other.classes
-
-    def __repr__(self):
-        return f"ChernVector({[str(c) for c in self.classes]})"
+def chern_classes(roots: Sequence[MPoly]) -> Tuple[MPoly, ...]:
+    """The total Chern class of a bundle that splits with the given roots:
+    c_i is the i-th elementary symmetric function of the roots."""
+    return tuple(elementary_symmetric(i, roots) for i in range(len(roots) + 1))
 
 
-def chern_from_roots(roots: Sequence[MPoly]) -> ChernVector:
-    return ChernVector([elementary_symmetric(i, roots)
-                        for i in range(len(roots) + 1)])
+def chern_tensor_line(c: Sequence[MPoly], line: MPoly) -> MPoly:
+    """Top Chern class of E tensor L: sum_i c_i(E) c1(L)^(n-i), where E has
+    rank n = len(c) - 1."""
+    n = len(c) - 1
+    return sum((ci * line ** (n - i) for i, ci in enumerate(c)), MPoly.zero())
 
 
-def chern_tensor_line(c: ChernVector, line: MPoly) -> MPoly:
-    """Top Chern class of E tensor L: sum_i c_i(E) c1(L)^(n-i)."""
-    n = c.rank
-    total = MPoly.zero()
-    for i in range(n + 1):
-        total = total + c.classes[i] * line ** (n - i)
-    return total
-
-
-def chern_quotient(c: ChernVector, line: MPoly) -> ChernVector:
-    """Chern classes of E/L for a line subbundle L, by inverting Whitney:
-    c_k(E') = c_k(E) - c_{k-1}(E) c1(L) + c_{k-2}(E) c1(L)^2 - ..."""
-    n = c.rank
-    out = [MPoly.one()]
-    for k in range(1, n):
-        acc = MPoly.zero()
-        sign = 1
-        for j in range(k + 1):
-            acc = acc + sign * c.classes[k - j] * line ** j
-            sign = -sign
-        out.append(acc)
-    return ChernVector(out)
+def chern_quotient(c: Sequence[MPoly], line: MPoly) -> Tuple[MPoly, ...]:
+    """c(E/L) for a line subbundle L, by inverting Whitney:
+    c_k(E/L) = c_k(E) - c_{k-1}(E) c1(L) + c_{k-2}(E) c1(L)^2 - ..."""
+    return tuple(sum((c[k - j] * (-line) ** j for j in range(k + 1)), MPoly.zero())
+                 for k in range(len(c) - 1))
 
 
 def quadric_eg_residue() -> MPoly:
     """The reduction, in the instantiated rank-7 quadric bundle ring, of
-    2 h f - (h^4 + c1(V/F) h^3 + c2(V/F) h^2 + c3(V/F) h + c4(V/F)), with
-    c4(V/F) = 0 here; the relation holds when it is zero."""
-    q = quadric_quotient_chern().classes
-    rhs = H ** 4 + q[1] * H ** 3 + q[2] * H ** 2 + q[3] * H + q[4]
-    return quadric_bundle_y().reduce_poly(2 * H * F - rhs)
+    2 h f - c4((V/F) tensor O(h)) = 2 h f - (h^4 + c1(V/F) h^3 + ... +
+    c4(V/F)), with c4(V/F) = 0 here; the relation holds when it is zero."""
+    return quadric_bundle_y().reduce_poly(
+        2 * H * F - chern_tensor_line(quadric_quotient_chern(), H))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@
 
 Coefficients are integers or p/q rationals; '^' is the only power operator;
 '*' is optional.  A sum costs time linear in its terms.  One parse spends
-at most 300 000 term products, or 7 per character of the input if that is
-more, and at most 100 000 bits of coefficient growth, or 16 per character
-if that is more; it raises PolySyntaxError past either, at the offset of
-the product or of the power's exponent.  Growth is charged before each
-product and power: about the number of bits by which its largest
-coefficient may outgrow the largest coefficient of its factors (see
-_height), so 3^9999999 is refused before it is computed.  Printing
+at most 100 000 bits of coefficient growth, or 16 per character of the
+input if that is more, and at most 300 000 term products, or 7 per
+character if that is more, a product of coefficients of heights a and b
+counting as 1 + a b / 2^21 (_pair_cost); it raises PolySyntaxError past
+either, at the offset of the product or of the power's exponent.  Both are
+charged before each product and power, from the term counts and heights
+(see _height) of its factors, so 3^9999999, and the 250 000 products of
+33 000-bit coefficients in a product of two 500-term polynomials, are
+refused before they are computed.  Printing
 (MPoly.__str__) emits canonical graded-lex form, and parse(print(f)) == f:
 a printed term is a literal coefficient times powers of variables, so it
 grows no coefficient, and no power of one term spends more than 7 term
@@ -36,7 +38,7 @@ from .mpoly import MPoly, UnboundVariable, addmul, key_terms
 # one parse may spend at most this many term products, or _PRODUCTS_PER_CHAR
 # per character of its input if that is more: a product charges
 # len(a) * len(b), a power _power_products (a power of a single term is one
-# term, whatever its exponent)
+# term, whatever its exponent), each weighted by _pair_cost
 _MAX_TERM_PRODUCTS = 300_000
 _PRODUCTS_PER_CHAR = 7
 # and at most this many bits of coefficient growth, or _BITS_PER_CHAR per
@@ -66,22 +68,33 @@ _DIGITS = set("0123456789")  # str.isdigit would take '²' and '١' too
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _power_products(k: int, n: int, limit: int) -> int:
+def _pair_cost(a: int, b: int) -> int:
+    """The term products charged for multiplying two coefficients of
+    heights a and b: within a factor of about 2 of what that costs next to
+    a product of small coefficients, from 1000 to 33 000 bits (a product of
+    two 4096-bit coefficients counts 9 times, of two 33 000-bit ones 520)."""
+    return 1 + (a * b >> 21)
+
+
+def _power_products(k: int, height: int, n: int, limit: int) -> int:
     """An upper bound on the term products MPoly.__pow__ spends on the n-th
-    power of a k-term polynomial, following its square-and-multiply steps.
-    The e-th power has at most comb(e + k - 1, k - 1) terms.  Counting stops
-    once the bound passes limit.  For k = 1 it is popcount(n) + bitlength(n)
-    - 1, at most 7 per decimal digit of n."""
+    power of a k-term polynomial of the given height, following its
+    square-and-multiply steps.  The e-th power has at most
+    comb(e + k - 1, k - 1) terms, of height at most e (height + log2 k).
+    Counting stops once the bound passes limit.  For k = 1 and height 0 it
+    is popcount(n) + bitlength(n) - 1, at most 7 per decimal digit of n."""
     def terms(e):
         return comb(e + k - 1, k - 1)
 
+    step = height + _log2_ceil(k)
     products, done, square = 0, 0, 1
     while n and products <= limit:
         if n & 1:
-            products += terms(done) * terms(square)
+            products += (terms(done) * terms(square)
+                         * _pair_cost(done * step, square * step))
             done += square
         if n > 1:
-            products += terms(square) ** 2
+            products += terms(square) ** 2 * _pair_cost(square * step, square * step)
             square *= 2
         n >>= 1
     return products
@@ -167,16 +180,16 @@ class _Parser:
         return tok
 
     def charge(self, products: int, bits: int, pos: int, what):
-        """Spend term products and coefficient bits on the step at pos,
+        """Spend coefficient bits and term products on the step at pos,
         which what() names."""
-        self.products += products
-        if self.products > self.budget:
-            raise PolySyntaxError(f"{what()} would take this input past "
-                                  f"{self.budget} term products", pos)
         self.bits += bits
         if self.bits > self.bit_budget:
             raise PolySyntaxError(f"{what()} would take this input past "
                                   f"{self.bit_budget} coefficient bits", pos)
+        self.products += products
+        if self.products > self.budget:
+            raise PolySyntaxError(f"{what()} would take this input past "
+                                  f"{self.budget} term products", pos)
 
     def parse(self) -> MPoly:
         result = self.expr()
@@ -205,11 +218,11 @@ class _Parser:
             elif kind not in ("int", "name", "("):
                 return result
             right = self.factor()
-            grown = _height(right)
-            if grown:  # most often right is a power of a variable, of height 0
-                grown = min(grown, _height(result))
-            self.charge(len(result) * len(right),
-                        grown + _log2_ceil(min(len(result), len(right))),
+            # most often right is a power of a variable, of height 0
+            b = _height(right)
+            a = _height(result) if b else 0
+            self.charge(len(result) * len(right) * _pair_cost(a, b),
+                        min(a, b) + _log2_ceil(min(len(result), len(right))),
                         pos, lambda: (f"product of a {len(result)}-term and "
                                       f"a {len(right)}-term polynomial"))
             result = result * right
@@ -221,7 +234,7 @@ class _Parser:
             tok = self.expect("int")
             n = int(tok[1])
             height = _height(base)
-            self.charge(_power_products(len(base), n, self.budget),
+            self.charge(_power_products(len(base), height, n, self.budget),
                         max(0, n * (height + _log2_ceil(len(base))) - height),
                         tok[2], lambda: f"power ^{n} of a {len(base)}-term polynomial")
             base = base ** n

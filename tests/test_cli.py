@@ -58,6 +58,28 @@ class TestVerify:
         assert out == ""
         assert err == "error: G2SC_SEED must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("where", ["env", "flag"])
+    def test_a_seed_past_the_int_string_limit_is_refused(self, capsys, monkeypatch,
+                                                         int_str_limit, where):
+        # one line that neither repeats the value nor sends a CLI user to
+        # sys.set_int_max_str_digits()
+        huge = "5" * 5000
+        if where == "env":
+            monkeypatch.setenv("G2SC_SEED", huge)
+            code, out, err = run(capsys, "verify", "weyl")
+        else:
+            code, out, err = run(capsys, "verify", "weyl", "--seed", huge)
+        assert (code, out) == (2, "")
+        assert err == ("error: a seed of 5000 characters has more than the 4300 "
+                       "digits Python converts\n")
+
+    def test_seed_flag_not_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "weyl", "--seed", "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: 'abc' is not an integer\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "impossibility", "--format", "json")
         assert code == 0

@@ -366,27 +366,46 @@ def test_rule_step_oracle_matches_the_engine(name):
 
 class TestChern:
     def test_tensor_line_rank1(self):
-        cv = c.ChernVector([MPoly.one(), Y1])
+        cv = (MPoly.one(), Y1)
         assert c.chern_tensor_line(cv, Y2) == Y1 + Y2
 
     def test_tensor_line_rank2_symbolic(self):
-        cv = c.chern_from_roots([Y1, Y2])
+        cv = c.chern_classes([Y1, Y2])
         line = MPoly.var("v")
-        expected = cv.classes[2] + cv.classes[1] * line + line ** 2
+        expected = cv[2] + cv[1] * line + line ** 2
         assert c.chern_tensor_line(cv, line) == expected
 
+    def test_tensor_line_is_the_product_of_twisted_roots(self):
+        # c_n(E tensor L) = prod (c1(L) + r) over the roots r of E
+        rng = random.Random(SEED + 2)
+        for rank in range(5):
+            roots = [_rand(rng, ("y1", "y2"), 1, 2) for _ in range(rank)]
+            line = _rand(rng, ("y1", "y2", "v"), 1, 3)
+            assert c.chern_tensor_line(c.chern_classes(roots), line) == math.prod(
+                (line + r for r in roots), start=MPoly.one())
+
     def test_quotient_line_exact(self):
-        cv = c.ChernVector([MPoly.one(), Y1])
+        cv = (MPoly.one(), Y1)
         quot = c.chern_quotient(cv, Y1)
-        assert quot.classes == [MPoly.one()]
+        assert quot == (MPoly.one(),)
 
     def test_quotient_roundtrip(self):
         rng = random.Random(SEED + 1)
         for _ in range(10):
             roots = [_rand(rng, ("y1", "y2"), 1, 2) for _ in range(3)]
             line = _rand(rng, ("y1", "y2"), 1, 2)
-            total = c.chern_from_roots(roots + [line])
-            assert c.chern_quotient(total, line) == c.chern_from_roots(roots)
+            total = c.chern_classes(roots + [line])
+            assert c.chern_quotient(total, line) == c.chern_classes(roots)
+
+    def test_flag_chern_of_the_torus_roots(self):
+        # the values the Equivariant ring is specialized at: F3 splits as
+        # t1, t2, t1 - t2 and V/F3 as their negatives
+        t1, t2 = c.T1, c.T2
+        c2 = t1 ** 2 + t1 * t2 - t2 ** 2
+        c3 = t1 * t2 * (t1 - t2)
+        assert c._flag_chern([t1, t2, t1 - t2]) == {
+            "c1F": 2 * t1, "c2F": c2, "c3F": c3,
+            "c1Q": -2 * t1, "c2Q": c2, "c3Q": -c3}
 
     def test_eg_relation(self):
         assert c.quadric_eg_residue().is_zero()
@@ -398,7 +417,7 @@ class TestChern:
         # c_3 of ((V/F)/O(1)) tensor O(1) equals the f^2 coefficient
         # c3(V/F) + c1(V/F) h^2, independent of c4(V/F)
         c1q, c2q, c3q = (MPoly.var(f"c{i}Q") for i in (1, 2, 3))
-        total = c.ChernVector([MPoly.one(), c1q, c2q, c3q, Y1 * Y2])
+        total = (MPoly.one(), c1q, c2q, c3q, Y1 * Y2)
         rebuilt = c.chern_tensor_line(c.chern_quotient(total, H), H)
         assert rebuilt == c3q + c1q * H ** 2
 

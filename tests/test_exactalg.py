@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,6 +204,30 @@ class TestCanonicalForm:
             assert err.value.pos == pos
         # 2^100001 has height 100000, the fixed budget
         assert parse_poly("2^100001") == MPoly.const(2 ** 100001)
+
+    def test_products_of_large_coefficients_are_charged_by_size(self):
+        # 250 000 products of two 33 000-bit integers, and 160 000 for the
+        # square: inside the coefficient-bit budget, and counted as only
+        # 262 452 and 240 200 term products before size was charged, but
+        # tens of seconds of work
+        inner = "+".join(f"x1^{i}" for i in range(500))
+        product = f"(2^33000*({inner}))*(2^33000*({inner}))"
+        square = "(2^33000*(" + "+".join(f"x1^{i}" for i in range(400)) + "))^2"
+        assert len(product) == 6803
+        for text, pos, culprit in [
+                (product, 3401, "product of a 500-term and a 500-term polynomial"),
+                (square, len(square) - 1, "power ^2 of a 400-term polynomial")]:
+            start = time.perf_counter()
+            with pytest.raises(PolySyntaxError) as err:
+                parse_poly(text)
+            assert time.perf_counter() - start < 2
+            assert str(err.value) == (f"{culprit} would take this input past "
+                                      f"300000 term products (at offset {pos})")
+        # the same products of small coefficients, and one product of large
+        # ones, are cheap enough to run
+        small = parse_poly(product.replace("2^33000", "2"))
+        assert small.coeff({"x1": 499}) == 4 * 500
+        assert parse_poly("2^33000 * 3^20000") == MPoly.const(2 ** 33000 * 3 ** 20000)
 
     def test_a_literal_past_the_int_string_limit_is_refused(self, monkeypatch):
         limit = 4300
