@@ -39,6 +39,8 @@ opaque key), named_terms spells each term out, and addmul, the one kernel
 for sparse sums, accumulates scaled and shifted terms into a dict of opaque
 keys that the MPoly constructor then takes; key_terms reads an MPoly's
 terms with their opaque keys, and ONE_KEY is the key of the monomial 1.
+exact_divide keeps its remainder as one such dict and subtracts each
+quotient term's multiple of the divisor from it in place with addmul.
 The zero polynomial has no stored terms.
 
 All values are immutable after construction; the arithmetic methods return
@@ -434,9 +436,12 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
 
     Uses leading-term division in the graded-lex order; for an exact multiple
     the leading term of f is always divisible by the leading term of g, so
-    the loop peels off one quotient term per step.  Coefficients divide by
-    scalars.quotient, so an integral polynomial divided by one with leading
-    coefficient +-1 (every divided-difference root) stays in int arithmetic.
+    the loop peels off one quotient term per step.  The remainder is one
+    dict, a copy of f's terms, and each step subtracts q_coef x^q_exp g from
+    it in place with addmul; f and g are not changed.  Coefficients divide
+    by scalars.quotient, so an integral polynomial divided by one with
+    leading coefficient +-1 (every divided-difference root) stays in int
+    arithmetic.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -445,16 +450,20 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
     g_exp = max(g._t)
     g_coef = g._t[g_exp]
     out: Dict[int, Coef] = {}
-    rem = f
-    while not rem.is_zero():
-        r_exp = max(rem._t)
-        r_coef = rem._t[r_exp]
+    rem = dict(f._t)
+    while rem:
+        r_exp = max(rem)
+        r_coef = rem[r_exp]
+        if not r_coef:  # a zero sum addmul left; its key need not divide
+            del rem[r_exp]
+            continue
         q_exp = r_exp - g_exp
         if q_exp & _GUARD:  # some exponent borrowed
             raise NotDivisible(f"({f}) is not divisible by ({g})")
         q_coef = _quotient(r_coef, g_coef)
         out[q_exp] = q_coef  # q_exp strictly decreases, so it is new
-        rem = rem - MPoly({q_exp: q_coef}) * g
+        addmul(rem, g, -q_coef, q_exp)
+        del rem[r_exp]  # cancelled: r_coef - q_coef g_coef is 0
     return MPoly(out)
 
 

@@ -12,12 +12,14 @@ Coefficients are integers or p/q rationals; '^' is the only power operator;
 at most 100 000 bits of coefficient growth, or 16 per character of the
 input if that is more, and at most 300 000 term products, or 7 per
 character if that is more, a product of coefficients of heights a and b
-counting as 1 + a b / 2^21 (_pair_cost); it raises PolySyntaxError past
-either, at the offset of the product or of the power's exponent.  Both are
-charged before each product and power, from the term counts and heights
-(see _height) of its factors, so 3^9999999, and the 250 000 products of
-33 000-bit coefficients in a product of two 500-term polynomials, are
-refused before they are computed.  Printing
+counting as 1 + a b / 2^21 + max(a, b) / 2^13 (_pair_cost): the product
+itself, and the carrying of the larger coefficient, which costs as much
+when the other is 1.  It raises PolySyntaxError past either budget, at the
+offset of the product or of the power's exponent.  Both are charged before
+each product and power, from the term counts and heights (see _height) of
+its factors, so 3^9999999, and the 250 000 term products of a product of
+two 500-term polynomials with 33 000-bit coefficients on one side or on
+both, are refused before they are computed.  Printing
 (MPoly.__str__) emits canonical graded-lex form, and parse(print(f)) == f:
 a printed term is a literal coefficient times powers of variables, so it
 grows no coefficient, and no power of one term spends more than 7 term
@@ -70,10 +72,14 @@ _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 def _pair_cost(a: int, b: int) -> int:
     """The term products charged for multiplying two coefficients of
-    heights a and b: within a factor of about 2 of what that costs next to
-    a product of small coefficients, from 1000 to 33 000 bits (a product of
-    two 4096-bit coefficients counts 9 times, of two 33 000-bit ones 520)."""
-    return 1 + (a * b >> 21)
+    heights a and b and adding the result into a sum: within a factor of
+    about 2 of what that costs next to a product of small coefficients,
+    from 1000 to 200 000 bits.  The quadratic part is the product (two
+    4096-bit coefficients count 9 times, two 33 000-bit ones 524); the
+    linear part is carrying the larger one, which costs as much when the
+    other is 1 (a 33 000-bit coefficient times 1 counts 5 times, a
+    99 000-bit one 13)."""
+    return 1 + (a * b >> 21) + ((a if a > b else b) >> 13)
 
 
 def _power_products(k: int, height: int, n: int, limit: int) -> int:
@@ -82,9 +88,10 @@ def _power_products(k: int, height: int, n: int, limit: int) -> int:
     square-and-multiply steps.  The e-th power has at most
     comb(e + k - 1, k - 1) terms, of height at most e (height + log2 k).
     Counting stops once the bound passes limit.  For k = 1 and height 0 it
-    is popcount(n) + bitlength(n) - 1, at most 7 per decimal digit of n."""
+    is popcount(n) + bitlength(n) - 1, at most 7 per decimal digit of n;
+    for the zero polynomial, k = 0, it is 0."""
     def terms(e):
-        return comb(e + k - 1, k - 1)
+        return comb(e + k - 1, k - 1) if k else 0
 
     step = height + _log2_ceil(k)
     products, done, square = 0, 0, 1
@@ -109,7 +116,8 @@ def _height(f: MPoly) -> int:
     h charges n (h + log2 k) - h."""
     bits = 2
     for c in key_terms(f).values():  # a plain loop: this runs on every factor
-        b = abs(c.numerator).bit_length() + c.denominator.bit_length()
+        b = (c.bit_length() + 1 if type(c) is int  # its denominator 1 has 1 bit
+             else c.numerator.bit_length() + c.denominator.bit_length())
         if b > bits:
             bits = b
     return bits - 2
@@ -218,9 +226,7 @@ class _Parser:
             elif kind not in ("int", "name", "("):
                 return result
             right = self.factor()
-            # most often right is a power of a variable, of height 0
-            b = _height(right)
-            a = _height(result) if b else 0
+            a, b = _height(result), _height(right)
             self.charge(len(result) * len(right) * _pair_cost(a, b),
                         min(a, b) + _log2_ceil(min(len(result), len(right))),
                         pos, lambda: (f"product of a {len(result)}-term and "

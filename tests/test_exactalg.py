@@ -120,6 +120,29 @@ class TestExactDivide:
         with pytest.raises(NotDivisible):
             exact_divide(X1 ** 2 + X2, X1 - X2)
 
+    def test_operands_are_not_changed(self):
+        # the remainder is a copy of f's terms, updated in place
+        for f, g in [(X1 ** 2 - X2 ** 2, X1 - X2),
+                     (X1 ** 2 + X2, X1 - X2),
+                     (Fraction(1, 3) * (X1 + Y1) * (X1 - 2 * X2), 2 * X1 - 4 * X2)]:
+            f_items, g_items = sorted(f.items()), sorted(g.items())
+            try:
+                exact_divide(f, g)
+            except NotDivisible:
+                pass
+            assert sorted(f.items()) == f_items
+            assert sorted(g.items()) == g_items
+
+    def test_a_cancelled_key_that_lt_g_does_not_divide_is_skipped(self):
+        # x1^2 - x2^2 by x1 - x2 leaves x2^2 at 0 in the remainder, and x1
+        # does not divide x2^2; with Fraction coefficients the 0 is a
+        # Fraction sum
+        half = Fraction(1, 2)
+        assert exact_divide(half * (X1 ** 2 - X2 ** 2), X1 - X2) == half * (X1 + X2)
+        third = Fraction(2, 3)
+        assert (exact_divide(X1 ** 2 - X2 ** 2, third * (X1 - X2))
+                == Fraction(3, 2) * (X1 + X2))
+
     def test_antisymmetric_part_always_divisible(self):
         # oracle: multiply the quotient back
         rng = random.Random(RNG_SEED + 2)
@@ -229,6 +252,26 @@ class TestCanonicalForm:
         assert small.coeff({"x1": 499}) == 4 * 500
         assert parse_poly("2^33000 * 3^20000") == MPoly.const(2 ** 33000 * 3 ** 20000)
 
+    def test_a_large_coefficient_times_one_is_charged_by_size(self):
+        # 250 000 products of a 99 000-bit integer by 1, in either order:
+        # each costs about as much as 15 to 20 products of small integers
+        inner = "(" + "+".join(f"x1^{i}" for i in range(500)) + ")"
+        for bits in (99000, 33000):
+            big = f"(2^{bits}*{inner})"
+            for text, pos in [(f"{big}*{inner}", len(big)),
+                              (f"{inner}*{big}", len(inner))]:
+                start = time.perf_counter()
+                with pytest.raises(PolySyntaxError, match="past 300000 term "
+                                   "products") as err:
+                    parse_poly(text)
+                assert time.perf_counter() - start < 2
+                assert err.value.pos == pos
+        assert len(f"(2^99000*{inner})*{inner}") == 6793
+        # a product with 1000-bit coefficients on one side still parses
+        few = "(" + "+".join(f"x1^{i}" for i in range(50)) + ")"
+        f = parse_poly(f"(2^1000*{few})*{few}")
+        assert f.coeff({"x1": 49}) == 50 * 2 ** 1000
+
     def test_a_literal_past_the_int_string_limit_is_refused(self, monkeypatch):
         limit = 4300
         monkeypatch.setattr(parse, "_max_str_digits", lambda: limit)
@@ -263,6 +306,11 @@ class TestCanonicalForm:
         assert parse_poly("1/2 x1^5 x2") == Fraction(1, 2) * X1 ** 5 * X2
         assert parse_poly("(x1+x2)^2 - x1^2 - x2^2") == 2 * X1 * X2
         assert parse_poly("2*x1 + -3") == 2 * X1 - 3
+
+    def test_a_power_of_zero(self):
+        # the zero polynomial has no terms, so its powers cost nothing
+        for text, value in [("0^2", 0), ("(x1 - x1)^3", 0), ("0^0", 1), ("(0)^0 x1", X1)]:
+            assert parse_poly(text) == value
 
     def test_parse_errors_carry_position(self):
         with pytest.raises(PolySyntaxError) as err:
