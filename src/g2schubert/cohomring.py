@@ -31,14 +31,18 @@ side, so rewriting terminates, and the basis is the standard monomials.  The
 multiplication table induced on the basis is closed and associative;
 verify_presentation certifies that, which is what makes a normal form here a
 genuine canonical form.  The table entry of a pair depends only on its
-product monomial, so the certificate checks each entry against the first
-pair with the same product and then multiplies each distinct product by
-every basis element once: that covers both association orders of every
-basis triple, and no product is reduced twice.  Each such product is
-compared with the normal form of the triple's main monomial, read from
-_rule_normal_forms: an independent oracle that takes single rule steps in
-the opposite rule order and shares no code with the rewrite engine, so the
-engine memo keeps only the keys of the table.
+product monomial and reduction is linear over the base ring, so
+associativity says that each distinct product times each basis element
+reduces to the normal form of the triple's main monomial.  That form is
+read from _rule_normal_forms: an independent oracle that takes single rule
+steps in the opposite rule order and shares no code with the rewrite
+engine.  The certificate checks (a) each table entry against the first pair
+with the same product, (b) the engine memo and the table entry against the
+oracle at every pair's main key, and (c) at every triple's main key K, the
+oracle's form one generator x_g lower, times x_g and reduced, against the
+oracle's form at K.  Induction on the basis element, one generator at a
+time, gives every (product, basis element) from these; each reduction is by
+one generator, and the engine memo keeps only the keys of the table.
 
 Rewriting is linear over the base ring: every left-hand side is a power of a
 main variable and the order reads only main exponents, so nf(b m) = b nf(m)
@@ -69,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import weyl
@@ -508,11 +512,17 @@ def verify_presentation(p: Presentation) -> List[str]:
     Returns the failures, one line per failed property, named by the
     property; the presentation is verified when the list is empty.
     Associativity is certified exhaustively by _check_associativity,
-    against the rule-step oracle _rule_normal_forms; a failure names the
-    table pair, or the basis triple with both reduced sides.  Nothing it
-    computes outlives the call except the presentation's own rewrite memo,
-    which holds the keys of the table and of the relations, never a key
-    that only a triple product reaches.
+    against the rule-step oracle _rule_normal_forms: (a) table entries with
+    the same product monomial agree, (b) the engine memo and the table
+    agree with the oracle at every pair's main key, and (c) the oracle's
+    form at every triple's main key is its form one generator lower, times
+    that generator and reduced.  Induction on the basis element turns these
+    into both association orders of every basis triple.  A failure names
+    the table pair, or the lowest failing basis triple with both reduced
+    sides, or the failed check when no triple fails.  Nothing it computes
+    outlives the call except the presentation's own rewrite memo, which
+    holds the keys of the table and of the relations, never a key that
+    only a triple product reaches.
     """
     failures: List[str] = []
     if len(p.basis) != p.expected_rank:
@@ -548,20 +558,34 @@ def _check_associativity(p: Presentation, table, failures):
 
     Reduction is linear over the base ring, so nf(table[x, y] e_z) is the
     table product (e_x e_y) e_z, and both association orders of a triple
-    are certified by comparing them with nf(e_x e_y e_z).  The entry for
-    (x, y) depends only on the product monomial e_x e_y, so each entry is
-    first checked against the first pair with the same product; then each
-    distinct product is multiplied by every basis element once.  The
-    association orders (e_a e_b) e_c, (e_a e_c) e_b and (e_b e_c) e_a of
-    every triple are among those (product, e_z) pairs, and no product is
-    reduced twice.  The direct side of a pair is the normal form of the one
-    main monomial e_x e_y e_z, read from _rule_normal_forms, which does not
-    use the rewrite engine under test and leaves its memo alone; the table
-    side is the entry's coefficient groups, shifted by the main key of e_z
-    and reduced by the engine.  The oracle yields the main keys lowest first
-    and drops each normal form once no higher key needs it, so the check
-    runs key by key.  A failure names the pair, or the lowest failing
-    triple, and carries both sides.
+    are certified by showing it equal to O(e_x e_y e_z), the normal form
+    read from _rule_normal_forms, which does not use the rewrite engine
+    under test and leaves its memo alone.  The entry for (x, y) depends only
+    on the product monomial, so it is enough to show, for each distinct
+    product P with class representative (x, y), c = table[x, y] and every
+    basis key z,
+
+      S(P, z):  sum_k c_k M[k + z] == O(P + z),
+
+    where M is the engine memo; the association orders (e_a e_b) e_c,
+    (e_a e_c) e_b and (e_b e_c) e_a of every triple are among those.  Three
+    checks give every S(P, z):
+
+      (a) each table entry equals its class representative;
+      (b) for every pair key P, M[P] == O(P) and N(c) == O(P), where N is
+          _reduce_groups;
+      (c) for every triple key K = P + z with z != 0, and g the last main
+          variable with z_g > 0, N(O(K - e_g) x_g) == O(K).
+
+    (b) is S(P, 0).  For z != 0 with z' = z - e_g, a basis key, each k + z
+    and k + z' is a pair key and N is linear, so by (b), (c) and S(P, z'):
+    sum c_k M[k + z] = sum c_k N(O(k + z') x_g) = N(O(P + z') x_g) =
+    O(P + z).  Each step of (c) reduces one form times one generator, whose
+    main keys are pair keys in the memo; the oracle yields the keys lowest
+    first, and each O(K - e_g) is held, split by main key, until its last
+    step is done.  When a check fails, _lowest_failing_triple compares
+    every triple directly and names the lowest failing one with both sides;
+    if it finds none, the failing check itself is the failure.
     """
     first: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     for pair in sorted(table):
@@ -571,6 +595,51 @@ def _check_associativity(p: Presentation, table, failures):
             failures.append(f"associativity: table entry {pair} is "
                             f"{table[pair].as_poly()} but {rep}, with the same "
                             f"product, is {table[rep].as_poly()}")
+    for key, what, side, direct in _certificate_steps(p, table, first):
+        if side != direct:
+            failures.append(_lowest_failing_triple(p, table, first)
+                            or f"associativity: at {p._monomial(key)}, {what} "
+                               f"is {side}, rule steps give {direct}")
+            break
+
+
+def _certificate_steps(p: Presentation, table, first):
+    """Yield (main key K, what, its side, O(K)) for checks (b) and (c) of
+    _check_associativity, lowest K first."""
+    units = [tuple(int(i == g) for i in range(len(p.main_vars)))
+             for g in range(len(p.main_vars))]
+    steps: Dict[Tuple[int, ...], set] = {}  # K -> the generators g of (c)
+    for key_xy in first:
+        for key_z in p.basis:
+            if any(key_z):
+                g = max(i for i, e in enumerate(key_z) if e)
+                steps.setdefault(tuple(map(add, key_xy, key_z)), set()).add(g)
+    uses = Counter(tuple(map(sub, key, units[g]))
+                   for key, gs in steps.items() for g in gs)
+    held = {}  # K - e_g -> O(K - e_g) split by main key, until its last step
+    for key, direct in _rule_normal_forms(p, first.keys() | steps.keys()):
+        rep = first.get(key)
+        if rep is not None:
+            yield key, "the engine's normal form", p.reduce_monomial(key), direct
+            yield (key, f"table entry {rep}", p._reduce_groups(table[rep].coeffs),
+                   direct)
+        for g in sorted(steps.get(key, ())):
+            lower = tuple(map(sub, key, units[g]))
+            side = p._reduce_groups(held[lower], units[g])
+            uses[lower] -= 1
+            if not uses[lower]:
+                del held[lower]
+            var = p.main_vars[g]
+            yield key, f"{var} times the form one {var} lower", side, direct
+        if uses[key]:
+            held[key] = direct.split(p.main_vars)
+
+
+def _lowest_failing_triple(p: Presentation, table, first) -> Optional[str]:
+    """The lowest basis triple (x, y, z) at which nf(table[x, y] e_z)
+    differs from O(e_x e_y e_z), as a failure line with both sides, or None.
+    Every triple is compared directly, so this runs only to name the
+    witness once a check of _check_associativity has failed."""
     # the basis triples (x, y, z) of each main key e_x e_y e_z; first holds
     # its pairs in sorted order, so each list is sorted
     triples: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
@@ -585,8 +654,7 @@ def _check_associativity(p: Presentation, table, failures):
                 failed.append(((x, y, z), f"associativity fails at basis {(x, y, z)}: "
                                           f"table side {assoc}, direct {direct}"))
                 break
-    if failed:
-        failures.append(min(failed)[1])
+    return min(failed)[1] if failed else None
 
 
 def _rule_normal_forms(p: Presentation, keys):

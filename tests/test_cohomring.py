@@ -352,6 +352,74 @@ class TestAssociativityCertificate:
                                   f"{min(lowest[exp] for exp in triple_only)}: ")
 
 
+class TestCertificateSteps:
+    """The generator steps (b) and (c) that certify every (product, e_z)."""
+
+    @pytest.mark.parametrize("key", sorted(_products(c.fl_integral_point(), 2)))
+    def test_a_corrupted_memo_entry_is_named(self, key):
+        # the table is built before the memo goes wrong, so check (a) holds;
+        # only the memo and step checks read the entry, and the witness
+        # search then names a triple
+        p = c.fl_integral_point()
+        build = p.mult_table
+
+        def mult_table():
+            table = build()
+            p._memo[key] = p._memo[key] + 1
+            return table
+
+        p.mult_table = mult_table
+        failures = c.verify_presentation(p)
+        assert any(f.startswith("associativity fails at basis ") for f in failures), failures
+
+    def test_a_failed_step_without_a_failing_triple_is_reported(self, monkeypatch):
+        # the certificate never passes silently: when the witness search
+        # names no triple, the failing step is the failure
+        p = c.fl_integral_point()
+        build = p.mult_table
+        key = p.top
+
+        def mult_table():
+            table = build()
+            p._memo[key] = p._memo[key] + 1
+            return table
+
+        p.mult_table = mult_table
+        monkeypatch.setattr(c, "_lowest_failing_triple", lambda *args: None)
+        assert c.verify_presentation(p) == [
+            "associativity: at x1^2 x2 alpha, the engine's normal form is "
+            "x1^2 x2 alpha + 1, rule steps give x1^2 x2 alpha"]
+
+    @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
+    def test_shifted_reduction_is_reduction_of_the_shifted_poly(self, name):
+        # the linearity that carries the induction from z - e_g to z
+        p = c.get_presentation(name)
+        rng = random.Random(f"{SEED}-shift-{name}")
+        for _ in range(4):
+            f = _rand(rng, p.main_vars + p.base_vars, 4, 4)
+            shift = tuple(rng.randint(0, 2) for _ in p.main_vars)
+            assert p._reduce_groups(f.split(p.main_vars), shift) == p.reduce_poly(
+                f * MPoly.monomial(dict(zip(p.main_vars, shift))))
+
+    def test_each_step_multiplies_by_one_generator(self, monkeypatch):
+        p = c.fl_integral_bundle()
+        shifts, witness_runs = [], []
+        reduce_groups = p._reduce_groups
+
+        def recording(groups, shift=None):
+            if shift is not None:
+                shifts.append(shift)
+            return reduce_groups(groups, shift)
+
+        p._reduce_groups = recording
+        monkeypatch.setattr(c, "_lowest_failing_triple",
+                            lambda *args: witness_runs.append(args))
+        assert c.verify_presentation(p) == []
+        assert shifts and all(sorted(s) == [0] * (len(s) - 1) + [1] for s in shifts)
+        assert len(shifts) <= len(_products(p, 3)) * len(p.main_vars)
+        assert witness_runs == []
+
+
 @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
 def test_rule_step_oracle_matches_the_engine(name):
     # the oracle takes the last rule that applies, the engine the first;
