@@ -5,7 +5,8 @@ identities are checked exactly (tolerance zero), and randomized checks draw
 from a seeded generator so runs are reproducible.  A randomized check of the
 octonion, divdiff or families suite draws rationals, then runs on the
 integral multiple d * u of its draw u, with d the lcm of the draw's
-denominators (integral_multiple), so its arithmetic is on ints.  That keeps
+denominators (exactalg's integral_multiple, or MPoly.integral_multiple for
+a polynomial), so its arithmetic is on ints.  That keeps
 the evidence: each identity it tests is homogeneous in the drawn octonions
 (norm composition, the minimal equation, adjointness), scale-invariant (the
 rank of a left multiplication, the norm-zero quadric) or linear in the drawn
@@ -25,14 +26,13 @@ import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional
 
 from . import cohomring, octonion, schubert, weyl
 from .exactalg import (
     MPoly,
-    Rational,
-    common_denominator,
     determinant,
+    integral_multiple,
     lp_feasible,
     rank,
     solve_linear,
@@ -88,15 +88,6 @@ def random_mpoly(rng: random.Random, names, max_deg: int, n_terms: int,
     return total
 
 
-def integral_multiple(draw: Union[Sequence[Rational], MPoly]) -> Union[List[int], MPoly]:
-    """d * draw, with d the lcm of the denominators of draw's rationals: the
-    values as a list of ints, or the polynomial with int coefficients."""
-    if isinstance(draw, MPoly):
-        return common_denominator(c for _, c in draw.items()) * draw
-    d = common_denominator(draw)
-    return [int(x * d) for x in draw]
-
-
 def random_isotropic_vec(rng: random.Random) -> octonion.VecV:
     """A nonzero integral vector on the norm-zero quadric of the f-basis:
     N = -(u1 u7 + u2 u6 + u3 u5) - u4^2, so draw u2..u7 rational, solve for
@@ -107,18 +98,14 @@ def random_isotropic_vec(rng: random.Random) -> octonion.VecV:
         if u7 == 0:
             continue
         u1 = -(u2 * u6 + u3 * u5 + u4 * u4) / u7
-        return octonion.VecV(integral_multiple([u1] + tail))
+        return octonion.VecV(integral_multiple([u1] + tail)[0])
 
 
 def random_oct(rng: random.Random) -> octonion.Oct:
     """The integral multiple of an octonion with 8 rational coordinates,
     drawn scalar part first."""
-    re, *im = integral_multiple([random_fraction(rng) for _ in range(8)])
+    (re, *im), _ = integral_multiple([random_fraction(rng) for _ in range(8)])
     return octonion.Oct(re, octonion.VecV(im))
-
-
-def _integral(f: MPoly) -> bool:
-    return all(c.denominator == 1 for _, c in f.terms())
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +259,7 @@ def suite_weyl(report: SuiteReport, rng: random.Random):
 
 
 def _random_x_polys(rng, count, max_deg=6, n_terms=6):
-    return [integral_multiple(random_mpoly(rng, ("x1", "x2"), max_deg, n_terms))
+    return [random_mpoly(rng, ("x1", "x2"), max_deg, n_terms).integral_multiple()[0]
             for _ in range(count)]
 
 
@@ -368,7 +355,7 @@ def suite_families(report: SuiteReport, rng: random.Random):
     report.add("twisting the top class matches the twisted closed form, "
                "monomial for monomial",
                twisted == schubert.top_class("twisted"))
-    samples = [integral_multiple(random_mpoly(rng, ("x1", "x2", "y1", "y2"), 5, 8))
+    samples = [random_mpoly(rng, ("x1", "x2", "y1", "y2"), 5, 8).integral_multiple()[0]
                for _ in range(20)]
     report.add("twist then untwist is the identity",
                all(schubert.twist_substitution(
@@ -538,7 +525,8 @@ def suite_equivariant(report: SuiteReport, rng: random.Random):
         integral_class = False
     report.add("27 times the class has an integral expansion, the class "
                "itself does not",
-               all(map(_integral, expansion27.values())) and not integral_class)
+               all(f.integral_multiple()[1] == 1 for f in expansion27.values())
+               and not integral_class)
 
     lhs_t0 = Fraction(1, 2) * prod(schubert.graham_xi())
     rhs_t0 = Fraction(-1, 9) * eq_graham["tst"].subs(

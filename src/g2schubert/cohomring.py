@@ -77,7 +77,7 @@ from operator import add, mul, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import weyl
-from .exactalg import MPoly, elementary_symmetric, quotient
+from .exactalg import MPoly, VARIABLES, quotient
 from .exactalg.linsolve import _integral_rows, _reduce
 from .exactalg.mpoly import ONE_KEY, addmul, key_terms
 from .schubert import SchubertFamily
@@ -209,11 +209,16 @@ class Presentation:
                     f"{rule.var}^{rule.power}, so rewriting need not terminate")
         return Rule(rule.var, rule.power, rhs)
 
-    def specialize(self, name: str, base_vars: Sequence[str],
+    def specialize(self, name: str,
                    values: Mapping[str, "MPoly | int"]) -> "Presentation":
-        """The same ring with `values` substituted into every rule, over the
-        base variables `base_vars`."""
+        """The same ring with `values` substituted into every rule.  Its base
+        variables are the old ones that are not substituted, then those of
+        the values, in VARIABLES order."""
         rules = [Rule(r.var, r.power, r.rhs.subs(values)) for r in self.rules]
+        base_vars = [v for v in self.base_vars if v not in values]
+        used = {v for value in values.values() if isinstance(value, MPoly)
+                for v in value.variables()}
+        base_vars += [v for v in VARIABLES if v in used and v not in base_vars]
         return Presentation(name, self.main_vars, base_vars, rules, self.ring,
                             self.expected_rank, self.degrees)
 
@@ -410,7 +415,7 @@ def _flag_chern(roots: Sequence[MPoly]) -> Dict[str, MPoly]:
 
 def fl_equivariant() -> Presentation:
     return fl_integral_bundle().specialize(
-        "Equivariant", ("t1", "t2"), {"y1": T1, **_flag_chern([T1, T2, T1 - T2])})
+        "Equivariant", {"y1": T1, **_flag_chern([T1, T2, T1 - T2])})
 
 
 def fl_half_point() -> Presentation:
@@ -454,7 +459,7 @@ def quadric_bundle(n: int = 3) -> Presentation:
 def quadric_bundle_fiber(n: int = 3) -> Presentation:
     """QuadricBundle(n) with every Chern class 0."""
     bundle = quadric_bundle(n)
-    return bundle.specialize(f"QuadricBundle{n}Fiber", (),
+    return bundle.specialize(f"QuadricBundle{n}Fiber",
                              dict.fromkeys(bundle.base_vars, 0))
 
 
@@ -474,7 +479,7 @@ def quadric_bundle_y() -> Presentation:
     """QuadricBundle(3) instantiated for the flag-bundle geometry:
     c(F) = (1+y1)(1+y2)(1+y1-y2), and c(V/F) = c(V)/c(F), which is
     (1-y1)(1-y2)(1-y1+y2) (see quadric_quotient_chern)."""
-    return quadric_bundle(3).specialize("QuadricBundle3Y", ("y1", "y2"),
+    return quadric_bundle(3).specialize("QuadricBundle3Y",
                                         _flag_chern([Y1, Y2, Y1 - Y2]))
 
 
@@ -483,11 +488,11 @@ PRESENTATION_FACTORIES = {
     "FlHalfPoint": fl_half_point,
     "FlIntegralBundle": fl_integral_bundle,
     "FlIntegralBundleY": lambda: fl_integral_bundle().specialize(
-        "FlIntegralBundleY", ("y1", "y2"), _flag_chern([Y1, Y2, Y1 - Y2])),
+        "FlIntegralBundleY", _flag_chern([Y1, Y2, Y1 - Y2])),
     "Equivariant": fl_equivariant,
     "FlHalfBundle": fl_half_bundle,
     "FlHalfBundleT": lambda: fl_half_bundle().specialize(
-        "FlHalfBundleT", ("t1", "t2"), {"y1": T1, "y2": T2}),
+        "FlHalfBundleT", {"y1": T1, "y2": T2}),
     "QuadricBundle3": quadric_bundle,
     "QuadricBundle3Y": quadric_bundle_y,
     "QuadricBundle3Fiber": quadric_bundle_fiber,
@@ -720,7 +725,7 @@ def _check_specialization(p: Presentation, failures):
     factory = _SPECIALIZATIONS.get(p.name)
     if factory is None:
         return
-    special = p.specialize(p.name, (), dict.fromkeys(p.base_vars, 0))
+    special = p.specialize(p.name, dict.fromkeys(p.base_vars, 0))
     for rule, expected in zip(special.rules, factory().rules):
         if rule != expected:
             failures.append(f"specialized rule for {rule.var} differs")
@@ -732,8 +737,12 @@ def _check_specialization(p: Presentation, failures):
 
 def chern_classes(roots: Sequence[MPoly]) -> Tuple[MPoly, ...]:
     """The total Chern class of a bundle that splits with the given roots:
-    c_i is the i-th elementary symmetric function of the roots."""
-    return tuple(elementary_symmetric(i, roots) for i in range(len(roots) + 1))
+    the running product of the factors 1 + r, so c_i is the i-th
+    elementary symmetric function of the roots."""
+    c = [MPoly.one()]
+    for r in roots:
+        c = [c[0]] + [c[k] + c[k - 1] * r for k in range(1, len(c))] + [c[-1] * r]
+    return tuple(c)
 
 
 def chern_tensor_line(c: Sequence[MPoly], line: MPoly) -> MPoly:

@@ -1,13 +1,12 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, linear solving,
 and small LP feasibility, all over int and fractions.Fraction."""
 
-from .scalars import GaussRat, Rational, common_denominator, exact, quotient
+from .scalars import GaussRat, Rational, exact, integral_multiple, quotient
 from .mpoly import (
     MPoly,
     NotDivisible,
     UnboundVariable,
     VARIABLES,
-    elementary_symmetric,
     exact_divide,
 )
 from .parse import PolySyntaxError, UnknownVariable, parse_poly
@@ -23,9 +22,8 @@ from .linsolve import (
 from .lp import LpInfeasible, LpPoint, lp_feasible
 
 __all__ = [
-    "GaussRat", "Rational", "common_denominator", "exact", "quotient",
-    "MPoly", "NotDivisible", "UnboundVariable", "VARIABLES",
-    "elementary_symmetric", "exact_divide",
+    "GaussRat", "Rational", "exact", "integral_multiple", "quotient",
+    "MPoly", "NotDivisible", "UnboundVariable", "VARIABLES", "exact_divide",
     "PolySyntaxError", "UnknownVariable", "parse_poly",
     "LinInconsistency", "LinSolution",
     "determinant", "matrix_inverse", "nullspace", "rank", "solve_linear",

@@ -2,9 +2,9 @@
 
 The kernel is fraction-free (Bareiss, Math. Comp. 22, 1968).
 _integral_rows scales each input row to integers once, by the lcm of its
-denominators; every entry passes through scalars.exact, so a float raises
-TypeError as it does in MPoly.  _pivot takes one step on the pivot p in
-row r, column c: every other row i becomes
+denominators, with scalars.integral_multiple; every entry passes through
+scalars.exact, so a float raises TypeError as it does in MPoly.  _pivot
+takes one step on the pivot p in row r, column c: every other row i becomes
 
     (p * row_i - row_i[c] * row_r) / prev,
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import List, Optional, Tuple
 
-from .scalars import Rational, common_denominator, exact, quotient
+from .scalars import Rational, integral_multiple, quotient
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,11 @@ class LinInconsistency:
 
 
 def _integral_rows(rows) -> Tuple[List[List[int]], List[int]]:
-    """Each row times the lcm of its entries' denominators, as ints, and
-    those lcms.  TypeError on a float entry."""
+    """Each row as its integral multiple (scalars.integral_multiple), and
+    the scales.  TypeError on a float entry."""
     out, scales = [], []
     for row in rows:
-        row = [x if type(x) is int else exact(x) for x in row]
-        scale = common_denominator(row)
-        if scale != 1:
-            row = [x * scale if type(x) is int
-                   else x.numerator * (scale // x.denominator) for x in row]
+        row, scale = integral_multiple(row)
         out.append(row)
         scales.append(scale)
     return out, scales

@@ -5,8 +5,10 @@ A coefficient is stored as an int when it is integral and as a Fraction
 (denominator > 1) otherwise, so integral arithmetic never pays for Fraction;
 the constructors take int or Fraction coefficients and raise TypeError on a
 float, which is never exact.  Dividing two coefficients read out of a
-polynomial needs scalars.quotient, since int / int is a float.  The variable
-universe is closed and fixed:
+polynomial needs scalars.quotient, since int / int is a float, and
+integral_multiple clears the denominators of the coefficients: it gives
+(L f, L), with L their lcm, so that a computation can run on ints and
+divide by L once.  The variable universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
 
@@ -53,7 +55,8 @@ import struct
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
-from .scalars import exact as _exact, quotient as _quotient
+from .scalars import (exact as _exact, integral_multiple as _integral_multiple,
+                      quotient as _quotient)
 
 VARIABLES: Tuple[str, ...] = (
     "x1", "x2", "y1", "y2", "t1", "t2", "v", "alpha", "h", "f",
@@ -302,6 +305,15 @@ class MPoly:
             return self._t[ONE_KEY]
         raise ValueError(f"not a constant polynomial: {self}")
 
+    def integral_multiple(self) -> Tuple["MPoly", int]:
+        """(L * self, L), with L the lcm of the denominators of the
+        coefficients (scalars.integral_multiple); self itself when L = 1."""
+        t = self._t
+        if all(type(c) is int for c in t.values()):
+            return self, 1
+        coefs, scale = _integral_multiple(t.values())
+        return MPoly(dict(zip(t, coefs))), scale
+
     # ---- arithmetic ----
 
     def __add__(self, other):
@@ -465,18 +477,3 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
         addmul(rem, g, -q_coef, q_exp)
         del rem[r_exp]  # cancelled: r_coef - q_coef g_coef is 0
     return MPoly(out)
-
-
-def elementary_symmetric(i: int, values: Iterable[MPoly]) -> MPoly:
-    """e_i of a finite list of polynomials, computed by direct expansion."""
-    vals = list(values)
-    if i == 0:
-        return MPoly.one()
-    if i > len(vals):
-        return MPoly.zero()
-    # running coefficients of prod (1 + z*val) up to degree i
-    coeffs = [MPoly.one()] + [MPoly.zero()] * i
-    for val in vals:
-        for k in range(min(i, len(vals)), 0, -1):
-            coeffs[k] = coeffs[k] + coeffs[k - 1] * val
-    return coeffs[i]

@@ -5,7 +5,11 @@ A rational is stored as an int when it is integral and as a
 MPoly coefficients follow too; `exact` puts a value in that form.  Integral
 arithmetic then never pays for Fraction.  Python's `/` on two ints returns a
 float, so every division of rationals goes through `quotient`, which is
-exact and gives an int when the quotient is integral.  `GaussRat` adjoins a
+exact and gives an int when the quotient is integral.  `integral_multiple`
+is the one place that clears denominators: it scales rationals by L, the
+lcm of their denominators, and keeps L, so that exact work can run on ints
+and divide by L once (MPoly.integral_multiple does the same for a
+polynomial's coefficients).  `GaussRat` adjoins a
 square root of -1; it is only needed for the change of basis between the
 orthonormal and isotropic octonion bases.  Both of its parts follow the
 int-or-Fraction rule, and its division is exact.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Union
+from typing import List, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -41,15 +45,20 @@ def quotient(a: Rational, b: Rational) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
-def common_denominator(values) -> int:
-    """The lcm of the denominators of exact rationals: the least L with
-    every L * value an int.  A plain loop, so an all-int input allocates
-    nothing beyond its iterator."""
+def integral_multiple(values) -> Tuple[List[int], int]:
+    """(L * values, L) for exact rationals: L is the least positive int with
+    every L * value an int (the lcm of the denominators), and the multiples
+    come back as a list of ints.  Every value passes through exact, so a
+    float raises TypeError."""
+    values = [x if type(x) is int else exact(x) for x in values]
     scale = 1
     for x in values:
         if type(x) is not int:
             scale = lcm(scale, x.denominator)
-    return scale
+    if scale != 1:
+        values = [x * scale if type(x) is int
+                  else x.numerator * (scale // x.denominator) for x in values]
+    return values, scale
 
 
 class GaussRat:

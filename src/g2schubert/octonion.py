@@ -54,9 +54,9 @@ from .exactalg import (
     MPoly,
     NotDivisible,
     Rational,
-    common_denominator,
     exact,
     exact_divide,
+    integral_multiple,
     matrix_inverse,
     nullspace,
     determinant,
@@ -266,8 +266,8 @@ class BilForm:
             raise SingularForm("bilinear form is degenerate")
         rows = []
         for row in inv:
-            d = common_denominator(row)
-            rows.append((d, tuple((j, exact(x * d)) for j, x in enumerate(row) if x)))
+            ints, d = integral_multiple(row)
+            rows.append((d, tuple((j, n) for j, n in enumerate(ints) if n)))
         return tuple(rows)
 
     def dagger(self, phi: Sequence) -> VecV:

@@ -16,9 +16,9 @@ the linear denominator, so everything stays in the polynomial ring.  The
 table is built along the divided-difference chain: writing w0 w^-1 = c.W
 with c a letter, P_w = d_c of the entry whose operator word is W, so the
 12 entries take 11 operator steps.  Every operator runs on L times its
-input, with L the lcm of the input's denominators, and divides by L once
-(div_diff_generic); a family's chain shares that helper, running on L times
-the top class and dividing each entry by L once at the end, so no step of
+input, with L the lcm of the input's denominators (MPoly.integral_multiple),
+and divides by L once (div_diff_generic); a family's chain runs on L times
+the top class and divides each entry by L once at the end, so no step of
 the chain meets a Fraction.
 Only P_id depends on the reduced word chosen for w0, so the table for the
 second longest word is the first one with P_id recomputed: one step.
@@ -37,12 +37,10 @@ from .exactalg import (
     LpInfeasible,
     MPoly,
     Rational,
-    common_denominator,
     exact_divide,
     lp_feasible,
     solve_linear,
 )
-from .exactalg.mpoly import key_terms
 from .weyl import NonReducedWord, WeylElt
 
 X1 = MPoly.var("x1")
@@ -83,22 +81,16 @@ def div_diff_generic(f: MPoly, root: MPoly, action: Mapping[str, MPoly]) -> MPol
     substitution.  With weyl.simple_root and weyl.action in (x1, x2) it is
     the explicit operator of that letter, which the divdiff suite checks.
 
-    It runs on L f, with L the lcm of the denominators of f's coefficients,
+    It runs on L f, the integral multiple of f (MPoly.integral_multiple),
     and multiplies the quotient by 1/L once.  Each root here has leading
     coefficient +-1, so the substitution and the division stay in int
     arithmetic."""
-    g, scale = _integral_multiple(f)
+    g, scale = f.integral_multiple()
     numerator = g - g.subs(action)
     if numerator.is_zero():
         return MPoly.zero()
     q = exact_divide(numerator, root)
     return q if scale == 1 else q * Fraction(1, scale)
-
-
-def _integral_multiple(f: MPoly) -> Tuple[MPoly, int]:
-    """(L f, L), with L the lcm of the denominators of f's coefficients."""
-    scale = common_denominator(key_terms(f).values())
-    return (f, 1) if scale == 1 else (scale * f, scale)
 
 
 def div_diff_word(word: str, f: MPoly, twisted: bool = False) -> MPoly:
@@ -126,12 +118,7 @@ def top_class(kind: str) -> MPoly:
         f3 = X2 - X1 - Y2
         poly = Fraction(1, 2) * f1 * f2 * f3
     elif kind == "graham":
-        g1 = 2 * X1 - X2 - Y1 + 2 * Y2
-        g2 = 2 * X1 - X2 - Y1 - Y2
-        g3 = X1 - 2 * X2 + Y1 + Y2
-        g4 = (2 * X1 ** 3 - 3 * X1 ** 2 * X2 - 3 * X1 * X2 ** 2 + 2 * X2 ** 3
-              - 2 * Y1 ** 3 + 3 * Y1 ** 2 * Y2 + 3 * Y1 * Y2 ** 2 - 2 * Y2 ** 3)
-        poly = Fraction(1, 54) * g1 * g2 * g3 * g4
+        poly = _graham_class(MPoly.zero())
     elif kind == "point":
         poly = Fraction(1, 2) * X1 ** 5 * X2
     elif kind == "twisted":
@@ -222,7 +209,7 @@ def generate_family(kind: str, w0_word: Optional[str] = None) -> SchubertFamily:
         table[weyl.identity()] = div_diff(_operator(kind, w0_word[0]), base[rest])
         return SchubertFamily(kind, table)
     words = {u: (w0_word if u is w0 else u.word) for u in weyl.all_elements()}
-    top, scale = _integral_multiple(top_class(kind))
+    top, scale = top_class(kind).integral_multiple()
     by_word: Dict[str, MPoly] = {"": top}
     for word in words.values():
         # elements come by length, so the suffix word[1:] is already done
@@ -299,17 +286,23 @@ def graham_integrality_identity() -> Tuple[MPoly, Dict[str, MPoly]]:
                         "t": (T1 + T2) * (2 * T1 - T2)}
 
 
-def remark_triple_cover_class() -> MPoly:
-    """The degree-6 class for trivial gamma values but 3-torsion determinant
-    twist: the product form with a lone v^3 added to the quartic factor.
-    Over the rationals only its v = 0 specialization is meaningful."""
+def _graham_class(twist: MPoly) -> MPoly:
+    """Graham's degree-6 class (1/54) g1 g2 g3 g4, with twist added to the
+    cubic factor g4."""
     g1 = 2 * X1 - X2 - Y1 + 2 * Y2
     g2 = 2 * X1 - X2 - Y1 - Y2
     g3 = X1 - 2 * X2 + Y1 + Y2
     g4 = (2 * X1 ** 3 - 3 * X1 ** 2 * X2 - 3 * X1 * X2 ** 2 + 2 * X2 ** 3
           - 2 * Y1 ** 3 + 3 * Y1 ** 2 * Y2 + 3 * Y1 * Y2 ** 2 - 2 * Y2 ** 3
-          + VV ** 3)
+          + twist)
     return Fraction(1, 54) * g1 * g2 * g3 * g4
+
+
+def remark_triple_cover_class() -> MPoly:
+    """The degree-6 class for trivial gamma values but 3-torsion determinant
+    twist: the product form with a lone v^3 added to the cubic factor.
+    Over the rationals only its v = 0 specialization is meaningful."""
+    return _graham_class(VV ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ _DRAWS = {
     "divdiff polynomials": (
         lambda rng: checks._random_x_polys(rng, 50),
         lambda rng: [checks.random_mpoly(rng, ("x1", "x2"), 6, 6) for _ in range(50)]),
-    "twist sample": (lambda rng: [checks.integral_multiple(_twist_sample(rng))],
+    "twist sample": (lambda rng: [_twist_sample(rng).integral_multiple()[0]],
                      lambda rng: [_twist_sample(rng)]),
 }
 

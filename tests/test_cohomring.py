@@ -73,7 +73,7 @@ class TestVerifyPresentations:
         assert c.verify_presentation(p) == []
         # a key holds the exponents of the main variables and nothing else
         assert all(len(key) == len(p.main_vars) for key in p._memo)
-        assert len(p._memo) <= 112
+        assert len(p._memo) == 45
         # the direct sides of the associativity certificate come from the
         # rule-step oracle, so no key that only triple products reach is
         # rewritten by the engine
@@ -89,8 +89,7 @@ class TestVerifyPresentations:
     def test_specialization_mismatch_is_a_named_failure(self):
         # c1(F) = y1 + 1 leaves h^3 -> 2f + h^2 at base variables 0
         bundle = c.quadric_bundle(3)
-        p = bundle.specialize("QuadricBundle3", ("y1",) + bundle.base_vars[1:],
-                              {"c1F": Y1 + 1})
+        p = bundle.specialize("QuadricBundle3", {"c1F": Y1 + 1})
         assert c.verify_presentation(p) == ["specialized rule for h differs"]
 
     def test_verified_presentation_is_freed_at_once(self):
@@ -176,20 +175,18 @@ class TestVerifyPresentations:
 
     def test_symmetric_function_relations_hold_equivariantly(self):
         # e_i(x1^2, x2^2, (x1-x2)^2) = e_i(t1^2, t2^2, (t1-t2)^2) for all i
-        from g2schubert.exactalg import elementary_symmetric as e_sym
-        xs = [X1 ** 2, X2 ** 2, (X1 - X2) ** 2]
-        ts = [c.T1 ** 2, c.T2 ** 2, (c.T1 - c.T2) ** 2]
+        xs = c.chern_classes([X1 ** 2, X2 ** 2, (X1 - X2) ** 2])
+        ts = c.chern_classes([c.T1 ** 2, c.T2 ** 2, (c.T1 - c.T2) ** 2])
         for p in (c.fl_equivariant(), c.get_presentation("FlHalfBundleT")):
             for i in (1, 2, 3):
-                rel = e_sym(i, xs) - e_sym(i, ts)
+                rel = xs[i] - ts[i]
                 assert p.reduce_poly(rel).is_zero(), (p.name, i)
 
     def test_degree4_relation_is_redundant(self):
         # e_2 of the squares is the square of the quadratic invariant, so the
         # middle relation lies in the ideal of the other two
-        from g2schubert.exactalg import elementary_symmetric as e_sym
         quad = X1 ** 2 + X2 ** 2 - X1 * X2
-        assert e_sym(2, [X1 ** 2, X2 ** 2, (X1 - X2) ** 2]) == quad ** 2
+        assert c.chern_classes([X1 ** 2, X2 ** 2, (X1 - X2) ** 2])[2] == quad ** 2
 
     def test_half_equivariant_ring(self):
         pres = c.get_presentation("FlHalfBundleT")

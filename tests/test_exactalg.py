@@ -15,6 +15,7 @@ from g2schubert.exactalg import (
     UnboundVariable,
     UnknownVariable,
     exact_divide,
+    integral_multiple,
     lp_feasible,
     parse_poly,
     solve_linear,
@@ -449,6 +450,42 @@ class TestGaussRat:
         assert (GaussRat(2) / GaussRat(0, 1)) == GaussRat(0, -2)
 
 
+class TestIntegralMultiple:
+    def test_values_scale_by_the_least_common_denominator(self):
+        values = [Fraction(1, 6), 2, Fraction(-3, 4), Fraction(8, 4)]
+        ints, scale = integral_multiple(values)
+        assert scale == 12 and ints == [2, 24, -9, 24]
+        assert all(type(n) is int for n in ints)
+        # least: no proper divisor of the scale clears every denominator
+        assert all(any(Fraction(x) * d % 1 for x in values)
+                   for d in range(1, scale) if scale % d == 0)
+
+    def test_integral_values_keep_scale_one(self):
+        assert integral_multiple([3, Fraction(4, 2), 0]) == ([3, 2, 0], 1)
+        assert integral_multiple([]) == ([], 1)
+
+    @pytest.mark.parametrize("draw", [[1, 0.5], [Fraction(1, 3), 2.0]])
+    def test_a_float_raises(self, draw):
+        with pytest.raises(TypeError):
+            integral_multiple(draw)
+
+    def test_an_integral_polynomial_is_its_own_multiple(self):
+        f = 3 * X1 ** 2 - X2 + 7
+        g, scale = f.integral_multiple()
+        assert g is f and scale == 1
+        assert MPoly.zero().integral_multiple() == (MPoly.zero(), 1)
+
+    def test_polynomial_scale_is_the_least_common_denominator(self):
+        rng = random.Random(RNG_SEED)
+        for _ in range(20):
+            f = rand_poly(rng)
+            g, scale = f.integral_multiple()
+            assert g == scale * f
+            assert all(type(c) is int for _, c in g.items())
+            assert all(any(c % d for _, c in g.items())
+                       for d in range(2, scale + 1) if scale % d == 0)
+
+
 @pytest.mark.parametrize("scalar, value", [
     (MPoly.const(2), 2),
     (MPoly.zero(), 0),
@@ -497,6 +534,11 @@ class TestLayoutBoundary:
 
     def test_only_mpoly_knows_the_exponent_layout(self):
         assert not self.references(self.LAYOUT, {"exactalg/mpoly.py"})
+
+    def test_only_scalars_clears_denominators(self):
+        # every lcm of denominators goes through integral_multiple
+        assert not self.references({"lcm", "common_denominator"},
+                                   {"exactalg/scalars.py"})
 
     def test_roots_are_stated_only_by_weyl_and_the_operator_table(self):
         # the torus weights are the source of weyl's root datum, and
