@@ -30,19 +30,20 @@ It rejects rules whose right-hand side is then not below the left-hand
 side, so rewriting terminates, and the basis is the standard monomials.  The
 multiplication table induced on the basis is closed and associative;
 verify_presentation certifies that, which is what makes a normal form here a
-genuine canonical form.  The table entry of a pair depends only on its
-product monomial and reduction is linear over the base ring, so
-associativity says that each distinct product times each basis element
-reduces to the normal form of the triple's main monomial.  That form is
-read from _rule_normal_forms: an independent oracle that takes single rule
-steps in the opposite rule order and shares no code with the rewrite
-engine.  The certificate checks (a) each table entry against the first pair
-with the same product, (b) the engine memo and the table entry against the
-oracle at every pair's main key, and (c) at every triple's main key K, the
-oracle's form one generator x_g lower, times x_g and reduced, against the
-oracle's form at K.  Induction on the basis element, one generator at a
-time, gives every (product, basis element) from these; each reduction is by
-one generator, and the engine memo keeps only the keys of the table.
+genuine canonical form.  Multiplication by a main variable x_g is a
+matrix on the basis: its column at a standard key b is x^(b + e_g) when that
+is standard, and otherwise the normal form of the border key b + e_g, read
+from _rule_normal_forms, an independent oracle that takes single rule steps
+in the opposite rule order and shares no code with the rewrite engine.  The
+certificate checks that these matrices commute, that they satisfy the
+rules, and that each table entry is the one a generator lower times that
+generator's matrix; the table is then the regular representation of a
+commutative ring, hence associative (the commutation criterion for border
+bases: Mourrain 1999; Kehrein, Kreuzer and Robbiano 2005).  It also checks
+each table entry against the first pair with the same product, and the
+engine memo and the border columns against the engine.  Each check is one
+matrix times one vector, and the engine memo keeps only the keys of the
+table, the relations and the border.
 
 Rewriting is linear over the base ring: every left-hand side is a power of a
 main variable and the order reads only main exponents, so nf(b m) = b nf(m)
@@ -72,8 +73,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import product
-from operator import add, mul, sub
+from itertools import combinations, product
+from operator import add, mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import weyl
@@ -516,18 +517,17 @@ def verify_presentation(p: Presentation) -> List[str]:
 
     Returns the failures, one line per failed property, named by the
     property; the presentation is verified when the list is empty.
-    Associativity is certified exhaustively by _check_associativity,
-    against the rule-step oracle _rule_normal_forms: (a) table entries with
-    the same product monomial agree, (b) the engine memo and the table
-    agree with the oracle at every pair's main key, and (c) the oracle's
-    form at every triple's main key is its form one generator lower, times
-    that generator and reduced.  Induction on the basis element turns these
-    into both association orders of every basis triple.  A failure names
-    the table pair, or the lowest failing basis triple with both reduced
-    sides, or the failed check when no triple fails.  Nothing it computes
-    outlives the call except the presentation's own rewrite memo, which
-    holds the keys of the table and of the relations, never a key that
-    only a triple product reaches.
+    Associativity is certified by _check_associativity from one matrix per
+    main variable: the matrices commute, satisfy the rules and rebuild the
+    table one generator step at a time, so the table is the regular
+    representation of a commutative ring.  An ArithmeticError in the
+    certificate, such as RewriteBudgetExceeded, is one "associativity:"
+    line, as one in building the table is one "closure:" line.  A failure
+    names the table pair, or the lowest failing basis triple with both
+    reduced sides, or the failed check when no triple fails.  Nothing it
+    computes outlives the call except the presentation's own rewrite memo,
+    which holds the keys of the table, the relations and the border
+    columns, never a key that only a triple product reaches.
     """
     failures: List[str] = []
     if len(p.basis) != p.expected_rank:
@@ -553,7 +553,10 @@ def verify_presentation(p: Presentation) -> List[str]:
             failures.append(f"normal form not idempotent on {s}")
 
     if table is not None:
-        _check_associativity(p, table, failures)
+        try:
+            _check_associativity(p, table, failures)
+        except ArithmeticError as exc:
+            failures.append(f"associativity: {exc}")
     _check_specialization(p, failures)
     return failures
 
@@ -561,36 +564,45 @@ def verify_presentation(p: Presentation) -> List[str]:
 def _check_associativity(p: Presentation, table, failures):
     """Certify that the induced multiplication table is associative.
 
-    Reduction is linear over the base ring, so nf(table[x, y] e_z) is the
-    table product (e_x e_y) e_z, and both association orders of a triple
-    are certified by showing it equal to O(e_x e_y e_z), the normal form
-    read from _rule_normal_forms, which does not use the rewrite engine
-    under test and leaves its memo alone.  The entry for (x, y) depends only
-    on the product monomial, so it is enough to show, for each distinct
-    product P with class representative (x, y), c = table[x, y] and every
-    basis key z,
+    Let F be the free module over the base ring R on the standard keys b,
+    and M_g the matrix of multiplication by the main variable x_g on F
+    (_generator_matrices): its column at b is e_{b+e_g} when b + e_g is
+    standard, and otherwise the normal form of the border key b + e_g, read
+    from _rule_normal_forms, an oracle that does not use the rewrite engine
+    under test and leaves its memo alone.  T(P) is the table entry of the
+    first pair whose product has main key P.  The checks:
 
-      S(P, z):  sum_k c_k M[k + z] == O(P + z),
+      (a) each table entry (x, y) equals T(b_x + b_y);
+      (b) at every pair key P, the engine memo equals T(P);
+      (c) each rule x_g^p -> rhs_g holds at the matrices:
+          M_g^p e_1 = rhs_g(M) e_1;
+      (d) M_g M_h = M_h M_g for every pair of main variables;
+      (e) for every pair key P with first pair (x, y): T(P) = e_P when
+          b_y = 0, else T(P) = M_g T(P - e_g), with g the last main
+          variable of b_y, so that P - e_g is a pair key too;
+      (f) each border column equals the engine's normal form at its key.
 
-    where M is the engine memo; the association orders (e_a e_b) e_c,
-    (e_a e_c) e_b and (e_b e_c) e_a of every triple are among those.  Three
-    checks give every S(P, z):
+    Why (a) and (c)-(e) prove associativity.  By (d), x_g -> M_g makes F a
+    module over R[x], and phi: f -> f(M) e_1 maps R[x] onto F, because
+    M^b e_1 = e_b for every standard b (each step stays on standard keys).
+    By (c) and (d), phi kills the ideal I of the rules, since
+    phi(q (x_g^p - rhs_g)) = q(M) (M_g^p - rhs_g(M)) e_1 = 0, so phi
+    factors through R[x]/I.  The rules rewrite every monomial onto the
+    standard ones, so psi: F -> R[x]/I, e_b -> x^b, is onto as well.  Then
+    phi psi, e_b -> M^b e_1, is a surjective endomorphism of the finitely
+    generated module F, hence an isomorphism (Matsumura, Commutative Ring
+    Theory, Thm 2.4; here it is the identity).  So psi is injective,
+    R[x]/I is F, and x_g acts on it as M_g.  By (e) and induction on P,
+    T(P) = M^P e_1, the class of x^P, and by (a) the entry (x, y) is the
+    class of x^{b_x} x^{b_y}.  The table is the regular representation of
+    the commutative ring R[x]/I, so it is associative.  (b) ties the memo,
+    which later normal forms read, to the table, and (f) cross-checks the
+    oracle against the engine.
 
-      (a) each table entry equals its class representative;
-      (b) for every pair key P, M[P] == O(P) and N(c) == O(P), where N is
-          _reduce_groups;
-      (c) for every triple key K = P + z with z != 0, and g the last main
-          variable with z_g > 0, N(O(K - e_g) x_g) == O(K).
-
-    (b) is S(P, 0).  For z != 0 with z' = z - e_g, a basis key, each k + z
-    and k + z' is a pair key and N is linear, so by (b), (c) and S(P, z'):
-    sum c_k M[k + z] = sum c_k N(O(k + z') x_g) = N(O(P + z') x_g) =
-    O(P + z).  Each step of (c) reduces one form times one generator, whose
-    main keys are pair keys in the memo; the oracle yields the keys lowest
-    first, and each O(K - e_g) is held, split by main key, until its last
-    step is done.  When a check fails, _lowest_failing_triple compares
-    every triple directly and names the lowest failing one with both sides;
-    if it finds none, the failing check itself is the failure.
+    Each check is one product of a matrix with a vector, and nothing but
+    the matrices is held.  When a check fails, _lowest_failing_triple
+    compares every triple directly and names the lowest failing one with
+    both sides; if it finds none, the failing check itself is the failure.
     """
     first: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     for pair in sorted(table):
@@ -600,44 +612,86 @@ def _check_associativity(p: Presentation, table, failures):
             failures.append(f"associativity: table entry {pair} is "
                             f"{table[pair].as_poly()} but {rep}, with the same "
                             f"product, is {table[rep].as_poly()}")
-    for key, what, side, direct in _certificate_steps(p, table, first):
-        if side != direct:
+    for key, what, side, ref, expected in _certificate_checks(p, table, first):
+        if side != expected:
             failures.append(_lowest_failing_triple(p, table, first)
                             or f"associativity: at {p._monomial(key)}, {what} "
-                               f"is {side}, rule steps give {direct}")
+                               f"is {side} but {ref} is {expected}")
             break
 
 
-def _certificate_steps(p: Presentation, table, first):
-    """Yield (main key K, what, its side, O(K)) for checks (b) and (c) of
-    _check_associativity, lowest K first."""
-    units = [tuple(int(i == g) for i in range(len(p.main_vars)))
-             for g in range(len(p.main_vars))]
-    steps: Dict[Tuple[int, ...], set] = {}  # K -> the generators g of (c)
-    for key_xy in first:
-        for key_z in p.basis:
-            if any(key_z):
-                g = max(i for i, e in enumerate(key_z) if e)
-                steps.setdefault(tuple(map(add, key_xy, key_z)), set()).add(g)
-    uses = Counter(tuple(map(sub, key, units[g]))
-                   for key, gs in steps.items() for g in gs)
-    held = {}  # K - e_g -> O(K - e_g) split by main key, until its last step
-    for key, direct in _rule_normal_forms(p, first.keys() | steps.keys()):
-        rep = first.get(key)
-        if rep is not None:
-            yield key, "the engine's normal form", p.reduce_monomial(key), direct
-            yield (key, f"table entry {rep}", p._reduce_groups(table[rep].coeffs),
-                   direct)
-        for g in sorted(steps.get(key, ())):
-            lower = tuple(map(sub, key, units[g]))
-            side = p._reduce_groups(held[lower], units[g])
-            uses[lower] -= 1
-            if not uses[lower]:
-                del held[lower]
-            var = p.main_vars[g]
-            yield key, f"{var} times the form one {var} lower", side, direct
-        if uses[key]:
-            held[key] = direct.split(p.main_vars)
+def _certificate_checks(p: Presentation, table, first):
+    """Yield (main key, what, its side, reference, the reference's side)
+    for checks (b) to (f) of _check_associativity, in that order."""
+    names = p.main_vars
+    entries = {key: table[rep].as_poly() for key, rep in first.items()}
+    for key, rep in first.items():
+        yield (key, "the engine's normal form", p.reduce_monomial(key),
+               f"table entry {rep}", entries[key])
+
+    matrices = _generator_matrices(p)
+
+    def power(key):  # M^key e_1
+        v = MPoly.one()
+        for g, e in enumerate(key):
+            for _ in range(e):
+                v = _apply(matrices[g], v.split(names))
+        return v
+
+    for rule in p.rules:
+        (key,) = MPoly.monomial({rule.var: rule.power}).split(names)
+        rhs = rule.rhs.split(names)
+        yield (key, "the matrix power", power(key), "the right-hand side at the "
+               "matrices", _apply({k: power(k) for k in rhs}, rhs))
+    for g, h in combinations(range(len(names)), 2):
+        for b in p.basis:
+            yield (b, f"{names[g]} times {names[h]} times it",
+                   _apply(matrices[g], matrices[h][b].split(names)),
+                   f"{names[h]} times {names[g]} times it",
+                   _apply(matrices[h], matrices[g][b].split(names)))
+    for key, (x, y) in first.items():
+        if any(p.basis[y]):
+            g = max(i for i, e in enumerate(p.basis[y]) if e)
+            rep = first[_shifted(key, g, -1)]
+            what = f"{names[g]} times table entry {rep}"
+            side = _apply(matrices[g], table[rep].coeffs)
+        else:
+            what, side = "the basis element", p._monomial(key)
+        yield key, what, side, f"table entry {(x, y)}", entries[key]
+    standard = set(p.basis)
+    for g, matrix in enumerate(matrices):
+        for b, column in matrix.items():
+            key = _shifted(b, g)
+            if key not in standard:
+                yield (key, "the engine's normal form", p.reduce_monomial(key),
+                       "the rule-step form", column)
+
+
+def _shifted(key: Tuple[int, ...], g: int, step: int = 1) -> Tuple[int, ...]:
+    """key with step added to the exponent of main variable g."""
+    return key[:g] + (key[g] + step,) + key[g + 1:]
+
+
+def _generator_matrices(p: Presentation) -> List[Dict[Tuple[int, ...], MPoly]]:
+    """The matrix of multiplication by each main variable x_g, as
+    {basis key b: column}: x^(b + e_g) when b + e_g is standard, and
+    otherwise the normal form of that border key from _rule_normal_forms."""
+    standard = set(p.basis)
+    steps = [{b: _shifted(b, g) for b in p.basis} for g in range(len(p.main_vars))]
+    border = dict(_rule_normal_forms(
+        p, {key for step in steps for key in step.values()} - standard))
+    return [{b: border[key] if key in border else p._monomial(key)
+             for b, key in step.items()} for step in steps]
+
+
+def _apply(matrix, groups) -> MPoly:
+    """M v, for the columns {main key: MPoly} of a matrix M and the base
+    coefficients {main key: terms} of a vector v."""
+    acc = {}
+    for key, group in groups.items():
+        for base, c in key_terms(group).items():
+            addmul(acc, matrix[key], c, base)
+    return MPoly(acc)
 
 
 def _lowest_failing_triple(p: Presentation, table, first) -> Optional[str]:

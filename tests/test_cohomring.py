@@ -9,14 +9,25 @@ from fractions import Fraction
 
 import pytest
 
+from g2schubert import checks
 from g2schubert import cohomring as c
 from g2schubert import schubert as s
 from g2schubert import weyl
-from g2schubert.exactalg import MPoly, VARIABLES, determinant, parse_poly
+from g2schubert.exactalg import MPoly, VARIABLES, determinant, mpoly, parse_poly
+from g2schubert.exactalg.mpoly import addmul
 
 X1, X2, ALPHA, H, F = c.X1, c.X2, c.ALPHA, c.H, c.F
 Y1, Y2 = c.Y1, c.Y2
 SEED = 1729
+# the presentations that `g2sc verify` certifies, with the term products of
+# their associativity certificates (terms passed to addmul in mpoly and
+# cohomring), exact and repeatable
+CERTIFICATE_TERMS = {
+    "FlIntegralPoint": 156, "FlHalfPoint": 114, "FlIntegralBundle": 3838,
+    "FlHalfBundle": 1782, "Equivariant": 2407, "QuadricBundle3": 509,
+    "QuadricBundle3Y": 434, "QuadricBundle3Fiber": 35,
+}
+VERIFIED = sorted(CERTIFICATE_TERMS)
 
 
 class TestNormalForm:
@@ -271,7 +282,7 @@ def _products(p, count):
 
 
 class TestAssociativityCertificate:
-    """Mutations of a verified FlIntegralPoint that the certificate must see."""
+    """Mutations of verified presentations that the certificate must see."""
 
     @staticmethod
     def _classes(p):
@@ -316,41 +327,98 @@ class TestAssociativityCertificate:
             (failure,) = failures
             assert failure.startswith(f"associativity fails at basis {cls[0] + (0,)}:")
 
-    def test_every_triple_only_direct_value_is_read(self, monkeypatch):
-        # the direct side of a triple is read from the rule-step oracle; a
-        # value that only triple products reach, made wrong, must break the
-        # lowest triple with that main key, with a witness
+    def test_every_table_step_is_read(self, monkeypatch):
+        # a whole class and the memo at its key corrupted alike keep the
+        # table consistent and the memo equal to it, so only the step from
+        # the entry one generator lower can see it
         p = c.fl_integral_point()
-        triple_only = _products(p, 3) - _products(p, 2)
-        assert len(triple_only) == 67
-        lowest = {}
-        for t in itertools.product(range(len(p.basis)), repeat=3):
-            lowest.setdefault(tuple(map(sum, zip(*(p.basis[i] for i in t)))), t)
-        oracle = c._rule_normal_forms
+        good = dict(p.mult_table())
+        memo = dict(p._memo)
+        monkeypatch.setattr(c, "_lowest_failing_triple", lambda *args: None)
+        for n, cls in enumerate(self._classes(p)):
+            table = dict(good)
+            for pair in cls:
+                table[pair] = self._corrupt(p, good[pair], n)
+            x, y = cls[0]
+            key = tuple(a + b for a, b in zip(p.basis[x], p.basis[y]))
 
-        def corrupt(wrong):
+            def mult_table():
+                p._memo = dict(memo)
+                p._memo[key] = table[cls[0]].as_poly()
+                return table
+
+            p.mult_table = mult_table
+            lines = [f for f in c.verify_presentation(p) if f.startswith("associativity")]
+            assert len(lines) == 1, (cls, lines)
+            assert lines[0].startswith(f"associativity: at {p._monomial(key)}, ")
+            assert lines[0].endswith(f" but table entry {cls[0]} is {table[cls[0]].as_poly()}")
+
+    def test_every_engine_column_is_read(self):
+        # in QuadricBundle1 the rule is h^1, so the h column at f is the
+        # border key h f, which no pair reaches: only the cross-check of the
+        # border columns against the engine reads the memo there
+        p = c.quadric_bundle(1)
+        right = c.quadric_bundle(1).reduce_poly(H * F)
+        build = p.mult_table
+
+        def mult_table():
+            table = build()
+            p._memo[(1, 1)] = right + 1
+            return table
+
+        p.mult_table = mult_table
+        assert c.verify_presentation(p) == [
+            f"associativity: at {H * F}, the engine's normal form is {right + 1} "
+            f"but the rule-step form is {right}"]
+
+    @pytest.mark.parametrize("name", ["FlIntegralPoint", "FlIntegralBundle",
+                                      "FlHalfBundle", "Equivariant",
+                                      "QuadricBundle3"])
+    def test_every_border_column_is_read(self, name, monkeypatch):
+        # the oracle's normal form at one border key, made wrong by +1 at
+        # its constant key, is one failure; with the witness search stubbed
+        # out, that failure is a check of the matrices themselves, not the
+        # cross-check of the oracle against the engine
+        p = c.get_presentation(name)
+        table = dict(p.mult_table())
+        p.mult_table = lambda: table
+        border = sorted({key for g in range(len(p.main_vars)) for b in p.basis
+                         for key in [c._shifted(b, g)] if key not in p.basis})
+        assert len(border) == {"FlHalfBundle": 8, "QuadricBundle3": 5}.get(name, 16)
+        oracle = c._rule_normal_forms
+        monkeypatch.setattr(c, "_lowest_failing_triple", lambda *args: None)
+        for wrong in border:
             def corrupted(p, keys):
                 for key, nf in oracle(p, keys):
-                    yield key, nf + 1 if key in wrong else nf
+                    yield key, nf + 1 if key == wrong else nf
             monkeypatch.setattr(c, "_rule_normal_forms", corrupted)
             failures = c.verify_presentation(p)
             assert len(failures) == 1, (wrong, failures)
-            return failures[0]
+            assert failures[0].startswith("associativity: at "), failures
+            assert "the rule-step form" not in failures[0], failures
 
-        for exp in triple_only:
-            failure = corrupt({exp})
-            assert failure.startswith(f"associativity fails at basis {lowest[exp]}: ")
-            table_side, direct = failure.split(": table side ")[1].split(", direct ")
-            ((_, saved),) = oracle(p, [exp])
-            assert direct == str(saved + 1) and table_side == str(saved)
-        # with all of them wrong, the lowest failing triple is named
-        failure = corrupt(triple_only)
-        assert failure.startswith("associativity fails at basis "
-                                  f"{min(lowest[exp] for exp in triple_only)}: ")
+    @pytest.mark.parametrize("name,index", [
+        (name, index) for name in ("FlIntegralPoint", "FlHalfPoint",
+                                   "FlHalfBundle", "Equivariant")
+        for index in range(len(c.get_presentation(name).rules))])
+    def test_every_rule_is_read_at_the_matrices(self, name, index):
+        # a wrong right-hand side as the certificate reads it; the engine
+        # and the oracle keep the true rules, so no triple fails and the
+        # rule check at the matrices is the associativity failure
+        p = c.get_presentation(name)
+        rule = p.rules[index]
+        p.rules = (p.rules[:index] + (c.Rule(rule.var, rule.power, rule.rhs + 1),)
+                   + p.rules[index + 1:])
+        lhs = MPoly.monomial({rule.var: rule.power})
+        assert c.verify_presentation(p) == [
+            f"relation for {rule.var}^{rule.power} broken",
+            f"associativity: at {lhs}, the matrix power is {rule.rhs} but the "
+            f"right-hand side at the matrices is {rule.rhs + 1}"]
 
 
 class TestCertificateSteps:
-    """The generator steps (b) and (c) that certify every (product, e_z)."""
+    """The engine memo against the table, and the witness search that names
+    a failure."""
 
     @pytest.mark.parametrize("key", sorted(_products(c.fl_integral_point(), 2)))
     def test_a_corrupted_memo_entry_is_named(self, key):
@@ -385,11 +453,11 @@ class TestCertificateSteps:
         monkeypatch.setattr(c, "_lowest_failing_triple", lambda *args: None)
         assert c.verify_presentation(p) == [
             "associativity: at x1^2 x2 alpha, the engine's normal form is "
-            "x1^2 x2 alpha + 1, rule steps give x1^2 x2 alpha"]
+            "x1^2 x2 alpha + 1 but table entry (0, 11) is x1^2 x2 alpha"]
 
     @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
     def test_shifted_reduction_is_reduction_of_the_shifted_poly(self, name):
-        # the linearity that carries the induction from z - e_g to z
+        # the shifted reduction that the witness search compares
         p = c.get_presentation(name)
         rng = random.Random(f"{SEED}-shift-{name}")
         for _ in range(4):
@@ -398,22 +466,12 @@ class TestCertificateSteps:
             assert p._reduce_groups(f.split(p.main_vars), shift) == p.reduce_poly(
                 f * MPoly.monomial(dict(zip(p.main_vars, shift))))
 
-    def test_each_step_multiplies_by_one_generator(self, monkeypatch):
-        p = c.fl_integral_bundle()
-        shifts, witness_runs = [], []
-        reduce_groups = p._reduce_groups
-
-        def recording(groups, shift=None):
-            if shift is not None:
-                shifts.append(shift)
-            return reduce_groups(groups, shift)
-
-        p._reduce_groups = recording
+    @pytest.mark.parametrize("name", VERIFIED)
+    def test_a_passing_run_never_searches_for_a_witness(self, name, monkeypatch):
+        witness_runs = []
         monkeypatch.setattr(c, "_lowest_failing_triple",
                             lambda *args: witness_runs.append(args))
-        assert c.verify_presentation(p) == []
-        assert shifts and all(sorted(s) == [0] * (len(s) - 1) + [1] for s in shifts)
-        assert len(shifts) <= len(_products(p, 3)) * len(p.main_vars)
+        assert c.verify_presentation(c.get_presentation(name)) == []
         assert witness_runs == []
 
 
@@ -427,6 +485,80 @@ def test_rule_step_oracle_matches_the_engine(name):
     nfs = dict(c._rule_normal_forms(p, keys))
     assert not p._memo and set(nfs) == keys
     assert all(nfs[key] == p.reduce_monomial(key) for key in keys)
+
+
+QUADRICS = {f"QuadricBundle{n}{fiber}": functools.partial(factory, n)
+            for n in (1, 2) for fiber, factory in (("", c.quadric_bundle),
+                                                   ("Fiber", c.quadric_bundle_fiber))}
+
+
+@pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES) + sorted(QUADRICS))
+def test_generator_matrices_commute_and_rebuild_the_table(name):
+    # the matrices on their own: they commute, each column is the engine's
+    # normal form of the basis monomial times the generator, and stepping
+    # e_x by the exponents of e_y rebuilds every table entry.  In
+    # QuadricBundle1 the rule is h^1, so h is no basis monomial and every h
+    # column is a border column
+    p = QUADRICS[name]() if name in QUADRICS else c.get_presentation(name)
+    matrices = c._generator_matrices(p)
+    units = [MPoly.var(v) for v in p.main_vars]
+    polys = p.basis_polys()
+
+    def times(g, v):
+        return c._apply(matrices[g], v.split(p.main_vars))
+
+    for g, matrix in enumerate(matrices):
+        assert [matrix[b] for b in p.basis] == [
+            p.reduce_poly(units[g] * poly) for poly in polys]
+    for g, h in itertools.combinations(range(len(p.main_vars)), 2):
+        for b in p.basis:
+            assert times(g, matrices[h][b]) == times(h, matrices[g][b])
+    for (x, y), nf in p.mult_table().items():
+        v = polys[x]
+        for g, e in enumerate(p.basis[y]):
+            for _ in range(e):
+                v = times(g, v)
+        assert v == nf.as_poly()
+    if name == "QuadricBundle1":
+        assert set(p.basis).isdisjoint(c._shifted(b, 0) for b in p.basis)
+
+
+def test_an_arithmetic_error_in_the_certificate_is_one_failure(monkeypatch):
+    # an oracle that gives up, as a rewrite past MAX_REWRITE_TERMS does: each
+    # presentation gets one associativity line and the suite goes on
+    def raising(p, keys):
+        raise c.RewriteBudgetExceeded(f"{p.name}: the oracle gives up")
+        yield
+
+    monkeypatch.setattr(c, "_rule_normal_forms", raising)
+    assert c.verify_presentation(c.fl_integral_point()) == [
+        "associativity: FlIntegralPoint: the oracle gives up"]
+    results = checks.run_suite("ring").results
+    failed = [r for r in results if not r.passed]
+    assert [r.detail for r in failed] == [
+        f"associativity: {name}: the oracle gives up" for name in
+        ("FlIntegralPoint", "FlHalfPoint", "FlIntegralBundle", "FlHalfBundle")]
+    assert len(results) > len(failed) and not any("raised" in r.name for r in results)
+
+
+@pytest.mark.parametrize("name", VERIFIED)
+def test_certificate_work_is_bounded(name, monkeypatch):
+    # term products are exact and repeatable where times are not; a change
+    # that lowers a count lowers its bound
+    p = c.get_presentation(name)
+    table = p.mult_table()
+    terms = []
+
+    def counting(acc, summand, coef=None, shift=mpoly.ONE_KEY):
+        terms.append(len(mpoly.key_terms(summand)))
+        addmul(acc, summand, coef, shift)
+
+    monkeypatch.setattr(mpoly, "addmul", counting)
+    monkeypatch.setattr(c, "addmul", counting)
+    failures = []
+    c._check_associativity(p, table, failures)
+    assert failures == []
+    assert 0 < sum(terms) <= CERTIFICATE_TERMS[name]
 
 
 class TestChern:
