@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from g2schubert import checks, octonion, schubert, weyl
+from g2schubert import checks, cohomring, octonion, schubert, weyl
+from g2schubert.exactalg import MPoly
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_all.json"
 
@@ -138,6 +139,85 @@ def test_divdiff_suite_sees_a_wrong_root_sign(monkeypatch):
         "root-dictionary operator matches the explicit ones",
         "examples: ds x1 = 1, ds x2 = -1, ds x1x2 = 0",
     ]
+
+
+EMBEDDING = ("integral bundle ring embeds consistently in the half ring "
+             "(50 random classes)")
+
+
+def _negated_line(monkeypatch):
+    # alpha -> half prod(-x1 - r): still of degree 3, but 2 alpha is no
+    # longer x1^3 - c1F x1^2 + c2F x1 - c3F in the half ring
+    real = cohomring.chern_tensor_line
+    monkeypatch.setattr(cohomring, "chern_tensor_line",
+                        lambda c, line: real(c, -line))
+
+
+def _perturbed_x1_rule(monkeypatch):
+    # x1^3 -> ... + y1^3 in FlIntegralBundleY alone: a ring of its own, whose
+    # cube no longer matches the half ring's
+    real = cohomring.PRESENTATION_FACTORIES["FlIntegralBundleY"]
+
+    def mutant():
+        p = real()
+        rules = [cohomring.Rule(r.var, r.power,
+                                r.rhs + cohomring.Y1 ** 3 if r.var == "x1" else r.rhs)
+                 for r in p.rules]
+        return cohomring.Presentation(p.name, p.main_vars, p.base_vars, rules,
+                                      p.ring, p.expected_rank, p.degrees)
+
+    monkeypatch.setitem(cohomring.PRESENTATION_FACTORIES, "FlIntegralBundleY", mutant)
+
+
+@pytest.mark.parametrize("mutate, witness", [
+    (_negated_line, "x1 * x1^2: x1^3 directly, -x1^3 - 2 x1 y1^2 - 2 x1 y1 y2 "
+                    "+ 2 x1 y2^2 via its normal form"),
+    (_perturbed_x1_rule, "x1 * x1^2: x1^3 directly, x1^3 + y1^3 via its normal form"),
+], ids=["negated line", "perturbed x1 rule"])
+def test_ring_suite_sees_a_wrong_embedding(monkeypatch, mutate, witness):
+    # the classes are x1 times a basis combination, so x1 * x1^2 is rewritten
+    # by the x1 rule before alpha is substituted
+    mutate(monkeypatch)
+    failed = [r for r in checks.run_suite("ring").results if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [(EMBEDDING, witness)]
+
+
+def _embedding_rings():
+    return (cohomring.get_presentation("FlIntegralBundleY"),
+            cohomring.fl_half_bundle())
+
+
+def test_embedding_is_a_ring_map_on_every_generator_step():
+    # direct == via_nf on x_g b for every generator g and basis monomial b
+    # proves the substitution kills the whole ideal; only the border
+    # products, those x_g b that are not basis monomials, can tell
+    source, target = _embedding_rings()
+    border = {}
+    for gen in source.main_vars:
+        sides = checks.embedding_sides(source, target, gen)
+        assert [str(b) for b, direct, via_nf in sides if direct != via_nf] == []
+        products = [(MPoly.var(gen) * b).split(source.main_vars) for b, _, _ in sides]
+        border[gen] = sum(key not in source.basis for (key,) in products)
+    assert border == {"x1": 4, "x2": 6, "alpha": 6}
+
+
+def test_embedding_sides_add_up_to_each_class():
+    # the suite's shortcut against the direct computation of each side, one
+    # substitution and one reduction per class x1 sum c_k b_k
+    source, target = _embedding_rings()
+    phi = checks.half_ring_embedding()
+    sides = checks.embedding_sides(source, target, "x1")
+    rng = random.Random(5)
+    for _ in range(3):
+        coeffs = [rng.randint(-3, 3) for _ in sides]
+        cls = MPoly.var("x1") * sum(
+            (c * b for c, (b, _, _) in zip(coeffs, sides)), MPoly.zero())
+        direct = target.reduce_poly(cls.subs(phi))
+        via_nf = target.reduce_poly(source.normal_form(cls).as_poly().subs(phi))
+        assert direct == sum((c * d for c, (_, d, _) in zip(coeffs, sides)),
+                             MPoly.zero())
+        assert via_nf == sum((c * v for c, (_, _, v) in zip(coeffs, sides)),
+                             MPoly.zero())
 
 
 def _old_oct_draw(rng):
