@@ -42,8 +42,8 @@ commutative ring, hence associative (the commutation criterion for border
 bases: Mourrain 1999; Kehrein, Kreuzer and Robbiano 2005).  It also checks
 each table entry against the first pair with the same product, and the
 engine memo and the border columns against the engine.  Each check is one
-matrix times one vector, and the engine memo keeps only the keys of the
-table, the relations and the border.
+matrix times one vector, a failure is the failing check's own line, and the
+engine memo keeps only the keys of the table, the relations and the border.
 
 Rewriting is linear over the base ring: every left-hand side is a power of a
 main variable and the order reads only main exponents, so nf(b m) = b nf(m)
@@ -54,7 +54,7 @@ MPoly.split, and the exponent layout of MPoly stays inside mpoly.  The memo
 maps a main key to its normal form as an MPoly, a rewrite carries each main
 key's base coefficient {base part: coef} as one group, and reduce_poly calls
 reduce_monomial once per distinct main key and adds its normal form, shifted
-by each base part, with addmul.  One rewrite may produce at most
+by each base part, with addmul (_apply).  One rewrite may produce at most
 MAX_REWRITE_TERMS terms; past that it raises RewriteBudgetExceeded.
 
 A total Chern class 1 + c_1 + ... + c_n is the tuple (1, c_1, ..., c_n) of
@@ -69,13 +69,12 @@ NonIntegralReduction rather than silently rescaled.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, product
 from operator import add, mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import weyl
 from .exactalg import MPoly, VARIABLES, quotient
@@ -121,6 +120,20 @@ def _in_ring(ring: str, q) -> bool:
     if ring == "Z_half":
         denom >>= (denom & -denom).bit_length() - 1
     return denom == 1
+
+
+def _apply(column: Callable[[Tuple[int, ...]], MPoly], groups) -> MPoly:
+    """M v for the matrix M with the columns column(key) and the vector v
+    with the base coefficients groups {main key: terms}: the one sum of
+    columns times base coefficients, which reduce_poly, the certificate's
+    matrix products and the rule-step oracle share.  Each column is
+    fetched once."""
+    acc = {}
+    for key, group in groups.items():
+        col = column(key)
+        for base, c in key_terms(group).items():
+            addmul(acc, col, c, base)
+    return MPoly(acc)
 
 
 @dataclass(frozen=True)
@@ -302,24 +315,12 @@ class Presentation:
     def reduce_poly(self, poly: MPoly) -> MPoly:
         """Rewrite to the (unique) irreducible representative: the normal
         form of each main key times its base coefficient."""
-        return self._reduce_groups(poly.split(self.main_vars))
-
-    def _reduce_groups(self, groups: Mapping[Tuple[int, ...], "MPoly | dict"],
-                      shift: Optional[Tuple[int, ...]] = None) -> MPoly:
-        """The normal form of the polynomial that has the base coefficient
-        groups[key] (terms in the base variables) at each main key, each
-        main key first shifted by the main key shift when one is given."""
-        out = {}
-        for key, group in groups.items():
-            nf = self.reduce_monomial(tuple(map(add, key, shift)) if shift else key)
-            for base, c in key_terms(group).items():
-                addmul(out, nf, c, base)
-        return MPoly(out)
+        return _apply(self.reduce_monomial, poly.split(self.main_vars))
 
     def check_variables(self, poly: MPoly):
-        bad = [v for v in poly.variables() if v not in self._allowed]
+        bad = ", ".join(v for v in poly.variables() if v not in self._allowed)
         if bad:
-            raise ValueError(f"{bad} are not variables of presentation {self.name}")
+            raise ValueError(f"presentation {self.name} has no variable {bad}")
 
     def normal_form(self, poly: MPoly) -> "NormalForm":
         """Reduce and express on the basis; NonIntegralReduction if the result
@@ -523,11 +524,11 @@ def verify_presentation(p: Presentation) -> List[str]:
     representation of a commutative ring.  An ArithmeticError in the
     certificate, such as RewriteBudgetExceeded, is one "associativity:"
     line, as one in building the table is one "closure:" line.  A failure
-    names the table pair, or the lowest failing basis triple with both
-    reduced sides, or the failed check when no triple fails.  Nothing it
-    computes outlives the call except the presentation's own rewrite memo,
-    which holds the keys of the table, the relations and the border
-    columns, never a key that only a triple product reaches.
+    names the pair or the failing check, at its main monomial with both
+    sides.  Nothing it computes outlives the call except the presentation's
+    own rewrite memo, which holds the keys of the table, the relations and
+    the border columns, never a key that only a product of three basis
+    elements reaches, on a pass or a fail.
     """
     failures: List[str] = []
     if len(p.basis) != p.expected_rank:
@@ -600,9 +601,9 @@ def _check_associativity(p: Presentation, table, failures):
     oracle against the engine.
 
     Each check is one product of a matrix with a vector, and nothing but
-    the matrices is held.  When a check fails, _lowest_failing_triple
-    compares every triple directly and names the lowest failing one with
-    both sides; if it finds none, the failing check itself is the failure.
+    the matrices is held.  The first check that fails is the failure: its
+    line names the main monomial, both sides, and which object is wrong,
+    the memo, a rule, the commutation, a table step or a border column.
     """
     first: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     for pair in sorted(table):
@@ -614,9 +615,8 @@ def _check_associativity(p: Presentation, table, failures):
                             f"product, is {table[rep].as_poly()}")
     for key, what, side, ref, expected in _certificate_checks(p, table, first):
         if side != expected:
-            failures.append(_lowest_failing_triple(p, table, first)
-                            or f"associativity: at {p._monomial(key)}, {what} "
-                               f"is {side} but {ref} is {expected}")
+            failures.append(f"associativity: at {p._monomial(key)}, {what} "
+                            f"is {side} but {ref} is {expected}")
             break
 
 
@@ -635,26 +635,25 @@ def _certificate_checks(p: Presentation, table, first):
         v = MPoly.one()
         for g, e in enumerate(key):
             for _ in range(e):
-                v = _apply(matrices[g], v.split(names))
+                v = _apply(matrices[g].__getitem__, v.split(names))
         return v
 
     for rule in p.rules:
         (key,) = MPoly.monomial({rule.var: rule.power}).split(names)
-        rhs = rule.rhs.split(names)
         yield (key, "the matrix power", power(key), "the right-hand side at the "
-               "matrices", _apply({k: power(k) for k in rhs}, rhs))
+               "matrices", _apply(power, rule.rhs.split(names)))
     for g, h in combinations(range(len(names)), 2):
         for b in p.basis:
             yield (b, f"{names[g]} times {names[h]} times it",
-                   _apply(matrices[g], matrices[h][b].split(names)),
+                   _apply(matrices[g].__getitem__, matrices[h][b].split(names)),
                    f"{names[h]} times {names[g]} times it",
-                   _apply(matrices[h], matrices[g][b].split(names)))
+                   _apply(matrices[h].__getitem__, matrices[g][b].split(names)))
     for key, (x, y) in first.items():
         if any(p.basis[y]):
             g = max(i for i, e in enumerate(p.basis[y]) if e)
             rep = first[_shifted(key, g, -1)]
             what = f"{names[g]} times table entry {rep}"
-            side = _apply(matrices[g], table[rep].coeffs)
+            side = _apply(matrices[g].__getitem__, table[rep].coeffs)
         else:
             what, side = "the basis element", p._monomial(key)
         yield key, what, side, f"table entry {(x, y)}", entries[key]
@@ -678,48 +677,15 @@ def _generator_matrices(p: Presentation) -> List[Dict[Tuple[int, ...], MPoly]]:
     otherwise the normal form of that border key from _rule_normal_forms."""
     standard = set(p.basis)
     steps = [{b: _shifted(b, g) for b in p.basis} for g in range(len(p.main_vars))]
-    border = dict(_rule_normal_forms(
-        p, {key for step in steps for key in step.values()} - standard))
+    border = _rule_normal_forms(
+        p, {key for step in steps for key in step.values()} - standard)
     return [{b: border[key] if key in border else p._monomial(key)
              for b, key in step.items()} for step in steps]
 
 
-def _apply(matrix, groups) -> MPoly:
-    """M v, for the columns {main key: MPoly} of a matrix M and the base
-    coefficients {main key: terms} of a vector v."""
-    acc = {}
-    for key, group in groups.items():
-        for base, c in key_terms(group).items():
-            addmul(acc, matrix[key], c, base)
-    return MPoly(acc)
-
-
-def _lowest_failing_triple(p: Presentation, table, first) -> Optional[str]:
-    """The lowest basis triple (x, y, z) at which nf(table[x, y] e_z)
-    differs from O(e_x e_y e_z), as a failure line with both sides, or None.
-    Every triple is compared directly, so this runs only to name the
-    witness once a check of _check_associativity has failed."""
-    # the basis triples (x, y, z) of each main key e_x e_y e_z; first holds
-    # its pairs in sorted order, so each list is sorted
-    triples: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
-    for key_xy, (x, y) in first.items():
-        for z, key_z in enumerate(p.basis):
-            triples.setdefault(tuple(map(add, key_xy, key_z)), []).append((x, y, z))
-    failed = []
-    for key, direct in _rule_normal_forms(p, triples):
-        for x, y, z in triples[key]:
-            assoc = p._reduce_groups(table[(x, y)].coeffs, p.basis[z])
-            if assoc != direct:
-                failed.append(((x, y, z), f"associativity fails at basis {(x, y, z)}: "
-                                          f"table side {assoc}, direct {direct}"))
-                break
-    return min(failed)[1] if failed else None
-
-
-def _rule_normal_forms(p: Presentation, keys):
-    """Yield (key, normal form) for each main key in keys, lowest first, by
-    single rule steps that share no code with the rewrite engine and never
-    touch its memo.
+def _rule_normal_forms(p: Presentation, keys) -> Dict[Tuple[int, ...], MPoly]:
+    """{key: normal form} for each main key in keys, by single rule steps that
+    share no code with the rewrite engine, _rewrite, and leave its memo alone.
 
     A reducible key takes the last rule that applies, where the engine takes
     the first, so the two follow different reduction paths; the rules'
@@ -727,43 +693,27 @@ def _rule_normal_forms(p: Presentation, keys):
     end at the same normal form.  Every key that one step reaches from keys
     is collected first; then each key, lowest first, gets the sum of the
     rule's base coefficients times the normal forms of the lower keys it
-    steps to.  A normal form is kept only until the last key that steps to
-    it is done, so the forms of all of keys are never held at once.
+    steps to.
     """
-    steps = {}  # key -> None when standard, else [(lower key, base terms)]
+    steps, nfs = {}, {}  # reducible key -> {lower key: base terms}; key -> nf
     todo = list(keys)
     while todo:
         key = todo.pop()
-        if key in steps:
+        if key in steps or key in nfs:
             continue
         hit = next((rule for rule in reversed(p._rule_idx)
                     if key[rule[0]] >= rule[1]), None)
         if hit is None:
-            steps[key] = None
-            continue
-        idx, power, rhs = hit
-        rest = list(key)
-        rest[idx] -= power
-        steps[key] = [(tuple(map(add, rmain, rest)), rterms) for rmain, rterms in rhs]
-        todo.extend(lower for lower, _ in steps[key])
-    uses = Counter(lower for step in steps.values() if step for lower, _ in step)
-    nfs = {}
-    for key in sorted(steps, key=p._heap_key, reverse=True):
-        if steps[key] is None:
-            nf = p._monomial(key)
+            nfs[key] = p._monomial(key)
         else:
-            acc = {}
-            for lower, rterms in steps[key]:
-                for base, c in rterms.items():
-                    addmul(acc, nfs[lower], c, base)
-                uses[lower] -= 1
-                if not uses[lower]:
-                    del nfs[lower]
-            nf = MPoly(acc)
-        if uses[key]:
-            nfs[key] = nf
-        if key in keys:
-            yield key, nf
+            idx, power, rhs = hit
+            rest = list(key)
+            rest[idx] -= power
+            steps[key] = {tuple(map(add, rmain, rest)): rterms for rmain, rterms in rhs}
+            todo.extend(steps[key])
+    for key in sorted(steps, key=p._heap_key, reverse=True):
+        nfs[key] = _apply(nfs.__getitem__, steps[key])
+    return {key: nfs[key] for key in keys}
 
 
 # the ring each presentation must reduce to, rule for rule, when every base
@@ -835,10 +785,16 @@ def schubert_expand(f: MPoly, family: SchubertFamily,
     kernel of linsolve, with the polynomial right-hand sides carried along
     as one more column of coefficients per monomial (a step only combines
     them with constants); a free coefficient is 0.  NotInSpan when no exact
-    expansion exists.
+    expansion exists.  The family's classes are reduced before f, and an
+    error there names the family.
     """
     elements = weyl.all_elements()
-    nfs = {w: p.normal_form(family.table[w]) for w in elements}
+    used = {v for poly in family.table.values() for v in poly.variables()}
+    try:  # all the family's variables at once, then each class
+        p.check_variables(MPoly.monomial(dict.fromkeys(used, 1)))
+        nfs = {w: p.normal_form(family.table[w]) for w in elements}
+    except (ValueError, NonIntegralReduction) as exc:
+        raise type(exc)(f"family {family.kind} does not fit: {exc}") from None
     target = p.normal_form(f)
     coeffs: Dict[weyl.WeylElt, MPoly] = {}
     max_len = max(e.length for e in elements)

@@ -240,6 +240,11 @@ class TestReduce:
                            "FlIntegralPoint", "1/3 x1")
         assert code == 2
 
+    def test_foreign_variables_are_named(self, capsys):
+        code, _, err = run(capsys, "reduce", "--presentation", "FlHalfPoint", "y1 + v")
+        assert (code, err) == (2, "error: presentation FlHalfPoint has no variable "
+                                  "y1, v\n")
+
     def test_power_above_top_degree_is_zero(self, capsys):
         code, out, _ = run(capsys, "reduce", "--presentation",
                            "FlIntegralPoint", "x1^1600000")
@@ -359,6 +364,27 @@ class TestExpand:
         coeffs = payload["coefficients"]
         assert coeffs["s"] == [{"coeff": "1", "exps": {}}]
         assert coeffs["id"] == [{"coeff": "1", "exps": {"t1": 1}}]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "paper"],
+         "family paper does not fit: presentation FlHalfPoint has no variable y1, y2"),
+        (["--family", "twisted"],
+         "family twisted does not fit: presentation FlHalfPoint has no variable "
+         "y1, y2, v"),
+        (["--family", "point", "--presentation", "FlIntegralBundle"],
+         "family point does not fit: FlIntegralBundle: coefficient 1/2 is outside "
+         "the Z span"),
+    ])
+    def test_a_family_that_does_not_fit_is_named(self, capsys, argv, message):
+        # the family's classes, not the input x1, are what the presentation
+        # cannot hold
+        code, out, err = run(capsys, "expand", *argv, "x1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_foreign_input_variable_is_named(self, capsys):
+        code, _, err = run(capsys, "expand", "--family", "point", "x1 + y1 v")
+        assert (code, err) == (2, "error: presentation FlHalfPoint has no variable "
+                                  "y1, v\n")
 
 
 class TestOctVerbs:

@@ -85,7 +85,7 @@ class TestVerifyPresentations:
         # a key holds the exponents of the main variables and nothing else
         assert all(len(key) == len(p.main_vars) for key in p._memo)
         assert len(p._memo) == 45
-        # the direct sides of the associativity certificate come from the
+        # the border columns of the associativity certificate come from the
         # rule-step oracle, so no key that only triple products reach is
         # rewritten by the engine
         assert (_products(p, 3) - _products(p, 2)).isdisjoint(p._memo)
@@ -281,6 +281,26 @@ def _products(p, count):
             for key in math.prod(factors, start=MPoly.one()).split(p.main_vars)}
 
 
+def _corrupt_memo_after_table(p, key):
+    """Make p's memo entry at key wrong by +1 once mult_table has built the
+    table, so the table and check (a) stay right; returns the right entry."""
+    build = p.mult_table
+    good = p.reduce_monomial(key)
+    p._memo.clear()
+
+    def mult_table():
+        table = build()
+        p._memo[key] = p._memo[key] + 1
+        return table
+
+    p.mult_table = mult_table
+    return good
+
+
+def _associativity_failures(p):
+    return [f for f in c.verify_presentation(p) if f.startswith("associativity")]
+
+
 class TestAssociativityCertificate:
     """Mutations of verified presentations that the certificate must see."""
 
@@ -313,8 +333,8 @@ class TestAssociativityCertificate:
         assert len(failures) == len(repeated)
 
     def test_every_product_times_every_basis_element(self):
-        # corrupting a whole class keeps the entries consistent, so only the
-        # (product, e_z) comparisons can see it
+        # corrupting a whole class keeps the entries consistent, so the
+        # check of the engine memo against the table names it, at its key
         p = c.fl_integral_point()
         good = dict(p.mult_table())
         for n, cls in enumerate(self._classes(p)):
@@ -322,19 +342,20 @@ class TestAssociativityCertificate:
             for pair in cls:
                 table[pair] = self._corrupt(p, good[pair], n)
             p.mult_table = lambda: table
-            failures = c.verify_presentation(p)
-            assert len(failures) == 1, (cls, failures)
-            (failure,) = failures
-            assert failure.startswith(f"associativity fails at basis {cls[0] + (0,)}:")
+            x, y = cls[0]
+            key = tuple(a + b for a, b in zip(p.basis[x], p.basis[y]))
+            assert c.verify_presentation(p) == [
+                f"associativity: at {p._monomial(key)}, the engine's normal form "
+                f"is {good[cls[0]].as_poly()} but table entry {cls[0]} is "
+                f"{table[cls[0]].as_poly()}"], cls
 
-    def test_every_table_step_is_read(self, monkeypatch):
+    def test_every_table_step_is_read(self):
         # a whole class and the memo at its key corrupted alike keep the
         # table consistent and the memo equal to it, so only the step from
         # the entry one generator lower can see it
         p = c.fl_integral_point()
         good = dict(p.mult_table())
         memo = dict(p._memo)
-        monkeypatch.setattr(c, "_lowest_failing_triple", lambda *args: None)
         for n, cls in enumerate(self._classes(p)):
             table = dict(good)
             for pair in cls:
@@ -348,7 +369,7 @@ class TestAssociativityCertificate:
                 return table
 
             p.mult_table = mult_table
-            lines = [f for f in c.verify_presentation(p) if f.startswith("associativity")]
+            lines = _associativity_failures(p)
             assert len(lines) == 1, (cls, lines)
             assert lines[0].startswith(f"associativity: at {p._monomial(key)}, ")
             assert lines[0].endswith(f" but table entry {cls[0]} is {table[cls[0]].as_poly()}")
@@ -376,9 +397,9 @@ class TestAssociativityCertificate:
                                       "QuadricBundle3"])
     def test_every_border_column_is_read(self, name, monkeypatch):
         # the oracle's normal form at one border key, made wrong by +1 at
-        # its constant key, is one failure; with the witness search stubbed
-        # out, that failure is a check of the matrices themselves, not the
-        # cross-check of the oracle against the engine
+        # its constant key, is one failure, and that failure is a check of
+        # the matrices themselves, not the cross-check of the oracle against
+        # the engine
         p = c.get_presentation(name)
         table = dict(p.mult_table())
         p.mult_table = lambda: table
@@ -386,11 +407,10 @@ class TestAssociativityCertificate:
                          for key in [c._shifted(b, g)] if key not in p.basis})
         assert len(border) == {"FlHalfBundle": 8, "QuadricBundle3": 5}.get(name, 16)
         oracle = c._rule_normal_forms
-        monkeypatch.setattr(c, "_lowest_failing_triple", lambda *args: None)
         for wrong in border:
             def corrupted(p, keys):
-                for key, nf in oracle(p, keys):
-                    yield key, nf + 1 if key == wrong else nf
+                return {key: nf + 1 if key == wrong else nf
+                        for key, nf in oracle(p, keys).items()}
             monkeypatch.setattr(c, "_rule_normal_forms", corrupted)
             failures = c.verify_presentation(p)
             assert len(failures) == 1, (wrong, failures)
@@ -403,8 +423,8 @@ class TestAssociativityCertificate:
         for index in range(len(c.get_presentation(name).rules))])
     def test_every_rule_is_read_at_the_matrices(self, name, index):
         # a wrong right-hand side as the certificate reads it; the engine
-        # and the oracle keep the true rules, so no triple fails and the
-        # rule check at the matrices is the associativity failure
+        # and the oracle keep the true rules, so the memo checks pass and
+        # the rule check at the matrices is the associativity failure
         p = c.get_presentation(name)
         rule = p.rules[index]
         p.rules = (p.rules[:index] + (c.Rule(rule.var, rule.power, rule.rhs + 1),)
@@ -417,62 +437,48 @@ class TestAssociativityCertificate:
 
 
 class TestCertificateSteps:
-    """The engine memo against the table, and the witness search that names
-    a failure."""
+    """The engine memo against the table: the failing check is the witness."""
 
     @pytest.mark.parametrize("key", sorted(_products(c.fl_integral_point(), 2)))
     def test_a_corrupted_memo_entry_is_named(self, key):
         # the table is built before the memo goes wrong, so check (a) holds;
-        # only the memo and step checks read the entry, and the witness
-        # search then names a triple
+        # the memo check names the key, both sides and the table pair
         p = c.fl_integral_point()
-        build = p.mult_table
+        good = _corrupt_memo_after_table(p, key)
+        pair = min((x, y) for x, y in itertools.product(range(len(p.basis)), repeat=2)
+                   if tuple(map(sum, zip(p.basis[x], p.basis[y]))) == key)
+        failures = _associativity_failures(p)
+        assert failures == [
+            f"associativity: at {p._monomial(key)}, the engine's normal form is "
+            f"{good + 1} but table entry {pair} is {good}"]
 
-        def mult_table():
-            table = build()
-            p._memo[key] = p._memo[key] + 1
-            return table
-
-        p.mult_table = mult_table
-        failures = c.verify_presentation(p)
-        assert any(f.startswith("associativity fails at basis ") for f in failures), failures
-
-    def test_a_failed_step_without_a_failing_triple_is_reported(self, monkeypatch):
-        # the certificate never passes silently: when the witness search
-        # names no triple, the failing step is the failure
+    def test_a_failed_step_without_a_failing_triple_is_reported(self):
+        # the certificate never passes silently: the failing step is the
+        # failure
         p = c.fl_integral_point()
-        build = p.mult_table
-        key = p.top
-
-        def mult_table():
-            table = build()
-            p._memo[key] = p._memo[key] + 1
-            return table
-
-        p.mult_table = mult_table
-        monkeypatch.setattr(c, "_lowest_failing_triple", lambda *args: None)
+        _corrupt_memo_after_table(p, p.top)
         assert c.verify_presentation(p) == [
             "associativity: at x1^2 x2 alpha, the engine's normal form is "
             "x1^2 x2 alpha + 1 but table entry (0, 11) is x1^2 x2 alpha"]
 
-    @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
-    def test_shifted_reduction_is_reduction_of_the_shifted_poly(self, name):
-        # the shifted reduction that the witness search compares
-        p = c.get_presentation(name)
-        rng = random.Random(f"{SEED}-shift-{name}")
-        for _ in range(4):
-            f = _rand(rng, p.main_vars + p.base_vars, 4, 4)
-            shift = tuple(rng.randint(0, 2) for _ in p.main_vars)
-            assert p._reduce_groups(f.split(p.main_vars), shift) == p.reduce_poly(
-                f * MPoly.monomial(dict(zip(p.main_vars, shift))))
-
     @pytest.mark.parametrize("name", VERIFIED)
-    def test_a_passing_run_never_searches_for_a_witness(self, name, monkeypatch):
-        witness_runs = []
-        monkeypatch.setattr(c, "_lowest_failing_triple",
-                            lambda *args: witness_runs.append(args))
-        assert c.verify_presentation(c.get_presentation(name)) == []
-        assert witness_runs == []
+    def test_the_failing_check_is_the_witness_on_every_verified_ring(self, name):
+        # the memo wrong at the top key is one associativity line, from
+        # check (b), and the failing run, like a passing one, never reduces
+        # a triple key: the memo holds only the keys of the pairs, the
+        # relations and the border.  Where the relation or idempotence
+        # checks read the top key too, they fail on lines of their own
+        p = c.get_presentation(name)
+        good = _corrupt_memo_after_table(p, p.top)
+        top = p.basis.index(p.top)
+        failures = _associativity_failures(p)
+        assert failures == [
+            f"associativity: at {p._monomial(p.top)}, the engine's normal form is "
+            f"{good + 1} but table entry {(0, top)} is {good}"]
+        sides = [MPoly.monomial({r.var: r.power}) - r.rhs for r in p.rules]
+        relations = {key for side in sides for key in side.split(p.main_vars)}
+        border = {c._shifted(b, g) for g in range(len(p.main_vars)) for b in p.basis}
+        assert set(p._memo) <= _products(p, 2) | relations | border
 
 
 @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
@@ -482,7 +488,7 @@ def test_rule_step_oracle_matches_the_engine(name):
     # monomials, and the oracle leaves the engine's memo alone
     p = c.get_presentation(name)
     keys = _products(p, 3)
-    nfs = dict(c._rule_normal_forms(p, keys))
+    nfs = c._rule_normal_forms(p, keys)
     assert not p._memo and set(nfs) == keys
     assert all(nfs[key] == p.reduce_monomial(key) for key in keys)
 
@@ -505,7 +511,7 @@ def test_generator_matrices_commute_and_rebuild_the_table(name):
     polys = p.basis_polys()
 
     def times(g, v):
-        return c._apply(matrices[g], v.split(p.main_vars))
+        return c._apply(matrices[g].__getitem__, v.split(p.main_vars))
 
     for g, matrix in enumerate(matrices):
         assert [matrix[b] for b in p.basis] == [
@@ -528,7 +534,6 @@ def test_an_arithmetic_error_in_the_certificate_is_one_failure(monkeypatch):
     # presentation gets one associativity line and the suite goes on
     def raising(p, keys):
         raise c.RewriteBudgetExceeded(f"{p.name}: the oracle gives up")
-        yield
 
     monkeypatch.setattr(c, "_rule_normal_forms", raising)
     assert c.verify_presentation(c.fl_integral_point()) == [

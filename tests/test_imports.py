@@ -64,3 +64,48 @@ def test_every_imported_name_is_used(module):
     unused = [f"{module}:{line} {name}" for name, line in _imported(tree)
               if name not in used]
     assert not unused, "imported and never used:\n" + "\n".join(unused)
+
+
+def _private_definitions(tree):
+    """(name, node) for each private function, class or constant that the
+    module defines at its top level; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _reads(tree, skip=None):
+    """Names that tree reads, as a bare name or an attribute, outside skip."""
+    inside = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+TREES = {module: ast.parse((ROOT / module).read_text(), module) for module in MODULES}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_helper_is_read_in_the_package(module):
+    # a private module-level name that only its own definition or the tests
+    # read is dead code
+    elsewhere = {name for other, tree in TREES.items() if other != module
+                 for name in _reads(tree)}
+    tree = TREES[module]
+    dead = [f"{module}:{node.lineno} {name}"
+            for name, node in _private_definitions(tree)
+            if name not in elsewhere and name not in set(_reads(tree, node))]
+    assert not dead, "private and never read in src/:\n" + "\n".join(dead)
