@@ -202,14 +202,20 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+# the presentation each family's classes fit, used when expand names none;
+# twisted has none, as no catalogue presentation has the twisting class v
+_EXPAND_PRESENTATION = {"paper": "FlHalfBundle", "graham": "FlHalfBundle",
+                        "point": "FlHalfPoint", "eq-paper": "Equivariant",
+                        "eq-graham": "Equivariant"}
+
+
 def cmd_expand(args) -> int:
+    name = args.presentation or _EXPAND_PRESENTATION.get(args.family)
+    if name is None:
+        raise ValueError(f"family {args.family} fits no catalogue presentation: "
+                         f"none has the twisting class v")
+    pres = cohomring.get_presentation(name)
     fam = schubert.generate_family(args.family)
-    if args.presentation:
-        pres = cohomring.get_presentation(args.presentation)
-    elif args.family.startswith("eq-"):
-        pres = cohomring.fl_equivariant()
-    else:
-        pres = cohomring.fl_half_point()
     poly = parse_poly(args.poly)
     expansion = cohomring.schubert_expand(poly, fam, pres)
     if args.format == "json":

@@ -326,8 +326,13 @@ class Presentation:
         """Reduce and express on the basis; NonIntegralReduction if the result
         has coefficients outside the integral coefficient ring."""
         self.check_variables(poly)
+        return self._on_basis(self.reduce_poly(poly))
+
+    def _on_basis(self, reduced: MPoly) -> "NormalForm":
+        """The reduced polynomial split onto the basis, after the check that
+        its coefficients lie in the coefficient ring."""
         nf = NormalForm(self, {key: MPoly(group) for key, group in
-                               self.reduce_poly(poly).split(self.main_vars).items()})
+                               reduced.split(self.main_vars).items()})
         for poly_c in nf.coeffs.values():
             for c in key_terms(poly_c).values():
                 if type(c) is not int and not _in_ring(self.ring, c):
@@ -342,15 +347,23 @@ class Presentation:
     def mult_table(self) -> Dict[Tuple[int, int], "NormalForm"]:
         """Normal form of each product of two basis monomials, by index pair.
 
+        A product of two basis monomials is one main monomial with
+        coefficient 1, so each entry is the memoized normal form of its key
+        (reduce_monomial) split onto the basis, with the check of
+        normal_form that its coefficients lie in the coefficient ring.
+        Each pair i <= j gets its own NormalForm, so pairs with the same
+        product stay separate entries for _check_associativity to compare.
+
         Not kept on the presentation: every NormalForm refers back to it, so
         a stored table would make a reference cycle, and the presentation
         with its memo would outlive its last use until the cyclic garbage
         collector ran."""
-        polys = self.basis_polys()
+        basis = self.basis
         table = {}
-        for i in range(len(polys)):
-            for j in range(i, len(polys)):
-                table[(i, j)] = self.normal_form(polys[i] * polys[j])
+        for i in range(len(basis)):
+            for j in range(i, len(basis)):
+                table[(i, j)] = self._on_basis(
+                    self.reduce_monomial(tuple(map(add, basis[i], basis[j]))))
                 table[(j, i)] = table[(i, j)]
         return table
 
@@ -567,11 +580,11 @@ def _check_associativity(p: Presentation, table, failures):
 
     Let F be the free module over the base ring R on the standard keys b,
     and M_g the matrix of multiplication by the main variable x_g on F
-    (_generator_matrices): its column at b is e_{b+e_g} when b + e_g is
-    standard, and otherwise the normal form of the border key b + e_g, read
-    from _rule_normal_forms, an oracle that does not use the rewrite engine
-    under test and leaves its memo alone.  T(P) is the table entry of the
-    first pair whose product has main key P.  The checks:
+    (_generator_matrices): its column at b is the normal form of b + e_g,
+    read from _rule_normal_forms, an oracle that does not use the rewrite
+    engine under test and leaves its memo alone; that is e_{b+e_g} when
+    b + e_g is standard, and a border column otherwise.  T(P) is the table
+    entry of the first pair whose product has main key P.  The checks:
 
       (a) each table entry (x, y) equals T(b_x + b_y);
       (b) at every pair key P, the engine memo equals T(P);
@@ -673,14 +686,12 @@ def _shifted(key: Tuple[int, ...], g: int, step: int = 1) -> Tuple[int, ...]:
 
 def _generator_matrices(p: Presentation) -> List[Dict[Tuple[int, ...], MPoly]]:
     """The matrix of multiplication by each main variable x_g, as
-    {basis key b: column}: x^(b + e_g) when b + e_g is standard, and
-    otherwise the normal form of that border key from _rule_normal_forms."""
-    standard = set(p.basis)
+    {basis key b: column}: the normal form of b + e_g from
+    _rule_normal_forms, which is x^(b + e_g) itself when b + e_g is
+    standard."""
     steps = [{b: _shifted(b, g) for b in p.basis} for g in range(len(p.main_vars))]
-    border = _rule_normal_forms(
-        p, {key for step in steps for key in step.values()} - standard)
-    return [{b: border[key] if key in border else p._monomial(key)
-             for b, key in step.items()} for step in steps]
+    nfs = _rule_normal_forms(p, {key for step in steps for key in step.values()})
+    return [{b: nfs[key] for b, key in step.items()} for step in steps]
 
 
 def _rule_normal_forms(p: Presentation, keys) -> Dict[Tuple[int, ...], MPoly]:

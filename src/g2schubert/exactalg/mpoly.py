@@ -8,7 +8,8 @@ float, which is never exact.  Dividing two coefficients read out of a
 polynomial needs scalars.quotient, since int / int is a float, and
 integral_multiple clears the denominators of the coefficients: it gives
 (L f, L), with L their lcm, so that a computation can run on ints and
-divide by L once.  The variable universe is closed and fixed:
+divide by L once; subs substitutes into L f that way.  The variable
+universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
 
@@ -381,7 +382,12 @@ class MPoly:
 
     def subs(self, assignment: Mapping[str, "MPoly | Fraction | int"]) -> "MPoly":
         """Substitute polynomials for variables; variables not mentioned in
-        `assignment` are left alone."""
+        `assignment` are left alone.
+
+        The substitution runs on L self, the integral multiple of self
+        (integral_multiple), and multiplies the result by 1/L once, so the
+        terms are scaled and summed with int coefficients unless the images
+        carry denominators."""
         images: Dict[int, MPoly] = {}
         for name, val in assignment.items():
             if name not in VAR_INDEX:
@@ -399,8 +405,9 @@ class MPoly:
             return power_cache[key]
 
         touched = [(i, _SHIFT[i]) for i in sorted(images)]
+        whole, scale = self.integral_multiple()
         out = _ZERO
-        for exp, coef in self._t.items():
+        for exp, coef in whole._t.items():
             term = MPoly.const(coef)
             for i, shift in touched:
                 e = exp >> shift & _MASK
@@ -410,7 +417,7 @@ class MPoly:
             if exp:  # the untouched variables
                 term = term * MPoly({exp: 1})
             out = out + term
-        return out
+        return out if scale == 1 else out * Fraction(1, scale)
 
     # ---- printing ----
 

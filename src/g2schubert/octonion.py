@@ -392,27 +392,30 @@ def to_e_basis(v: VecV) -> VecV:
 def push_forms_to_f() -> Tuple[TriForm, BilForm]:
     """Push the standard e-basis forms through the basis change.
 
-    Every value must come out rational; the results are compared against the
-    standard f-basis forms in the consistency checks.
+    The forms are evaluated on the doubled vectors 2 f_j, whose e-basis
+    coordinates are Gaussian integers, and each value of gamma is divided
+    by 8 and each value of beta by 4 exactly, once.  Every value must come
+    out rational; the results are compared against the standard f-basis
+    forms in the consistency checks.
     """
     e_ctx = standard_forms("e")
-    fs_in_e = [to_e_basis(basis_vec(j)) for j in range(1, DIM + 1)]
+    fs_in_e = [to_e_basis(basis_vec(j).scale(2)) for j in range(1, DIM + 1)]
     tri: Dict[Tuple[int, int, int], Rational] = {}
     for p in range(1, DIM + 1):
         for q in range(p + 1, DIM + 1):
             for r in range(q + 1, DIM + 1):
                 val = e_ctx.gamma(fs_in_e[p - 1], fs_in_e[q - 1], fs_in_e[r - 1])
                 if not val.is_rational():
-                    raise ValueError(f"gamma(f{p},f{q},f{r}) = {val} is not rational")
+                    raise ValueError(f"gamma(f{p},f{q},f{r}) = {val / 8} is not rational")
                 if val.re != 0:
-                    tri[(p, q, r)] = val.re
+                    tri[(p, q, r)] = quotient(val.re, 8)
     mat = [[0] * DIM for _ in range(DIM)]
     for p in range(DIM):
         for q in range(DIM):
             val = e_ctx.beta(fs_in_e[p], fs_in_e[q])
             if not val.is_rational():
-                raise ValueError(f"beta(f{p+1},f{q+1}) = {val} is not rational")
-            mat[p][q] = val.re
+                raise ValueError(f"beta(f{p+1},f{q+1}) = {val / 4} is not rational")
+            mat[p][q] = quotient(val.re, 4)
     return TriForm(tri), BilForm(mat)
 
 

@@ -348,29 +348,38 @@ class TestExpand:
         assert code == 0
         assert out.strip().split() == ["t", "1"]
 
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "expand", "--family", "point",
-                           "--format", "json", "x1^2")
-        assert code == 0
+    @pytest.mark.parametrize("family,presentation,coefficients", [
+        ("paper", "FlHalfBundle", {"s": [{"coeff": "1", "exps": {}}],
+                                   "id": [{"coeff": "1", "exps": {"y1": 1}}]}),
+        ("graham", "FlHalfBundle", {"s": [{"coeff": "1", "exps": {}}],
+                                    "id": [{"coeff": "1", "exps": {"y1": 1}}]}),
+        ("point", "FlHalfPoint", {"s": [{"coeff": "1", "exps": {}}]}),
+        ("eq-paper", "Equivariant", {"s": [{"coeff": "1", "exps": {}}],
+                                     "id": [{"coeff": "1", "exps": {"t1": 1}}]}),
+        ("eq-graham", "Equivariant", {"s": [{"coeff": "1", "exps": {}}],
+                                      "id": [{"coeff": "1", "exps": {"t1": 1}}]}),
+    ])
+    def test_each_family_defaults_to_a_presentation_it_fits(
+            self, capsys, family, presentation, coefficients):
+        code, out, err = run(capsys, "expand", "--family", family,
+                             "--format", "json", "x1")
+        assert (code, err) == (0, "")
         payload = json.loads(out)
-        assert payload["presentation"] == "FlHalfPoint"
+        assert payload["presentation"] == presentation
+        assert payload["coefficients"] == coefficients
 
-    def test_equivariant_expansion(self, capsys):
-        code, out, _ = run(capsys, "expand", "--family", "eq-paper",
-                           "--format", "json", "x1")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["presentation"] == "Equivariant"
-        coeffs = payload["coefficients"]
-        assert coeffs["s"] == [{"coeff": "1", "exps": {}}]
-        assert coeffs["id"] == [{"coeff": "1", "exps": {"t1": 1}}]
+    def test_twisted_fits_no_catalogue_presentation(self, capsys):
+        # no presentation has v, so there is no default to fall back on
+        code, out, err = run(capsys, "expand", "--family", "twisted", "x1")
+        assert (code, out) == (2, "")
+        assert err == ("error: family twisted fits no catalogue presentation: "
+                       "none has the twisting class v\n")
 
     @pytest.mark.parametrize("argv,message", [
-        (["--family", "paper"],
+        (["--family", "paper", "--presentation", "FlHalfPoint"],
          "family paper does not fit: presentation FlHalfPoint has no variable y1, y2"),
-        (["--family", "twisted"],
-         "family twisted does not fit: presentation FlHalfPoint has no variable "
-         "y1, y2, v"),
+        (["--family", "twisted", "--presentation", "FlHalfBundle"],
+         "family twisted does not fit: presentation FlHalfBundle has no variable v"),
         (["--family", "point", "--presentation", "FlIntegralBundle"],
          "family point does not fit: FlIntegralBundle: coefficient 1/2 is outside "
          "the Z span"),

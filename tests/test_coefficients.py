@@ -46,6 +46,18 @@ def test_restrictions():
             assert_contract(poly, (w.name, v.name))
 
 
+def test_subs_gives_int_for_an_integral_coefficient():
+    # subs runs on 6 f and divides by 6 once: y1 and the constant come out
+    # integral, y2^2 keeps a denominator
+    x1, x2, y1, y2 = (MPoly.var(n) for n in ("x1", "x2", "y1", "y2"))
+    f = Fraction(1, 2) * x1 + Fraction(3, 2) * x2 ** 2 + Fraction(1, 3)
+    g = f.subs({"x1": 2 * y1 + Fraction(10, 3), "x2": y2})
+    assert_contract(g, "subs")
+    assert [(type(g.coeff(m)), g.coeff(m)) for m in ({"y1": 1}, {})] == [
+        (int, 1), (int, 2)]
+    assert g.coeff({"y2": 2}) == Fraction(3, 2)
+
+
 def _random_input(rng, p):
     """A few monomials in the presentation's variables; the coefficients
     have denominator 2 where the coefficient ring allows it, so integral

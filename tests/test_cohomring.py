@@ -23,9 +23,9 @@ SEED = 1729
 # their associativity certificates (terms passed to addmul in mpoly and
 # cohomring), exact and repeatable
 CERTIFICATE_TERMS = {
-    "FlIntegralPoint": 156, "FlHalfPoint": 114, "FlIntegralBundle": 3838,
-    "FlHalfBundle": 1782, "Equivariant": 2407, "QuadricBundle3": 509,
-    "QuadricBundle3Y": 434, "QuadricBundle3Fiber": 35,
+    "FlIntegralPoint": 138, "FlHalfPoint": 100, "FlIntegralBundle": 3818,
+    "FlHalfBundle": 1766, "Equivariant": 2387, "QuadricBundle3": 502,
+    "QuadricBundle3Y": 427, "QuadricBundle3Fiber": 32,
 }
 VERIFIED = sorted(CERTIFICATE_TERMS)
 

@@ -77,6 +77,30 @@ def test_subs():
                                                           domain="QQ"), (f, assignment)
 
 
+@pytest.mark.parametrize("denom", [2, 3, 54])
+def test_subs_on_a_shared_denominator(denom):
+    # every coefficient of f has denominator denom, so subs runs on the
+    # integral multiple with L > 1; the images are linear, a monomial and 0
+    rng = random.Random(f"{SEED}-subs-{denom}")
+    for _ in range(CASES):
+        f = MPoly.zero()
+        while f.integral_multiple()[1] != denom:  # terms may cancel or merge
+            f = sum((MPoly.monomial(dict.fromkeys(rng.sample(NAMES, rng.randint(0, 3)), 1),
+                                    Fraction(denom * rng.randint(-9, 9) + 1, denom))
+                     for _ in range(rng.randint(1, 4))), MPoly.zero())
+        names = rng.sample(NAMES, 3)
+        assignment = {
+            names[0]: MPoly.var(names[1]) - 2 * MPoly.var(names[2]) + 1,
+            names[1]: MPoly.monomial({names[2]: 2, "x1": 1}, -3),
+            names[2]: 0,
+        }
+        image = {SYMBOLS[n]: to_sympy(MPoly.one() * v).as_expr()
+                 for n, v in assignment.items()}
+        expected = to_sympy(f).as_expr().subs(image, simultaneous=True)
+        assert to_sympy(f.subs(assignment)) == sympy.Poly(expected, *GENS,
+                                                          domain="QQ"), (f, assignment)
+
+
 def test_exact_divide():
     rng = random.Random(f"{SEED}-divide")
     for _ in range(CASES):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2schubert import checks
 from g2schubert import octonion as o
 from g2schubert.exactalg import GaussRat, MPoly
 
@@ -264,6 +265,33 @@ def _bryant_by_alternation(gamma):
             row.append(Fraction(top, 2 * 2 * 6) / -3)
         matrix.append(tuple(row))
     return tuple(matrix)
+
+
+class TestBasisChangeMutants:
+    """push_forms_to_f works on the doubled vectors 2 f_j; a wrong change of
+    basis still shows, in its result or in its error."""
+
+    def _patch_column(self, monkeypatch, j, column):
+        columns = list(o._F_IN_E)
+        columns[j] = column
+        monkeypatch.setattr(o, "_F_IN_E", tuple(columns))
+
+    def test_a_sign_flip_fails_the_push_check(self, monkeypatch, fctx):
+        (i, half), rest = o._F_IN_E[0][0], o._F_IN_E[0][1:]
+        self._patch_column(monkeypatch, 0, ((i, -half),) + rest)
+        gamma, beta = o.push_forms_to_f()
+        assert (gamma.coeffs, beta.matrix) != (fctx.gamma.coeffs, fctx.beta.matrix)
+        failed = [r.name for r in checks.run_suite("octonion").results
+                  if not r.passed]
+        assert failed == ["orthonormal-basis forms push to the isotropic-basis forms"]
+
+    def test_a_value_that_is_not_rational_is_shown_unscaled(self, monkeypatch):
+        # f4 = e3 / 2 in place of i e3: gamma(f1, f4, f7) is -1/2 i, which
+        # the doubled vectors give as -4 i
+        self._patch_column(monkeypatch, 3, ((2, o._H),))
+        with pytest.raises(ValueError) as info:
+            o.push_forms_to_f()
+        assert str(info.value) == "gamma(f1,f4,f7) = -1/2*i is not rational"
 
 
 class TestKernels:

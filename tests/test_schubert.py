@@ -214,6 +214,23 @@ class TestLocalization:
                                           weyl.longest())
         assert value == product
 
+    @pytest.mark.parametrize("kind", ["eq-paper", "eq-graham"])
+    def test_restriction_is_the_termwise_evaluation(self, kind):
+        # subs runs on the integral multiple of a class with 1/2 in it; the
+        # reference sums c * v.t1^e1 * v.t2^e2 * (the rest) term by term
+        fam = s.generate_family(kind)
+        for v in weyl.all_elements():
+            image = weyl.action(v)
+            for w in weyl.all_elements():
+                expected = MPoly.zero()
+                for exps, c in fam.table[w].named_terms():
+                    rest = {n: e for n, e in exps.items() if n not in ("x1", "x2")}
+                    expected = expected + (image["t1"] ** exps.get("x1", 0)
+                                           * image["t2"] ** exps.get("x2", 0)
+                                           * MPoly.monomial(rest, c))
+                assert s.equivariant_restriction(fam.table[w], v) == expected, \
+                    (kind, w.name, v.name)
+
     def test_identity_restricts_to_one_everywhere(self):
         fam = s.generate_family("eq-paper")
         for v in weyl.all_elements():
