@@ -272,6 +272,10 @@ def cmd_cell(args) -> int:
         repeated = sorted({repr(name) for name in names if names.count(name) > 1})
         if repeated:
             raise ValueError(f"repeated cell parameters: {', '.join(repeated)}")
+        for name, val in items:
+            if not val.strip():
+                raise ValueError(f"cell parameter {name!r} has no value; "
+                                 f"give it as {name}=p or {name}=p/q")
         values = {name: _rational(val) for name, val in items}
         params = [values.get(n, MPoly.var(n)) for n in order]
     row1, row2 = octonion.big_cell_rows(params)

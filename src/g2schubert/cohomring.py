@@ -35,13 +35,12 @@ matrix on the basis: its column at a standard key b is x^(b + e_g) when that
 is standard, and otherwise the normal form of the border key b + e_g, read
 from _rule_normal_forms, an independent oracle that takes single rule steps
 in the opposite rule order and shares no code with the rewrite engine.  The
-certificate checks that these matrices commute, that they satisfy the
-rules, and that each table entry is the one a generator lower times that
-generator's matrix; the table is then the regular representation of a
-commutative ring, hence associative (the commutation criterion for border
-bases: Mourrain 1999; Kehrein, Kreuzer and Robbiano 2005).  It also checks
-each table entry against the first pair with the same product, and the
-engine memo and the border columns against the engine.  Each check is one
+certificate checks that these matrices commute and satisfy the rules, and
+that the engine's normal form at each pair and border key is the one a
+generator lower times that generator's matrix; the table, built from those
+normal forms, is then the regular representation of a commutative ring,
+hence associative (the commutation criterion for border bases: Mourrain
+1999; Kehrein, Kreuzer and Robbiano 2005).  Each check is at most one
 matrix times one vector, a failure is the failing check's own line, and the
 engine memo keeps only the keys of the table, the relations and the border.
 
@@ -351,20 +350,19 @@ class Presentation:
         coefficient 1, so each entry is the memoized normal form of its key
         (reduce_monomial) split onto the basis, with the check of
         normal_form that its coefficients lie in the coefficient ring.
-        Each pair i <= j gets its own NormalForm, so pairs with the same
-        product stay separate entries for _check_associativity to compare.
+        There is one NormalForm per product key, shared by every pair that
+        reaches it; _check_associativity certifies the memo it is read from.
 
         Not kept on the presentation: every NormalForm refers back to it, so
         a stored table would make a reference cycle, and the presentation
         with its memo would outlive its last use until the cyclic garbage
         collector ran."""
-        basis = self.basis
-        table = {}
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                table[(i, j)] = self._on_basis(
-                    self.reduce_monomial(tuple(map(add, basis[i], basis[j]))))
-                table[(j, i)] = table[(i, j)]
+        forms, table = {}, {}
+        for i, j in product(range(len(self.basis)), repeat=2):
+            key = tuple(map(add, self.basis[i], self.basis[j]))
+            if key not in forms:
+                forms[key] = self._on_basis(self.reduce_monomial(key))
+            table[(i, j)] = forms[key]
         return table
 
 
@@ -526,19 +524,21 @@ def get_presentation(name: str) -> Presentation:
 # verification
 
 def verify_presentation(p: Presentation) -> List[str]:
-    """Rank, closure, defining relations, idempotence, associativity and,
-    where _SPECIALIZATIONS names one, the ring at base variables 0.
+    """Rank, closure, defining relations, associativity and, where
+    _SPECIALIZATIONS names one, the ring at base variables 0.
 
     Returns the failures, one line per failed property, named by the
     property; the presentation is verified when the list is empty.
     Associativity is certified by _check_associativity from one matrix per
-    main variable: the matrices commute, satisfy the rules and rebuild the
-    table one generator step at a time, so the table is the regular
-    representation of a commutative ring.  An ArithmeticError in the
-    certificate, such as RewriteBudgetExceeded, is one "associativity:"
+    main variable: the matrices commute and satisfy the rules, and the
+    engine's normal form at every pair and border key is one generator step
+    from them, so the table is the regular representation of a commutative
+    ring.  That also makes each normal form idempotent: the engine's normal
+    form of every standard key is the key itself.  An ArithmeticError in
+    the certificate, such as RewriteBudgetExceeded, is one "associativity:"
     line, as one in building the table is one "closure:" line.  A failure
-    names the pair or the failing check, at its main monomial with both
-    sides.  Nothing it computes outlives the call except the presentation's
+    names the failing check, at its main monomial with both sides.
+    Nothing it computes outlives the call except the presentation's
     own rewrite memo, which holds the keys of the table, the relations and
     the border columns, never a key that only a product of three basis
     elements reaches, on a pass or a fail.
@@ -559,23 +559,16 @@ def verify_presentation(p: Presentation) -> List[str]:
         if not p.reduce_poly(lhs - rule.rhs).is_zero():
             failures.append(f"relation for {rule.var}^{rule.power} broken")
 
-    polys = p.basis_polys()
-    sample = polys[:4] + [polys[-1] * polys[-1], sum(polys[1:4], MPoly.zero())]
-    for s in sample:
-        nf1 = p.normal_form(s)
-        if p.normal_form(nf1.as_poly()) != nf1:
-            failures.append(f"normal form not idempotent on {s}")
-
     if table is not None:
         try:
-            _check_associativity(p, table, failures)
+            _check_associativity(p, failures)
         except ArithmeticError as exc:
             failures.append(f"associativity: {exc}")
     _check_specialization(p, failures)
     return failures
 
 
-def _check_associativity(p: Presentation, table, failures):
+def _check_associativity(p: Presentation, failures):
     """Certify that the induced multiplication table is associative.
 
     Let F be the free module over the base ring R on the standard keys b,
@@ -583,21 +576,25 @@ def _check_associativity(p: Presentation, table, failures):
     (_generator_matrices): its column at b is the normal form of b + e_g,
     read from _rule_normal_forms, an oracle that does not use the rewrite
     engine under test and leaves its memo alone; that is e_{b+e_g} when
-    b + e_g is standard, and a border column otherwise.  T(P) is the table
-    entry of the first pair whose product has main key P.  The checks:
+    b + e_g is standard, and a border column otherwise.  nf(P) is the
+    engine's normal form reduce_monomial(P), from which mult_table builds
+    each entry, and K is the set of pair keys b_x + b_y together with the
+    border keys b + e_g.  The checks:
 
-      (a) each table entry (x, y) equals T(b_x + b_y);
-      (b) at every pair key P, the engine memo equals T(P);
       (c) each rule x_g^p -> rhs_g holds at the matrices:
           M_g^p e_1 = rhs_g(M) e_1;
       (d) M_g M_h = M_h M_g for every pair of main variables;
-      (e) for every pair key P with first pair (x, y): T(P) = e_P when
-          b_y = 0, else T(P) = M_g T(P - e_g), with g the last main
-          variable of b_y, so that P - e_g is a pair key too;
-      (f) each border column equals the engine's normal form at its key.
+      (e) for every P in K, lowest first: nf(P) = e_P when P is standard,
+          else nf(P) = M_g nf(P - e_g), with g the last main variable such
+          that P - e_g is in K; when P - e_g is standard, the right side is
+          the column of M_g at P - e_g itself.
 
-    Why (a) and (c)-(e) prove associativity.  By (d), x_g -> M_g makes F a
-    module over R[x], and phi: f -> f(M) e_1 maps R[x] onto F, because
+    Such a g exists: a standard key b is the pair key b + 0, a border key
+    b + e_g steps down to b, and a pair key b_x + b_y with b_y != 0 steps
+    down to the pair key b_x + (b_y - e_g), for any g in b_y.
+
+    Why (c)-(e) prove associativity.  By (d), x_g -> M_g makes F a module
+    over R[x], and phi: f -> f(M) e_1 maps R[x] onto F, because
     M^b e_1 = e_b for every standard b (each step stays on standard keys).
     By (c) and (d), phi kills the ideal I of the rules, since
     phi(q (x_g^p - rhs_g)) = q(M) (M_g^p - rhs_g(M)) e_1 = 0, so phi
@@ -606,42 +603,30 @@ def _check_associativity(p: Presentation, table, failures):
     phi psi, e_b -> M^b e_1, is a surjective endomorphism of the finitely
     generated module F, hence an isomorphism (Matsumura, Commutative Ring
     Theory, Thm 2.4; here it is the identity).  So psi is injective,
-    R[x]/I is F, and x_g acts on it as M_g.  By (e) and induction on P,
-    T(P) = M^P e_1, the class of x^P, and by (a) the entry (x, y) is the
-    class of x^{b_x} x^{b_y}.  The table is the regular representation of
-    the commutative ring R[x]/I, so it is associative.  (b) ties the memo,
-    which later normal forms read, to the table, and (f) cross-checks the
-    oracle against the engine.
+    R[x]/I is F, and x_g acts on it as M_g.  By (e) and induction on P in
+    K, nf(P) = M^P e_1, the class of x^P: the table entry (x, y), nf of
+    b_x + b_y on the basis, is the class of x^{b_x} x^{b_y}, and the table
+    is the regular representation of the commutative ring R[x]/I, so it is
+    associative.  At the border keys (e) also ties the engine memo, which
+    later normal forms read, to the oracle's columns.
 
-    Each check is one product of a matrix with a vector, and nothing but
-    the matrices is held.  The first check that fails is the failure: its
-    line names the main monomial, both sides, and which object is wrong,
-    the memo, a rule, the commutation, a table step or a border column.
+    Each check is one product of a matrix with a vector at most, and
+    nothing but the matrices is held.  The first check that fails is the
+    failure: its line names the main monomial and both sides.  Since (e)
+    runs lowest first and reads nf only at P and below, a wrong memo entry
+    fails at its own key.
     """
-    first: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    for pair in sorted(table):
-        x, y = pair
-        rep = first.setdefault(tuple(map(add, p.basis[x], p.basis[y])), pair)
-        if table[pair] != table[rep]:
-            failures.append(f"associativity: table entry {pair} is "
-                            f"{table[pair].as_poly()} but {rep}, with the same "
-                            f"product, is {table[rep].as_poly()}")
-    for key, what, side, ref, expected in _certificate_checks(p, table, first):
+    for key, what, side, ref, expected in _certificate_checks(p):
         if side != expected:
             failures.append(f"associativity: at {p._monomial(key)}, {what} "
                             f"is {side} but {ref} is {expected}")
             break
 
 
-def _certificate_checks(p: Presentation, table, first):
+def _certificate_checks(p: Presentation):
     """Yield (main key, what, its side, reference, the reference's side)
-    for checks (b) to (f) of _check_associativity, in that order."""
+    for checks (c) to (e) of _check_associativity, in that order."""
     names = p.main_vars
-    entries = {key: table[rep].as_poly() for key, rep in first.items()}
-    for key, rep in first.items():
-        yield (key, "the engine's normal form", p.reduce_monomial(key),
-               f"table entry {rep}", entries[key])
-
     matrices = _generator_matrices(p)
 
     def power(key):  # M^key e_1
@@ -661,22 +646,19 @@ def _certificate_checks(p: Presentation, table, first):
                    _apply(matrices[g].__getitem__, matrices[h][b].split(names)),
                    f"{names[h]} times {names[g]} times it",
                    _apply(matrices[h].__getitem__, matrices[g][b].split(names)))
-    for key, (x, y) in first.items():
-        if any(p.basis[y]):
-            g = max(i for i, e in enumerate(p.basis[y]) if e)
-            rep = first[_shifted(key, g, -1)]
-            what = f"{names[g]} times table entry {rep}"
-            side = _apply(matrices[g].__getitem__, table[rep].coeffs)
-        else:
-            what, side = "the basis element", p._monomial(key)
-        yield key, what, side, f"table entry {(x, y)}", entries[key]
     standard = set(p.basis)
-    for g, matrix in enumerate(matrices):
-        for b, column in matrix.items():
-            key = _shifted(b, g)
-            if key not in standard:
-                yield (key, "the engine's normal form", p.reduce_monomial(key),
-                       "the rule-step form", column)
+    keys = {tuple(map(add, b, c)) for b in p.basis for c in p.basis}
+    keys |= {_shifted(b, g) for b in p.basis for g in range(len(names))}
+    for key in sorted(keys, key=p._heap_key, reverse=True):
+        if key in standard:
+            ref, expected = "the basis element", p._monomial(key)
+        else:
+            g = max(g for g in range(len(names)) if _shifted(key, g, -1) in keys)
+            prev = _shifted(key, g, -1)
+            ref = f"{names[g]} times the normal form one {names[g]} lower"
+            expected = (matrices[g][prev] if prev in standard else
+                        _apply(matrices[g].__getitem__, p.reduce_monomial(prev).split(names)))
+        yield key, "the engine's normal form", p.reduce_monomial(key), ref, expected
 
 
 def _shifted(key: Tuple[int, ...], g: int, step: int = 1) -> Tuple[int, ...]:

@@ -478,8 +478,10 @@ class TestOctVerbs:
         argv = {"oct-mul": ["oct-mul", f"{numeral},0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
                 "kernel": ["kernel", f"0,0,0,0,0,0,{numeral}"],
                 "cell": ["cell", "--params", f"a={numeral}"]}[verb]
-        assert run(capsys, *argv) == (
-            2, "", f"error: {numeral!r} is not a rational p or p/q\n")
+        message = f"{numeral!r} is not a rational p or p/q"
+        if verb == "cell" and not numeral:  # a= names the parameter instead
+            message = "cell parameter 'a' has no value; give it as a=p or a=p/q"
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["oct-mul", "1,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
@@ -500,7 +502,12 @@ class TestOctVerbs:
 
     @pytest.mark.parametrize("params, message", [
         ("a=1,b=0,a=2", "repeated cell parameters: 'a'"),
-        ("zz=1,zz=2", "unknown cell parameter 'zz'; the parameters are a, b, c, d, e, g")])
+        ("zz=1,zz=2", "unknown cell parameter 'zz'; the parameters are a, b, c, d, e, g"),
+        ("a", "cell parameter 'a' has no value; give it as a=p or a=p/q"),
+        ("a=", "cell parameter 'a' has no value; give it as a=p or a=p/q"),
+        ("a= ", "cell parameter 'a' has no value; give it as a=p or a=p/q"),
+        ("b=1,g", "cell parameter 'g' has no value; give it as g=p or g=p/q"),
+        ("c,d=", "cell parameter 'c' has no value; give it as c=p or c=p/q")])
     def test_cell_repeated_parameter(self, capsys, params, message):
         code, out, err = run(capsys, "cell", "--params", params)
         assert (code, out, err) == (2, "", f"error: {message}\n")

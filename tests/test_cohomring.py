@@ -6,6 +6,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -23,9 +24,9 @@ SEED = 1729
 # their associativity certificates (terms passed to addmul in mpoly and
 # cohomring), exact and repeatable
 CERTIFICATE_TERMS = {
-    "FlIntegralPoint": 138, "FlHalfPoint": 100, "FlIntegralBundle": 3818,
-    "FlHalfBundle": 1766, "Equivariant": 2387, "QuadricBundle3": 502,
-    "QuadricBundle3Y": 427, "QuadricBundle3Fiber": 32,
+    "FlIntegralPoint": 136, "FlHalfPoint": 91, "FlIntegralBundle": 2751,
+    "FlHalfBundle": 1298, "Equivariant": 1941, "QuadricBundle3": 354,
+    "QuadricBundle3Y": 332, "QuadricBundle3Fiber": 32,
 }
 VERIFIED = sorted(CERTIFICATE_TERMS)
 
@@ -283,18 +284,24 @@ def _products(p, count):
 
 def _corrupt_memo_after_table(p, key):
     """Make p's memo entry at key wrong by +1 once mult_table has built the
-    table, so the table and check (a) stay right; returns the right entry."""
+    table, so the table stays right; returns the right entry."""
     build = p.mult_table
     good = p.reduce_monomial(key)
     p._memo.clear()
 
     def mult_table():
         table = build()
-        p._memo[key] = p._memo[key] + 1
+        p._memo[key] = good + 1
         return table
 
     p.mult_table = mult_table
     return good
+
+
+def _border(p):
+    """The border keys b + e_g that are not standard."""
+    return {c._shifted(b, g) for g in range(len(p.main_vars))
+            for b in p.basis} - set(p.basis)
 
 
 def _associativity_failures(p):
@@ -304,93 +311,16 @@ def _associativity_failures(p):
 class TestAssociativityCertificate:
     """Mutations of verified presentations that the certificate must see."""
 
-    @staticmethod
-    def _classes(p):
-        # pairs by product monomial, each class in sorted pair order
-        classes = {}
-        for x, y in sorted(p.mult_table()):
-            key = tuple(a + b for a, b in zip(p.basis[x], p.basis[y]))
-            classes.setdefault(key, []).append((x, y))
-        return list(classes.values())
-
-    @staticmethod
-    def _corrupt(p, nf, n):
-        top = p.basis_polys()[p.basis.index(p.top)]
-        return p.normal_form(nf.as_poly() + (1000 + n) * top)
-
-    def test_every_repeated_pair_is_read(self):
-        p = c.fl_integral_point()
-        table = dict(p.mult_table())
-        repeated = [pair for cls in self._classes(p) for pair in cls[1:]]
-        for n, pair in enumerate(repeated):
-            table[pair] = self._corrupt(p, table[pair], n)
-        p.mult_table = lambda: table
-        failures = c.verify_presentation(p)
-        named = {pair for pair in repeated
-                 if any(f.startswith(f"associativity: table entry {pair} ")
-                        for f in failures)}
-        assert named == set(repeated)
-        assert len(failures) == len(repeated)
-
-    def test_every_product_times_every_basis_element(self):
-        # corrupting a whole class keeps the entries consistent, so the
-        # check of the engine memo against the table names it, at its key
-        p = c.fl_integral_point()
-        good = dict(p.mult_table())
-        for n, cls in enumerate(self._classes(p)):
-            table = dict(good)
-            for pair in cls:
-                table[pair] = self._corrupt(p, good[pair], n)
-            p.mult_table = lambda: table
-            x, y = cls[0]
-            key = tuple(a + b for a, b in zip(p.basis[x], p.basis[y]))
-            assert c.verify_presentation(p) == [
-                f"associativity: at {p._monomial(key)}, the engine's normal form "
-                f"is {good[cls[0]].as_poly()} but table entry {cls[0]} is "
-                f"{table[cls[0]].as_poly()}"], cls
-
-    def test_every_table_step_is_read(self):
-        # a whole class and the memo at its key corrupted alike keep the
-        # table consistent and the memo equal to it, so only the step from
-        # the entry one generator lower can see it
-        p = c.fl_integral_point()
-        good = dict(p.mult_table())
-        memo = dict(p._memo)
-        for n, cls in enumerate(self._classes(p)):
-            table = dict(good)
-            for pair in cls:
-                table[pair] = self._corrupt(p, good[pair], n)
-            x, y = cls[0]
-            key = tuple(a + b for a, b in zip(p.basis[x], p.basis[y]))
-
-            def mult_table():
-                p._memo = dict(memo)
-                p._memo[key] = table[cls[0]].as_poly()
-                return table
-
-            p.mult_table = mult_table
-            lines = _associativity_failures(p)
-            assert len(lines) == 1, (cls, lines)
-            assert lines[0].startswith(f"associativity: at {p._monomial(key)}, ")
-            assert lines[0].endswith(f" but table entry {cls[0]} is {table[cls[0]].as_poly()}")
-
     def test_every_engine_column_is_read(self):
         # in QuadricBundle1 the rule is h^1, so the h column at f is the
-        # border key h f, which no pair reaches: only the cross-check of the
-        # border columns against the engine reads the memo there
+        # border key h f, which no pair reaches: only the step check at the
+        # border keys reads the memo there
         p = c.quadric_bundle(1)
         right = c.quadric_bundle(1).reduce_poly(H * F)
-        build = p.mult_table
-
-        def mult_table():
-            table = build()
-            p._memo[(1, 1)] = right + 1
-            return table
-
-        p.mult_table = mult_table
+        _corrupt_memo_after_table(p, (1, 1))
         assert c.verify_presentation(p) == [
             f"associativity: at {H * F}, the engine's normal form is {right + 1} "
-            f"but the rule-step form is {right}"]
+            f"but f times the normal form one f lower is {right}"]
 
     @pytest.mark.parametrize("name", ["FlIntegralPoint", "FlIntegralBundle",
                                       "FlHalfBundle", "Equivariant",
@@ -398,13 +328,10 @@ class TestAssociativityCertificate:
     def test_every_border_column_is_read(self, name, monkeypatch):
         # the oracle's normal form at one border key, made wrong by +1 at
         # its constant key, is one failure, and that failure is a check of
-        # the matrices themselves, not the cross-check of the oracle against
-        # the engine
+        # the matrices themselves, a rule (c) or the commutation (d), not a
+        # step check (e) of the engine against them
         p = c.get_presentation(name)
-        table = dict(p.mult_table())
-        p.mult_table = lambda: table
-        border = sorted({key for g in range(len(p.main_vars)) for b in p.basis
-                         for key in [c._shifted(b, g)] if key not in p.basis})
+        border = sorted(_border(p))
         assert len(border) == {"FlHalfBundle": 8, "QuadricBundle3": 5}.get(name, 16)
         oracle = c._rule_normal_forms
         for wrong in border:
@@ -415,7 +342,7 @@ class TestAssociativityCertificate:
             failures = c.verify_presentation(p)
             assert len(failures) == 1, (wrong, failures)
             assert failures[0].startswith("associativity: at "), failures
-            assert "the rule-step form" not in failures[0], failures
+            assert "the engine's normal form" not in failures[0], failures
 
     @pytest.mark.parametrize("name,index", [
         (name, index) for name in ("FlIntegralPoint", "FlHalfPoint",
@@ -423,7 +350,7 @@ class TestAssociativityCertificate:
         for index in range(len(c.get_presentation(name).rules))])
     def test_every_rule_is_read_at_the_matrices(self, name, index):
         # a wrong right-hand side as the certificate reads it; the engine
-        # and the oracle keep the true rules, so the memo checks pass and
+        # and the oracle keep the true rules, so the step checks pass and
         # the rule check at the matrices is the associativity failure
         p = c.get_presentation(name)
         rule = p.rules[index]
@@ -436,21 +363,33 @@ class TestAssociativityCertificate:
             f"right-hand side at the matrices is {rule.rhs + 1}"]
 
 
+def _step_line(p, key, good):
+    """The start and end of the step check's line for a memo entry at key
+    that is good + 1."""
+    return (f"associativity: at {p._monomial(key)}, the engine's normal form is "
+            f"{good + 1} but ", f" is {good}")
+
+
 class TestCertificateSteps:
-    """The engine memo against the table: the failing check is the witness."""
+    """The engine memo against the matrices: the failing check is the
+    witness, at the wrong entry's own key."""
 
     @pytest.mark.parametrize("key", sorted(_products(c.fl_integral_point(), 2)))
     def test_a_corrupted_memo_entry_is_named(self, key):
-        # the table is built before the memo goes wrong, so check (a) holds;
-        # the memo check names the key, both sides and the table pair
+        # the memo wrong before the table is built, as a wrong rewrite
+        # makes it: the table's class at key, and every rewrite that reads
+        # the entry, are wrong alike, and the step check, lowest key first,
+        # names the key with both sides
         p = c.fl_integral_point()
-        good = _corrupt_memo_after_table(p, key)
+        good = p.reduce_monomial(key)
+        p._memo.clear()
+        p._memo[key] = good + 1
         pair = min((x, y) for x, y in itertools.product(range(len(p.basis)), repeat=2)
                    if tuple(map(sum, zip(p.basis[x], p.basis[y]))) == key)
-        failures = _associativity_failures(p)
-        assert failures == [
-            f"associativity: at {p._monomial(key)}, the engine's normal form is "
-            f"{good + 1} but table entry {pair} is {good}"]
+        assert p.mult_table()[pair].as_poly() == good + 1
+        (line,) = _associativity_failures(p)
+        start, end = _step_line(p, key, good)
+        assert line.startswith(start) and line.endswith(end), line
 
     def test_a_failed_step_without_a_failing_triple_is_reported(self):
         # the certificate never passes silently: the failing step is the
@@ -459,26 +398,57 @@ class TestCertificateSteps:
         _corrupt_memo_after_table(p, p.top)
         assert c.verify_presentation(p) == [
             "associativity: at x1^2 x2 alpha, the engine's normal form is "
-            "x1^2 x2 alpha + 1 but table entry (0, 11) is x1^2 x2 alpha"]
+            "x1^2 x2 alpha + 1 but the basis element is x1^2 x2 alpha"]
 
     @pytest.mark.parametrize("name", VERIFIED)
     def test_the_failing_check_is_the_witness_on_every_verified_ring(self, name):
-        # the memo wrong at the top key is one associativity line, from
-        # check (b), and the failing run, like a passing one, never reduces
-        # a triple key: the memo holds only the keys of the pairs, the
-        # relations and the border.  Where the relation or idempotence
-        # checks read the top key too, they fail on lines of their own
+        # the memo wrong at the top key is one associativity line, from the
+        # step check at that standard key, and the failing run, like a
+        # passing one, never reduces a triple key: the memo holds only the
+        # keys of the pairs, the relations and the border.  Where the
+        # relation checks read the top key too, they fail on lines of their
+        # own
         p = c.get_presentation(name)
         good = _corrupt_memo_after_table(p, p.top)
-        top = p.basis.index(p.top)
         failures = _associativity_failures(p)
         assert failures == [
             f"associativity: at {p._monomial(p.top)}, the engine's normal form is "
-            f"{good + 1} but table entry {(0, top)} is {good}"]
+            f"{good + 1} but the basis element is {good}"]
         sides = [MPoly.monomial({r.var: r.power}) - r.rhs for r in p.rules]
         relations = {key for side in sides for key in side.split(p.main_vars)}
         border = {c._shifted(b, g) for g in range(len(p.main_vars)) for b in p.basis}
         assert set(p._memo) <= _products(p, 2) | relations | border
+
+    @pytest.mark.parametrize("name", VERIFIED)
+    def test_a_corrupted_border_entry_is_named(self, name):
+        # the memo wrong at one border key once the table is built: exactly
+        # one associativity line, the step check at that key
+        border = sorted(_border(c.get_presentation(name)))
+        assert len(border) == {"FlHalfPoint": 8, "FlHalfBundle": 8}.get(
+            name, 5 if name.startswith("Quadric") else 16)
+        for key in border:
+            p = c.get_presentation(name)
+            good = _corrupt_memo_after_table(p, key)
+            lines = _associativity_failures(p)
+            start, end = _step_line(p, key, good)
+            assert len(lines) == 1, (key, lines)
+            assert lines[0].startswith(start) and lines[0].endswith(end), lines
+
+
+@pytest.mark.parametrize("name", VERIFIED)
+def test_mult_table_shares_one_form_per_product(name):
+    # one NormalForm per distinct product key, shared by every pair that
+    # reaches it
+    p = c.get_presentation(name)
+    table = p.mult_table()
+    assert len(table) == len(p.basis) ** 2
+    forms = {}
+    for (x, y), nf in table.items():
+        forms.setdefault(tuple(map(add, p.basis[x], p.basis[y])), set()).add(id(nf))
+    assert all(len(ids) == 1 for ids in forms.values())
+    assert len({id(nf) for nf in table.values()}) == len(forms) == len(_products(p, 2))
+    if name == "FlIntegralPoint":
+        assert len(forms) == 45
 
 
 @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
@@ -551,7 +521,7 @@ def test_certificate_work_is_bounded(name, monkeypatch):
     # term products are exact and repeatable where times are not; a change
     # that lowers a count lowers its bound
     p = c.get_presentation(name)
-    table = p.mult_table()
+    p.mult_table()  # the memo holds the pair keys, as in verify_presentation
     terms = []
 
     def counting(acc, summand, coef=None, shift=mpoly.ONE_KEY):
@@ -561,7 +531,7 @@ def test_certificate_work_is_bounded(name, monkeypatch):
     monkeypatch.setattr(mpoly, "addmul", counting)
     monkeypatch.setattr(c, "addmul", counting)
     failures = []
-    c._check_associativity(p, table, failures)
+    c._check_associativity(p, failures)
     assert failures == []
     assert 0 < sum(terms) <= CERTIFICATE_TERMS[name]
 
