@@ -31,18 +31,18 @@ side, so rewriting terminates, and the basis is the standard monomials.  The
 multiplication table induced on the basis is closed and associative;
 verify_presentation certifies that, which is what makes a normal form here a
 genuine canonical form.  Multiplication by a main variable x_g is a
-matrix on the basis: its column at a standard key b is x^(b + e_g) when that
-is standard, and otherwise the normal form of the border key b + e_g, read
-from _rule_normal_forms, an independent oracle that takes single rule steps
-in the opposite rule order and shares no code with the rewrite engine.  The
-certificate checks that these matrices commute and satisfy the rules, and
-that the engine's normal form at each pair and border key is the one a
-generator lower times that generator's matrix; the table, built from those
-normal forms, is then the regular representation of a commutative ring,
-hence associative (the commutation criterion for border bases: Mourrain
-1999; Kehrein, Kreuzer and Robbiano 2005).  Each check is at most one
-matrix times one vector, a failure is the failing check's own line, and the
-engine memo keeps only the keys of the table, the relations and the border.
+matrix on the basis, whose column at a standard key b is x^(b + e_g), or
+the engine's normal form when b + e_g is a border key.  The certificate
+checks that the engine's normal form at each pair key is a generator lower
+times that generator's matrix, and that the matrices satisfy the rules and
+commute, which forces every border column to be the true normal form; the
+table is then the regular representation of a commutative ring, hence
+associative (the commutation criterion for border bases: Mourrain 1999;
+Kehrein, Kreuzer and Robbiano 2005).  Besides that proof, tests/test_oracle.py
+checks the engine against sympy's Groebner bases at every border key.  Each
+check is at most one matrix times one vector, a failure is the failing
+check's own line, naming the monomials it read, and the engine memo keeps
+only the keys of the table, the relations and the border.
 
 Rewriting is linear over the base ring: every left-hand side is a power of a
 main variable and the order reads only main exponents, so nf(b m) = b nf(m)
@@ -69,6 +69,7 @@ NonIntegralReduction rather than silently rescaled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, product
@@ -124,9 +125,8 @@ def _in_ring(ring: str, q) -> bool:
 def _apply(column: Callable[[Tuple[int, ...]], MPoly], groups) -> MPoly:
     """M v for the matrix M with the columns column(key) and the vector v
     with the base coefficients groups {main key: terms}: the one sum of
-    columns times base coefficients, which reduce_poly, the certificate's
-    matrix products and the rule-step oracle share.  Each column is
-    fetched once."""
+    columns times base coefficients, which reduce_poly and the
+    certificate's matrix products share.  Each column is fetched once."""
     acc = {}
     for key, group in groups.items():
         col = column(key)
@@ -530,18 +530,19 @@ def verify_presentation(p: Presentation) -> List[str]:
     Returns the failures, one line per failed property, named by the
     property; the presentation is verified when the list is empty.
     Associativity is certified by _check_associativity from one matrix per
-    main variable: the matrices commute and satisfy the rules, and the
-    engine's normal form at every pair and border key is one generator step
-    from them, so the table is the regular representation of a commutative
-    ring.  That also makes each normal form idempotent: the engine's normal
-    form of every standard key is the key itself.  An ArithmeticError in
-    the certificate, such as RewriteBudgetExceeded, is one "associativity:"
-    line, as one in building the table is one "closure:" line.  A failure
-    names the failing check, at its main monomial with both sides.
-    Nothing it computes outlives the call except the presentation's
-    own rewrite memo, which holds the keys of the table, the relations and
-    the border columns, never a key that only a product of three basis
-    elements reaches, on a pass or a fail.
+    main variable, whose border columns are the engine's normal forms: the
+    engine's normal form at every pair key is one generator step from the
+    matrices, and the matrices satisfy the rules and commute, so the table
+    is the regular representation of a commutative ring.  That also makes
+    each normal form idempotent: the engine's normal form of every standard
+    key is the key itself.  An ArithmeticError in the certificate, such as
+    RewriteBudgetExceeded, is one "associativity:" line, as one in building
+    the table is one "closure:" line.  A failure names the failing check,
+    at its main monomial with both sides and the monomials whose normal
+    forms they read.  Nothing it computes outlives the call except the
+    presentation's own rewrite memo, which holds the keys of the table, the
+    relations and the border columns, never a key that only a product of
+    three basis elements reaches, on a pass or a fail.
     """
     failures: List[str] = []
     if len(p.basis) != p.expected_rank:
@@ -573,25 +574,23 @@ def _check_associativity(p: Presentation, failures):
 
     Let F be the free module over the base ring R on the standard keys b,
     and M_g the matrix of multiplication by the main variable x_g on F
-    (_generator_matrices): its column at b is the normal form of b + e_g,
-    read from _rule_normal_forms, an oracle that does not use the rewrite
-    engine under test and leaves its memo alone; that is e_{b+e_g} when
-    b + e_g is standard, and a border column otherwise.  nf(P) is the
-    engine's normal form reduce_monomial(P), from which mult_table builds
-    each entry, and K is the set of pair keys b_x + b_y together with the
-    border keys b + e_g.  The checks:
+    (_generator_matrices): its column at b is e_{b+e_g} when b + e_g is
+    standard, and otherwise the engine's normal form of the border key
+    b + e_g.  nf(P) is the engine's normal form reduce_monomial(P), from
+    which mult_table builds each entry, and K is the set of pair keys
+    b_x + b_y.  The checks, run in the order (e), (c), (d):
 
       (c) each rule x_g^p -> rhs_g holds at the matrices:
           M_g^p e_1 = rhs_g(M) e_1;
       (d) M_g M_h = M_h M_g for every pair of main variables;
       (e) for every P in K, lowest first: nf(P) = e_P when P is standard,
           else nf(P) = M_g nf(P - e_g), with g the last main variable such
-          that P - e_g is in K; when P - e_g is standard, the right side is
-          the column of M_g at P - e_g itself.
+          that P - e_g is in K.
 
-    Such a g exists: a standard key b is the pair key b + 0, a border key
-    b + e_g steps down to b, and a pair key b_x + b_y with b_y != 0 steps
-    down to the pair key b_x + (b_y - e_g), for any g in b_y.
+    Such a g exists: a pair key b_x + b_y that is not standard has
+    b_y != 0, and steps down to the pair key b_x + (b_y - e_g) for any g
+    in b_y.  When P - e_g is standard, the right side of (e) is the border
+    column at P itself, so (e) there holds by construction.
 
     Why (c)-(e) prove associativity.  By (d), x_g -> M_g makes F a module
     over R[x], and phi: f -> f(M) e_1 maps R[x] onto F, because
@@ -602,53 +601,65 @@ def _check_associativity(p: Presentation, failures):
     standard ones, so psi: F -> R[x]/I, e_b -> x^b, is onto as well.  Then
     phi psi, e_b -> M^b e_1, is a surjective endomorphism of the finitely
     generated module F, hence an isomorphism (Matsumura, Commutative Ring
-    Theory, Thm 2.4; here it is the identity).  So psi is injective,
-    R[x]/I is F, and x_g acts on it as M_g.  By (e) and induction on P in
-    K, nf(P) = M^P e_1, the class of x^P: the table entry (x, y), nf of
-    b_x + b_y on the basis, is the class of x^{b_x} x^{b_y}, and the table
-    is the regular representation of the commutative ring R[x]/I, so it is
-    associative.  At the border keys (e) also ties the engine memo, which
-    later normal forms read, to the oracle's columns.
+    Theory, Thm 2.4; here it is the identity).  So R[x]/I is F, and x_g
+    acts on it as M_g: each border column is the true normal form,
+    whatever produced it.  By (e) and induction on P in K,
+    nf(P) = M^P e_1, the class of x^P, so the table is the regular
+    representation of the commutative ring R[x]/I, hence associative.
+    The proof does not use where the border columns come from, so the
+    engine's independent check is the proof together with
+    tests/test_oracle.py, which compares the engine's normal form at every
+    border key with sympy's Groebner basis.
 
     Each check is one product of a matrix with a vector at most, and
     nothing but the matrices is held.  The first check that fails is the
-    failure: its line names the main monomial and both sides.  Since (e)
-    runs lowest first and reads nf only at P and below, a wrong memo entry
-    fails at its own key.
+    failure: its line names the main monomial, both sides and the other
+    keys whose normal forms they read: the border columns, and in a step
+    check the key one step lower.  Since (e) runs first, lowest first, and
+    reads nf only at P and below, a wrong memo entry off the border fails
+    at its own key.
     """
-    for key, what, side, ref, expected in _certificate_checks(p):
+    for key, what, side, ref, expected, read in _certificate_checks(p):
         if side != expected:
-            failures.append(f"associativity: at {p._monomial(key)}, {what} "
-                            f"is {side} but {ref} is {expected}")
+            line = (f"associativity: at {p._monomial(key)}, {what} is {side} "
+                    f"but {ref} is {expected}")
+            if read:
+                line += "; it read the normal forms at " + ", ".join(
+                    str(p._monomial(b)) for b in sorted(read, key=p._heap_key,
+                                                        reverse=True))
+            failures.append(line)
             break
 
 
 def _certificate_checks(p: Presentation):
-    """Yield (main key, what, its side, reference, the reference's side)
-    for checks (c) to (e) of _check_associativity, in that order."""
+    """Yield (main key, what, its side, reference, the reference's side,
+    the other keys whose normal forms the two sides read, none standard)
+    for checks (e), (c) and (d) of _check_associativity, in that order."""
     names = p.main_vars
+    standard = set(p.basis)
     matrices = _generator_matrices(p)
+    read = set()  # keys whose normal forms were read since the last check
+
+    def column(g, b):  # M_g e_b
+        read.add(_shifted(b, g))
+        return matrices[g][b]
+
+    def times(g, v):  # M_g v
+        return _apply(partial(column, g), v.split(names))
 
     def power(key):  # M^key e_1
         v = MPoly.one()
         for g, e in enumerate(key):
             for _ in range(e):
-                v = _apply(matrices[g].__getitem__, v.split(names))
+                v = times(g, v)
         return v
 
-    for rule in p.rules:
-        (key,) = MPoly.monomial({rule.var: rule.power}).split(names)
-        yield (key, "the matrix power", power(key), "the right-hand side at the "
-               "matrices", _apply(power, rule.rhs.split(names)))
-    for g, h in combinations(range(len(names)), 2):
-        for b in p.basis:
-            yield (b, f"{names[g]} times {names[h]} times it",
-                   _apply(matrices[g].__getitem__, matrices[h][b].split(names)),
-                   f"{names[h]} times {names[g]} times it",
-                   _apply(matrices[h].__getitem__, matrices[g][b].split(names)))
-    standard = set(p.basis)
+    def check(key, what, side, ref, expected):  # the check, with its reads
+        found = key, what, side, ref, expected, read - standard
+        read.clear()
+        return found
+
     keys = {tuple(map(add, b, c)) for b in p.basis for c in p.basis}
-    keys |= {_shifted(b, g) for b in p.basis for g in range(len(names))}
     for key in sorted(keys, key=p._heap_key, reverse=True):
         if key in standard:
             ref, expected = "the basis element", p._monomial(key)
@@ -656,9 +667,21 @@ def _certificate_checks(p: Presentation):
             g = max(g for g in range(len(names)) if _shifted(key, g, -1) in keys)
             prev = _shifted(key, g, -1)
             ref = f"{names[g]} times the normal form one {names[g]} lower"
-            expected = (matrices[g][prev] if prev in standard else
-                        _apply(matrices[g].__getitem__, p.reduce_monomial(prev).split(names)))
-        yield key, "the engine's normal form", p.reduce_monomial(key), ref, expected
+            read.add(prev)
+            expected = (column(g, prev) if prev in standard else
+                        times(g, p.reduce_monomial(prev)))
+        yield check(key, "the engine's normal form", p.reduce_monomial(key),
+                    ref, expected)
+    for rule in p.rules:
+        (key,) = MPoly.monomial({rule.var: rule.power}).split(names)
+        yield check(key, "the matrix power", power(key), "the right-hand side "
+                    "at the matrices", _apply(power, rule.rhs.split(names)))
+    for g, h in combinations(range(len(names)), 2):
+        for b in p.basis:
+            yield check(b, f"{names[g]} times {names[h]} times it",
+                        times(g, column(h, b)),
+                        f"{names[h]} times {names[g]} times it",
+                        times(h, column(g, b)))
 
 
 def _shifted(key: Tuple[int, ...], g: int, step: int = 1) -> Tuple[int, ...]:
@@ -668,45 +691,15 @@ def _shifted(key: Tuple[int, ...], g: int, step: int = 1) -> Tuple[int, ...]:
 
 def _generator_matrices(p: Presentation) -> List[Dict[Tuple[int, ...], MPoly]]:
     """The matrix of multiplication by each main variable x_g, as
-    {basis key b: column}: the normal form of b + e_g from
-    _rule_normal_forms, which is x^(b + e_g) itself when b + e_g is
-    standard."""
-    steps = [{b: _shifted(b, g) for b in p.basis} for g in range(len(p.main_vars))]
-    nfs = _rule_normal_forms(p, {key for step in steps for key in step.values()})
-    return [{b: nfs[key] for b, key in step.items()} for step in steps]
+    {basis key b: column}: x^(b + e_g) when b + e_g is standard, and
+    otherwise the engine's normal form of that border key."""
+    standard = set(p.basis)
 
+    def column(key):
+        return p._monomial(key) if key in standard else p.reduce_monomial(key)
 
-def _rule_normal_forms(p: Presentation, keys) -> Dict[Tuple[int, ...], MPoly]:
-    """{key: normal form} for each main key in keys, by single rule steps that
-    share no code with the rewrite engine, _rewrite, and leave its memo alone.
-
-    A reducible key takes the last rule that applies, where the engine takes
-    the first, so the two follow different reduction paths; the rules'
-    leading terms are coprime pure powers, a Groebner basis, so both paths
-    end at the same normal form.  Every key that one step reaches from keys
-    is collected first; then each key, lowest first, gets the sum of the
-    rule's base coefficients times the normal forms of the lower keys it
-    steps to.
-    """
-    steps, nfs = {}, {}  # reducible key -> {lower key: base terms}; key -> nf
-    todo = list(keys)
-    while todo:
-        key = todo.pop()
-        if key in steps or key in nfs:
-            continue
-        hit = next((rule for rule in reversed(p._rule_idx)
-                    if key[rule[0]] >= rule[1]), None)
-        if hit is None:
-            nfs[key] = p._monomial(key)
-        else:
-            idx, power, rhs = hit
-            rest = list(key)
-            rest[idx] -= power
-            steps[key] = {tuple(map(add, rmain, rest)): rterms for rmain, rterms in rhs}
-            todo.extend(steps[key])
-    for key in sorted(steps, key=p._heap_key, reverse=True):
-        nfs[key] = _apply(nfs.__getitem__, steps[key])
-    return {key: nfs[key] for key in keys}
+    return [{b: column(_shifted(b, g)) for b in p.basis}
+            for g in range(len(p.main_vars))]
 
 
 # the ring each presentation must reduce to, rule for rule, when every base

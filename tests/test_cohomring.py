@@ -24,9 +24,9 @@ SEED = 1729
 # their associativity certificates (terms passed to addmul in mpoly and
 # cohomring), exact and repeatable
 CERTIFICATE_TERMS = {
-    "FlIntegralPoint": 136, "FlHalfPoint": 91, "FlIntegralBundle": 2751,
-    "FlHalfBundle": 1298, "Equivariant": 1941, "QuadricBundle3": 354,
-    "QuadricBundle3Y": 332, "QuadricBundle3Fiber": 32,
+    "FlIntegralPoint": 100, "FlHalfPoint": 66, "FlIntegralBundle": 2578,
+    "FlHalfBundle": 1188, "Equivariant": 1727, "QuadricBundle3": 303,
+    "QuadricBundle3Y": 270, "QuadricBundle3Fiber": 24,
 }
 VERIFIED = sorted(CERTIFICATE_TERMS)
 
@@ -86,9 +86,9 @@ class TestVerifyPresentations:
         # a key holds the exponents of the main variables and nothing else
         assert all(len(key) == len(p.main_vars) for key in p._memo)
         assert len(p._memo) == 45
-        # the border columns of the associativity certificate come from the
-        # rule-step oracle, so no key that only triple products reach is
-        # rewritten by the engine
+        # the certificate reads the engine only at the pair and border
+        # keys, and the engine memoizes only the keys it is asked for, so no
+        # key that only triple products reach is rewritten
         assert (_products(p, 3) - _products(p, 2)).isdisjoint(p._memo)
 
     def test_rank_mismatch_is_a_named_failure(self):
@@ -282,16 +282,16 @@ def _products(p, count):
             for key in math.prod(factors, start=MPoly.one()).split(p.main_vars)}
 
 
-def _corrupt_memo_after_table(p, key):
-    """Make p's memo entry at key wrong by +1 once mult_table has built the
-    table, so the table stays right; returns the right entry."""
+def _corrupt_memo_after_table(p, key, delta=1):
+    """Make p's memo entry at key wrong by + delta once mult_table has built
+    the table, so the table stays right; returns the right entry."""
     build = p.mult_table
     good = p.reduce_monomial(key)
     p._memo.clear()
 
     def mult_table():
         table = build()
-        p._memo[key] = good + 1
+        p._memo[key] = good + delta
         return table
 
     p.mult_table = mult_table
@@ -308,41 +308,27 @@ def _associativity_failures(p):
     return [f for f in c.verify_presentation(p) if f.startswith("associativity")]
 
 
+def _named(line):
+    """The monomials an associativity line names: the key it fails at and
+    the keys whose normal forms its two sides read."""
+    head, _, read = line.partition("; it read the normal forms at ")
+    return {head[len("associativity: at "):].split(", ", 1)[0], *read.split(", ")}
+
+
 class TestAssociativityCertificate:
     """Mutations of verified presentations that the certificate must see."""
 
     def test_every_engine_column_is_read(self):
         # in QuadricBundle1 the rule is h^1, so the h column at f is the
-        # border key h f, which no pair reaches: only the step check at the
-        # border keys reads the memo there
+        # border key h f, which no pair reaches and so no step check reads:
+        # the commutation at 1 reads it, and its line names it
         p = c.quadric_bundle(1)
         right = c.quadric_bundle(1).reduce_poly(H * F)
         _corrupt_memo_after_table(p, (1, 1))
-        assert c.verify_presentation(p) == [
-            f"associativity: at {H * F}, the engine's normal form is {right + 1} "
-            f"but f times the normal form one f lower is {right}"]
-
-    @pytest.mark.parametrize("name", ["FlIntegralPoint", "FlIntegralBundle",
-                                      "FlHalfBundle", "Equivariant",
-                                      "QuadricBundle3"])
-    def test_every_border_column_is_read(self, name, monkeypatch):
-        # the oracle's normal form at one border key, made wrong by +1 at
-        # its constant key, is one failure, and that failure is a check of
-        # the matrices themselves, a rule (c) or the commutation (d), not a
-        # step check (e) of the engine against them
-        p = c.get_presentation(name)
-        border = sorted(_border(p))
-        assert len(border) == {"FlHalfBundle": 8, "QuadricBundle3": 5}.get(name, 16)
-        oracle = c._rule_normal_forms
-        for wrong in border:
-            def corrupted(p, keys):
-                return {key: nf + 1 if key == wrong else nf
-                        for key, nf in oracle(p, keys).items()}
-            monkeypatch.setattr(c, "_rule_normal_forms", corrupted)
-            failures = c.verify_presentation(p)
-            assert len(failures) == 1, (wrong, failures)
-            assert failures[0].startswith("associativity: at "), failures
-            assert "the engine's normal form" not in failures[0], failures
+        (line,) = c.verify_presentation(p)
+        assert line.startswith(f"associativity: at 1, h times f times it is "
+                               f"{right + 1} but f times h times it is {right}; "), line
+        assert str(H * F) in _named(line), line
 
     @pytest.mark.parametrize("name,index", [
         (name, index) for name in ("FlIntegralPoint", "FlHalfPoint",
@@ -350,46 +336,60 @@ class TestAssociativityCertificate:
         for index in range(len(c.get_presentation(name).rules))])
     def test_every_rule_is_read_at_the_matrices(self, name, index):
         # a wrong right-hand side as the certificate reads it; the engine
-        # and the oracle keep the true rules, so the step checks pass and
-        # the rule check at the matrices is the associativity failure
+        # keeps the true rules, so the step checks pass and the rule check
+        # at the matrices is the associativity failure, which names the
+        # border column of the left-hand side among those it read
         p = c.get_presentation(name)
         rule = p.rules[index]
         p.rules = (p.rules[:index] + (c.Rule(rule.var, rule.power, rule.rhs + 1),)
                    + p.rules[index + 1:])
         lhs = MPoly.monomial({rule.var: rule.power})
-        assert c.verify_presentation(p) == [
-            f"relation for {rule.var}^{rule.power} broken",
+        relation, line = c.verify_presentation(p)
+        assert relation == f"relation for {rule.var}^{rule.power} broken"
+        assert line.startswith(
             f"associativity: at {lhs}, the matrix power is {rule.rhs} but the "
-            f"right-hand side at the matrices is {rule.rhs + 1}"]
+            f"right-hand side at the matrices is {rule.rhs + 1}; "), line
+        assert str(lhs) in _named(line), line
 
 
-def _step_line(p, key, good):
-    """The start and end of the step check's line for a memo entry at key
-    that is good + 1."""
-    return (f"associativity: at {p._monomial(key)}, the engine's normal form is "
-            f"{good + 1} but ", f" is {good}")
+# the memo mutants of the certificate: every pair key off the border, and
+# every border key, of every verified ring
+_OFF_BORDER = [(name, key) for name in VERIFIED for key in sorted(
+    _products(c.get_presentation(name), 2) - _border(c.get_presentation(name)))]
+_BORDER = [(name, key) for name in VERIFIED
+           for key in sorted(_border(c.get_presentation(name)))]
 
 
 class TestCertificateSteps:
     """The engine memo against the matrices: the failing check is the
-    witness, at the wrong entry's own key."""
+    witness.  A wrong memo entry off the border fails at its own key; a
+    wrong border entry, which the matrices hold as a column, fails on one
+    line that names it."""
 
-    @pytest.mark.parametrize("key", sorted(_products(c.fl_integral_point(), 2)))
-    def test_a_corrupted_memo_entry_is_named(self, key):
-        # the memo wrong before the table is built, as a wrong rewrite
-        # makes it: the table's class at key, and every rewrite that reads
-        # the entry, are wrong alike, and the step check, lowest key first,
-        # names the key with both sides
-        p = c.fl_integral_point()
+    def test_the_mutants_are_every_pair_and_border_key(self):
+        # 29 pair keys off the border in each three-variable flag ring, 25
+        # in each half ring and 10 in each quadric bundle; 16, 8 and 5
+        # border keys, each corrupted two ways
+        assert len(_OFF_BORDER) == 167 and 2 * len(_BORDER) == 158
+
+    @pytest.mark.parametrize("name,key", _OFF_BORDER)
+    def test_a_corrupted_memo_entry_is_named(self, name, key):
+        # the memo wrong by +1 at a pair key off the border before the table
+        # is built, as a wrong rewrite makes it: the table's class at key,
+        # and every rewrite that reads the entry, are wrong alike, and the
+        # step check, lowest key first, names the key with both sides
+        p = c.get_presentation(name)
         good = p.reduce_monomial(key)
         p._memo.clear()
         p._memo[key] = good + 1
         pair = min((x, y) for x, y in itertools.product(range(len(p.basis)), repeat=2)
-                   if tuple(map(sum, zip(p.basis[x], p.basis[y]))) == key)
+                   if tuple(map(add, p.basis[x], p.basis[y])) == key)
         assert p.mult_table()[pair].as_poly() == good + 1
         (line,) = _associativity_failures(p)
-        start, end = _step_line(p, key, good)
-        assert line.startswith(start) and line.endswith(end), line
+        head = line.partition("; it read the normal forms at ")[0]
+        assert head.startswith(f"associativity: at {p._monomial(key)}, the "
+                               f"engine's normal form is {good + 1} but "), line
+        assert head.endswith(f" is {good}"), line
 
     def test_a_failed_step_without_a_failing_triple_is_reported(self):
         # the certificate never passes silently: the failing step is the
@@ -419,20 +419,31 @@ class TestCertificateSteps:
         border = {c._shifted(b, g) for g in range(len(p.main_vars)) for b in p.basis}
         assert set(p._memo) <= _products(p, 2) | relations | border
 
-    @pytest.mark.parametrize("name", VERIFIED)
-    def test_a_corrupted_border_entry_is_named(self, name):
-        # the memo wrong at one border key once the table is built: exactly
-        # one associativity line, the step check at that key
-        border = sorted(_border(c.get_presentation(name)))
-        assert len(border) == {"FlHalfPoint": 8, "FlHalfBundle": 8}.get(
-            name, 5 if name.startswith("Quadric") else 16)
-        for key in border:
-            p = c.get_presentation(name)
-            good = _corrupt_memo_after_table(p, key)
-            lines = _associativity_failures(p)
-            start, end = _step_line(p, key, good)
-            assert len(lines) == 1, (key, lines)
-            assert lines[0].startswith(start) and lines[0].endswith(end), lines
+    @pytest.mark.parametrize("key", sorted(_border(c.fl_integral_point())))
+    def test_a_wrong_border_rewrite_fails(self, key):
+        # the memo wrong by +1 at a border key before the table is built, as
+        # a wrong rewrite there makes it: the matrices hold the wrong entry
+        # as a column, and the certificate fails on exactly one line, which
+        # need not name the key (test_a_corrupted_border_entry_is_named pins
+        # the naming for an entry wrong only where the certificate reads it)
+        p = c.fl_integral_point()
+        good = p.reduce_monomial(key)
+        p._memo.clear()
+        p._memo[key] = good + 1
+        assert len(_associativity_failures(p)) == 1
+
+    @pytest.mark.parametrize("name,key", _BORDER)
+    @pytest.mark.parametrize("first", [False, True], ids=["plus_1", "plus_first"])
+    def test_a_corrupted_border_entry_is_named(self, name, key, first):
+        # the memo wrong at a border key once the table is built, by +1 or
+        # by + the first main variable: exactly one associativity line, from
+        # a step check that read the entry or a rule or commutation check of
+        # the matrices that hold it as a column, and the line names the key
+        p = c.get_presentation(name)
+        _corrupt_memo_after_table(p, key, MPoly.var(p.main_vars[0]) if first else 1)
+        lines = _associativity_failures(p)
+        assert len(lines) == 1, lines
+        assert str(p._monomial(key)) in _named(lines[0]), lines
 
 
 @pytest.mark.parametrize("name", VERIFIED)
@@ -451,18 +462,6 @@ def test_mult_table_shares_one_form_per_product(name):
         assert len(forms) == 45
 
 
-@pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
-def test_rule_step_oracle_matches_the_engine(name):
-    # the oracle takes the last rule that applies, the engine the first;
-    # both must reach the normal form of every product of three basis
-    # monomials, and the oracle leaves the engine's memo alone
-    p = c.get_presentation(name)
-    keys = _products(p, 3)
-    nfs = c._rule_normal_forms(p, keys)
-    assert not p._memo and set(nfs) == keys
-    assert all(nfs[key] == p.reduce_monomial(key) for key in keys)
-
-
 QUADRICS = {f"QuadricBundle{n}{fiber}": functools.partial(factory, n)
             for n in (1, 2) for fiber, factory in (("", c.quadric_bundle),
                                                    ("Fiber", c.quadric_bundle_fiber))}
@@ -470,22 +469,17 @@ QUADRICS = {f"QuadricBundle{n}{fiber}": functools.partial(factory, n)
 
 @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES) + sorted(QUADRICS))
 def test_generator_matrices_commute_and_rebuild_the_table(name):
-    # the matrices on their own: they commute, each column is the engine's
-    # normal form of the basis monomial times the generator, and stepping
-    # e_x by the exponents of e_y rebuilds every table entry.  In
-    # QuadricBundle1 the rule is h^1, so h is no basis monomial and every h
-    # column is a border column
+    # the matrices on their own: they commute, and stepping e_x by the
+    # exponents of e_y rebuilds every table entry.  In QuadricBundle1 the
+    # rule is h^1, so h is no basis monomial and every h column is a border
+    # column
     p = QUADRICS[name]() if name in QUADRICS else c.get_presentation(name)
     matrices = c._generator_matrices(p)
-    units = [MPoly.var(v) for v in p.main_vars]
     polys = p.basis_polys()
 
     def times(g, v):
         return c._apply(matrices[g].__getitem__, v.split(p.main_vars))
 
-    for g, matrix in enumerate(matrices):
-        assert [matrix[b] for b in p.basis] == [
-            p.reduce_poly(units[g] * poly) for poly in polys]
     for g, h in itertools.combinations(range(len(p.main_vars)), 2):
         for b in p.basis:
             assert times(g, matrices[h][b]) == times(h, matrices[g][b])
@@ -500,18 +494,30 @@ def test_generator_matrices_commute_and_rebuild_the_table(name):
 
 
 def test_an_arithmetic_error_in_the_certificate_is_one_failure(monkeypatch):
-    # an oracle that gives up, as a rewrite past MAX_REWRITE_TERMS does: each
-    # presentation gets one associativity line and the suite goes on
-    def raising(p, keys):
-        raise c.RewriteBudgetExceeded(f"{p.name}: the oracle gives up")
+    # the engine gives up, as a rewrite past MAX_REWRITE_TERMS does, at the
+    # border key top + e_1 once mult_table has built the table, where only
+    # the certificate reads it: each presentation gets one associativity
+    # line and the suite goes on
+    build, engine = c.Presentation.mult_table, c.Presentation.reduce_monomial
 
-    monkeypatch.setattr(c, "_rule_normal_forms", raising)
+    def mult_table(p):
+        table = build(p)
+        p.gives_up_at = c._shifted(p.top, 0)
+        return table
+
+    def reduce_monomial(p, key):
+        if key == getattr(p, "gives_up_at", None):
+            raise c.RewriteBudgetExceeded(f"{p.name}: the engine gives up")
+        return engine(p, key)
+
+    monkeypatch.setattr(c.Presentation, "mult_table", mult_table)
+    monkeypatch.setattr(c.Presentation, "reduce_monomial", reduce_monomial)
     assert c.verify_presentation(c.fl_integral_point()) == [
-        "associativity: FlIntegralPoint: the oracle gives up"]
+        "associativity: FlIntegralPoint: the engine gives up"]
     results = checks.run_suite("ring").results
     failed = [r for r in results if not r.passed]
     assert [r.detail for r in failed] == [
-        f"associativity: {name}: the oracle gives up" for name in
+        f"associativity: {name}: the engine gives up" for name in
         ("FlIntegralPoint", "FlHalfPoint", "FlIntegralBundle", "FlHalfBundle")]
     assert len(results) > len(failed) and not any("raised" in r.name for r in results)
 

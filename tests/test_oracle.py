@@ -2,9 +2,13 @@
 
 For every presentation, f - nf(f) must lie in the ideal of its rules, which
 sympy decides from its own grevlex Groebner basis, and nf(f) must be
-standard: every main exponent below its rule's power.
+standard: every main exponent below its rule's power.  f is a few random
+classes, and each border monomial b x_g (b a basis monomial, b x_g not one),
+whose normal forms the associativity certificate reads as the columns of
+its generator matrices.
 """
 
+import functools
 import random
 
 import pytest
@@ -40,20 +44,45 @@ def _random_input(rng, p):
     return total
 
 
-@pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
-def test_normal_form_matches_groebner_oracle(name):
+@functools.cache
+def _groebner(name):
+    """sympy's grevlex Groebner basis of the presentation's rules, and the
+    symbols of its variables."""
     p = c.get_presentation(name)
     gens = p.main_vars + p.base_vars
     symbols = {v: sympy.Symbol(v) for v in gens}
     rules = [symbols[r.var] ** r.power - _to_sympy(r.rhs, symbols)
              for r in p.rules]
-    basis = sympy.groebner(rules, *[symbols[v] for v in gens], order="grevlex")
+    return sympy.groebner(rules, *[symbols[v] for v in gens], order="grevlex"), symbols
+
+
+def _assert_normal_form(p, f, nf):
+    """nf is standard and f - nf lies in the ideal of p's rules."""
+    basis, symbols = _groebner(p.name)
     power = {VARIABLES.index(r.var): r.power for r in p.rules}
+    for exp, _ in nf.items():
+        assert all(exp[i] < n for i, n in power.items()), (f, exp)
+    _, remainder = basis.reduce(sympy.expand(_to_sympy(f - nf, symbols)))
+    assert remainder == 0, (f, nf)
+
+
+@pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
+def test_normal_form_matches_groebner_oracle(name):
+    p = c.get_presentation(name)
     rng = random.Random(f"{SEED}-{name}")
     for _ in range(4):
         f = _random_input(rng, p)
-        nf = p.reduce_poly(f)
-        for exp, _ in nf.items():
-            assert all(exp[i] < n for i, n in power.items()), (f, exp)
-        _, remainder = basis.reduce(sympy.expand(_to_sympy(f - nf, symbols)))
-        assert remainder == 0, (f, nf)
+        _assert_normal_form(p, f, p.reduce_poly(f))
+
+
+@pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
+def test_border_columns_match_groebner_oracle(name):
+    # the associativity certificate takes its border columns from the
+    # engine, and its proof forces them to be the true normal forms; this
+    # is the engine's check at those keys along a path that shares no code
+    # with it
+    p = c.get_presentation(name)
+    border = {c._shifted(b, g) for b in p.basis
+              for g in range(len(p.main_vars))} - set(p.basis)
+    for key in sorted(border):
+        _assert_normal_form(p, p._monomial(key), p.reduce_monomial(key))
