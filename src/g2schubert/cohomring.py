@@ -175,7 +175,7 @@ class Presentation:
         # positions in a main key of the rule variables, in rule order
         self._order = tuple(map(self.main_vars.index, rule_vars))
         # rewrite with the rules so far; no shortcut before the top is known
-        self._homogeneous, self._memo = False, {}
+        self._homogeneous, self._memo, self._shifts = False, {}, {}
         self.rules, self._rule_idx = (), ()
         for rule in map(self._inter_reduce, rules):
             self.rules += (rule,)
@@ -241,7 +241,18 @@ class Presentation:
 
     def _monomial(self, key: Tuple[int, ...]) -> MPoly:
         """The main monomial with exponents key."""
-        return MPoly.join(self.main_vars, {key: MPoly.one()})
+        return MPoly.monomial(dict(zip(self.main_vars, key)))
+
+    def _shift(self, key: Tuple[int, ...]) -> int:
+        """The opaque key of the main monomial with exponents key, the shift
+        that puts a base coefficient at that main key.  Read on first use:
+        during inter-reduction a key is standard for the rules so far, which
+        need not make it a key of the basis."""
+        shift = self._shifts.get(key)
+        if shift is None:
+            (shift,) = key_terms(self._monomial(key))
+            self._shifts[key] = shift
+        return shift
 
     def _heap_key(self, key: Tuple[int, ...]):
         """The rewrite order, negated so that a min-heap pops the highest
@@ -273,7 +284,9 @@ class Presentation:
         # Rules and order read only main exponents, so pending maps each main
         # key to its base coefficient {base part: coef}.  Every rewrite step
         # yields strictly lower main monomials, so a main key popped from the
-        # heap is never pushed again.
+        # heap is never pushed again.  A standard key's base coefficient goes
+        # into done in one addmul, shifted by that key's opaque key (_shift),
+        # with no polynomial built for it.
         memo = self._memo
         pending = {key: {ONE_KEY: Fraction(1)}}
         heap = [(self._heap_key(key), key)]
@@ -295,7 +308,7 @@ class Presentation:
             hit = self._find_rule(m)
             if hit is None:
                 terms += len(coef)
-                addmul(done, MPoly.join(self.main_vars, {m: coef}))
+                addmul(done, coef, shift=self._shift(m))
                 continue
             idx, power, rhs = hit
             rest = list(m)

@@ -24,10 +24,13 @@ CASC 2007): one 64-bit field per variable, in the precedence order above
 with x1 most significant, and above them a field holding the total degree.
 A field keeps its top bit clear as a guard, so an exponent stays below
 2**63; that bound is checked where exponents enter (the constructors, join,
-coeff) and, once per addmul call, on the highest product, since no field
-can exceed the degree field.  An exponent never wraps; past the bound the
-operation raises OverflowError("exponent too large").  With this layout a
-monomial product is one integer add, the canonical term order, graded
+coeff), once per addmul call on the highest product, and on each one-term
+product and power, since no field can exceed the degree field.  An
+exponent never wraps; past the bound the operation raises
+OverflowError("exponent too large").  With this layout a monomial product
+is one integer add and its n-th power one multiply by n (MPoly's product
+of two one-term polynomials and power of one are just that: no sum of
+terms, and no squaring), the canonical term order, graded
 lexicographic (higher total degree first, ties broken lexicographically
 with x1 largest), is integer order, and divisibility is one subtraction
 and a test of the guard bits.
@@ -117,6 +120,15 @@ def _exponent(names: Iterable[str], exponents: Iterable[int]) -> int:
             raise UnboundVariable(f"unknown variable {name!r}")
         exp[VAR_INDEX[name]] += e
     return _pack(exp)
+
+
+def _checked(key: int) -> int:
+    """A key computed from keys by a sum or a multiple; OverflowError if a
+    degree reached 2**63 on the way (no field can exceed the degree field,
+    and a carry out of one only raises the key)."""
+    if key >= _LIMIT:
+        raise OverflowError("exponent too large")
+    return key
 
 
 def key_terms(terms: "MPoly | Mapping[int, Coef]") -> Mapping[int, Coef]:
@@ -343,6 +355,11 @@ class MPoly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        if len(self._t) == 1 == len(o._t):  # a monomial product: one add
+            (exp, c), = self._t.items()
+            (o_exp, o_c), = o._t.items()
+            exp = _checked(exp + o_exp)
+            return MPoly({exp: c * o_c})
         if len(self._t) > len(o._t):
             big, small = self._t, o._t
         else:
@@ -357,6 +374,12 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if not n:
+            return _ONE
+        if len(self._t) == 1:  # a power of one term: one multiply
+            (exp, c), = self._t.items()
+            exp = _checked(exp * n)  # before c ** n, which may be huge
+            return MPoly({exp: c ** n})
         result = _ONE
         base = self
         while n:

@@ -88,8 +88,9 @@ def _power_products(k: int, height: int, n: int, limit: int) -> int:
     square-and-multiply steps.  The e-th power has at most
     comb(e + k - 1, k - 1) terms, of height at most e (height + log2 k).
     Counting stops once the bound passes limit.  For k = 1 and height 0 it
-    is popcount(n) + bitlength(n) - 1, at most 7 per decimal digit of n;
-    for the zero polynomial, k = 0, it is 0."""
+    is popcount(n) + bitlength(n) - 1, at most 7 per decimal digit of n,
+    although MPoly.__pow__ takes a power of one term in one step; for the
+    zero polynomial, k = 0, it is 0."""
     def terms(e):
         return comb(e + k - 1, k - 1) if k else 0
 

@@ -24,9 +24,9 @@ SEED = 1729
 # their associativity certificates (terms passed to addmul in mpoly and
 # cohomring), exact and repeatable
 CERTIFICATE_TERMS = {
-    "FlIntegralPoint": 100, "FlHalfPoint": 66, "FlIntegralBundle": 2578,
-    "FlHalfBundle": 1188, "Equivariant": 1727, "QuadricBundle3": 303,
-    "QuadricBundle3Y": 270, "QuadricBundle3Fiber": 24,
+    "FlIntegralPoint": 68, "FlHalfPoint": 38, "FlIntegralBundle": 2546,
+    "FlHalfBundle": 1160, "Equivariant": 1695, "QuadricBundle3": 290,
+    "QuadricBundle3Y": 257, "QuadricBundle3Fiber": 11,
 }
 VERIFIED = sorted(CERTIFICATE_TERMS)
 

@@ -55,6 +55,34 @@ def naive_mul(f, g):
     return MPoly(out)
 
 
+def naive_power(f, n):
+    # square-and-multiply over naive_mul, the generic path of a power
+    result = MPoly.one()
+    while n:
+        if n & 1:
+            result = naive_mul(result, f)
+        n >>= 1
+        if n:
+            f = naive_mul(f, f)
+    return result
+
+
+def is_stored_exactly(f):
+    # an integral coefficient is an int, any other a Fraction
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for _, c in f.items())
+
+
+# one-term polynomials: int, negative and Fraction constants, and monomials
+# with int and Fraction coefficients
+ONE_TERMS = [
+    MPoly.const(3), MPoly.const(-1), MPoly.const(Fraction(-2, 3)),
+    X1, -5 * X2, MPoly.monomial({"x1": 2, "y1": 1}, Fraction(3, 4)),
+    MPoly.monomial({"x2": 1, "g": 3}, Fraction(-1, 2)),
+    MPoly.monomial({"c3Q": 2}, 2),
+]
+
+
 class TestArithmetic:
     def test_difference_of_squares(self):
         assert (X1 + X2) * (X1 - X2) == X1 ** 2 - X2 ** 2
@@ -68,6 +96,10 @@ class TestArithmetic:
         for _ in range(100):
             f, g = rand_poly(rng), rand_poly(rng)
             assert f * g == naive_mul(f, g)
+        # a product of two one-term operands is one integer add
+        for f in ONE_TERMS:
+            for g in ONE_TERMS:
+                assert f * g == naive_mul(f, g) and is_stored_exactly(f * g)
 
     def test_ring_axioms_random_triples(self):
         rng = random.Random(RNG_SEED + 1)
@@ -84,6 +116,13 @@ class TestArithmetic:
 
     def test_power(self):
         assert (X1 + 1) ** 3 == X1 ** 3 + 3 * X1 ** 2 + 3 * X1 + 1
+        # a power of one term is one integer multiply
+        for f in ONE_TERMS + [X1 + 1]:
+            for n in (0, 1, 2, 3, 7, 40):
+                assert f ** n == naive_power(f, n) and is_stored_exactly(f ** n)
+        for f, n in [(X1, 2 ** 63 - 1), (-X1 * X2, 2 ** 62 - 1),
+                     (MPoly.const(-1), 2 ** 70 + 1)]:
+            assert f ** n == naive_power(f, n)
 
     @pytest.mark.parametrize("build", [
         lambda c: MPoly({(0,) * len(VARIABLES): c}),
@@ -362,11 +401,15 @@ class TestPackedLayout:
 
     @pytest.mark.parametrize("build", [
         lambda: MPoly.var("g") ** (2 ** 62) * MPoly.var("g") ** (2 ** 62),
+        lambda: X1 ** (2 ** 63 - 1) * (3 * X2),
         lambda: X2 ** (2 ** 63),
+        lambda: (X1 * X2) ** (2 ** 62),
+        lambda: (-X1) ** (2 ** 64),
         lambda: MPoly.join(("x1",), {(2 ** 62,): X1 ** (2 ** 62)}),
         lambda: MPoly.join(("x1",), {(2 ** 63,): MPoly.one()}),
         lambda: MPoly({(2 ** 63,) + (0,) * (len(VARIABLES) - 1): 1}),
-    ], ids=["mul", "pow", "join", "join-key", "init"])
+    ], ids=["mul", "mul-two-variables", "pow", "pow-of-a-product", "pow-huge",
+            "join", "join-key", "init"])
     def test_exponent_two_to_the_63_overflows(self, build):
         with pytest.raises(OverflowError, match="exponent too large"):
             build()
@@ -376,6 +419,10 @@ class TestPackedLayout:
         assert top.leading_term() == ((self.BIG - 1,) + (0,) * (len(VARIABLES) - 1), 1)
         assert top.degree() == self.BIG - 1
         assert exact_divide(top, X1 ** (2 ** 62)) == X1 ** (2 ** 62 - 1)
+        # a product whose degrees sum to 2**63 - 1 passes the guard
+        below = X1 ** (2 ** 62 - 1) * (-X2) ** (2 ** 62)
+        assert below == naive_mul(X1 ** (2 ** 62 - 1), X2 ** (2 ** 62))
+        assert below.degree() == self.BIG - 1
 
 
 class TestLinear:

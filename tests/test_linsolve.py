@@ -22,7 +22,7 @@ from g2schubert.exactalg import (
     solve_linear,
 )
 
-sympy = pytest.importorskip("sympy")
+sympy = pytest.importorskip("sympy", exc_type=ImportError)
 
 SEED = 7207
 KINDS = ("full", "sparse", "deficient", "zero")

@@ -14,7 +14,7 @@ import pytest
 
 from g2schubert.exactalg import MPoly, NotDivisible, VARIABLES, exact_divide
 
-sympy = pytest.importorskip("sympy")
+sympy = pytest.importorskip("sympy", exc_type=ImportError)
 
 SEED = 8191
 NAMES = ("x1", "x2", "y1", "t1", "t2", "alpha", "c2F", "a")

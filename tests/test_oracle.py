@@ -16,7 +16,7 @@ import pytest
 from g2schubert import cohomring as c
 from g2schubert.exactalg import MPoly, VARIABLES
 
-sympy = pytest.importorskip("sympy")
+sympy = pytest.importorskip("sympy", exc_type=ImportError)
 
 SEED = 4099
 
