@@ -374,8 +374,6 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if not n:
-            return _ONE
         if len(self._t) == 1:  # a power of one term: one multiply
             (exp, c), = self._t.items()
             exp = _checked(exp * n)  # before c ** n, which may be huge
