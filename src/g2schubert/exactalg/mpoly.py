@@ -45,8 +45,10 @@ opaque key), named_terms spells each term out, and addmul, the one kernel
 for sparse sums, accumulates scaled and shifted terms into a dict of opaque
 keys that the MPoly constructor then takes; key_terms reads an MPoly's
 terms with their opaque keys, and ONE_KEY is the key of the monomial 1.
-exact_divide keeps its remainder as one such dict and subtracts each
-quotient term's multiple of the divisor from it in place with addmul.
+exact_divide keeps its remainder as one such dict, with a heap of its
+keys, and subtracts each quotient term's multiple of the divisor's tail
+from it in place: the one accumulation outside addmul, because the heap
+must see each key as it enters the remainder, which addmul does not report.
 The zero polynomial has no stored terms.
 
 All values are immutable after construction; the arithmetic methods return
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 from .scalars import (exact as _exact, integral_multiple as _integral_multiple,
@@ -147,7 +150,9 @@ def addmul(acc: Dict[int, Coef], terms, coef=None, shift: int = ONE_KEY) -> None
     OverflowError if an exponent of the product would reach 2**63.  The
     new value comes first in each sum, so a Fraction that starts a new key
     takes Fraction's forward addition, not its reflected path (an ABC
-    isinstance check per call).
+    isinstance check per call).  Every sparse sum goes through here except
+    exact_divide's update of its remainder, which must also push each new
+    key onto its heap.
     """
     terms = key_terms(terms)
     get = acc.get
@@ -346,10 +351,15 @@ class MPoly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        t = dict(self._t)
+        addmul(t, o._t, -1)
+        return MPoly(t)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -372,6 +382,10 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self ** n.  Only the exponent is bounded (the 2**63 guard); the
+        coefficients may grow without limit, so a library caller pays for
+        what it asks.  parse charges coefficient growth against its budget
+        before computing it, which bounds parsed and CLI input."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if len(self._t) == 1:  # a power of one term: one multiply
@@ -477,11 +491,16 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
     Uses leading-term division in the graded-lex order; for an exact multiple
     the leading term of f is always divisible by the leading term of g, so
     the loop peels off one quotient term per step.  The remainder is one
-    dict, a copy of f's terms, and each step subtracts q_coef x^q_exp g from
-    it in place with addmul; f and g are not changed.  Coefficients divide
-    by scalars.quotient, so an integral polynomial divided by one with
-    leading coefficient +-1 (every divided-difference root) stays in int
-    arithmetic.
+    dict, a copy of f's terms, with a max-heap of its keys (Monagan and
+    Pearce, J. Symb. Comput. 46, 2011), so each step pops the largest key
+    instead of scanning the remainder for it.  Each step subtracts q_coef
+    x^q_exp times g's tail (its non-leading terms) from the remainder in
+    place, by a loop of its own rather than addmul: the heap must see each
+    key that enters the remainder, which addmul cannot report, and a call
+    per step would cost more than the two or three terms of a root's tail.
+    f and g are not changed.  Coefficients divide by scalars.quotient, so an
+    integral polynomial divided by one with leading coefficient +-1 (every
+    divided-difference root) stays in int arithmetic.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -489,19 +508,33 @@ def exact_divide(f: MPoly, g: MPoly) -> MPoly:
         return MPoly.zero()
     g_exp = max(g._t)
     g_coef = g._t[g_exp]
+    # g's tail as offsets from its leading key: the key a tail term reaches
+    # from the remainder's leading key r_exp is r_exp + offset
+    tail = [(exp - g_exp, c) for exp, c in g._t.items() if exp != g_exp]
     out: Dict[int, Coef] = {}
     rem = dict(f._t)
-    while rem:
-        r_exp = max(rem)
-        r_coef = rem[r_exp]
-        if not r_coef:  # a zero sum addmul left; its key need not divide
-            del rem[r_exp]
+    heap = [-exp for exp in rem]  # negated: heapq pops the smallest
+    heapify(heap)
+    while heap:
+        r_exp = -heappop(heap)
+        r_coef = rem.pop(r_exp)
+        if not r_coef:  # a zero sum; its key need not divide
             continue
         q_exp = r_exp - g_exp
         if q_exp & _GUARD:  # some exponent borrowed
             raise NotDivisible(f"({f}) is not divisible by ({g})")
         q_coef = _quotient(r_coef, g_coef)
         out[q_exp] = q_coef  # q_exp strictly decreases, so it is new
-        addmul(rem, g, -q_coef, q_exp)
-        del rem[r_exp]  # cancelled: r_coef - q_coef g_coef is 0
+        # r_exp itself cancels: r_coef - q_coef g_coef is 0.  Each tail key
+        # is below r_exp, hence below every key popped so far, and of no
+        # higher degree: no key comes back once popped, and no degree can
+        # reach the 2**63 guard.  A key joins the heap once, on entering rem.
+        for offset, c in tail:
+            exp = r_exp + offset
+            old = rem.get(exp)
+            if old is None:
+                rem[exp] = -q_coef * c
+                heappush(heap, -exp)
+            else:
+                rem[exp] = old - q_coef * c
     return MPoly(out)

@@ -21,7 +21,8 @@ from g2schubert.exactalg import (
     solve_linear,
 )
 from g2schubert.exactalg import parse
-from g2schubert.exactalg.mpoly import VARIABLES
+from g2schubert.exactalg.mpoly import VARIABLES, _GUARD, addmul, key_terms
+from g2schubert.exactalg.scalars import quotient
 
 X1 = MPoly.var("x1")
 X2 = MPoly.var("x2")
@@ -65,6 +66,47 @@ def naive_power(f, n):
         if n:
             f = naive_mul(f, f)
     return result
+
+
+def reference_divide(f, g, steps=None):
+    """exact_divide as a scan of max(rem) per step and one addmul of all of
+    g per quotient term, the loop before the heap.  steps, if given,
+    collects per step 'q' (a quotient term), 'zero' (a zero sum skipped) or
+    'between' (a quotient term whose multiple of g put a new key below the
+    leading one and above some other key of the remainder)."""
+    g_t = key_terms(g)
+    g_exp = max(g_t)
+    g_coef = g_t[g_exp]
+    out = {}
+    rem = dict(key_terms(f))
+    while rem:
+        r_exp = max(rem)
+        r_coef = rem[r_exp]
+        if not r_coef:
+            del rem[r_exp]
+            if steps is not None:
+                steps.append("zero")
+            continue
+        q_exp = r_exp - g_exp
+        if q_exp & _GUARD:
+            raise NotDivisible(f"({f}) is not divisible by ({g})")
+        q_coef = quotient(r_coef, g_coef)
+        out[q_exp] = q_coef
+        if steps is not None:
+            new = [q_exp + exp for exp in g_t if q_exp + exp not in rem]
+            low = min(rem)
+            steps.append("between" if any(k > low for k in new) else "q")
+        addmul(rem, g, -q_coef, q_exp)
+        del rem[r_exp]
+    return MPoly(out)
+
+
+def outcome(divide, *args):
+    """The quotient, or the NotDivisible message."""
+    try:
+        return divide(*args)
+    except NotDivisible as err:
+        return str(err)
 
 
 def is_stored_exactly(f):
@@ -113,6 +155,11 @@ class TestArithmetic:
     def test_zero_terms_never_stored(self):
         f = X1 - X1
         assert f.is_zero() and len(f) == 0
+        g = X1 ** 2 + Fraction(1, 2) * X2 - 3
+        assert (g - g).is_zero() and len(g - g) == 0
+        # the x2 terms cancel and the x1 difference is an integral Fraction
+        d = (Fraction(3, 2) * X1 + Fraction(1, 2) * X2) - Fraction(1, 2) * (X1 + X2)
+        assert d == X1 and [type(c) for _, c in d.items()] == [int]
 
     def test_power(self):
         assert (X1 + 1) ** 3 == X1 ** 3 + 3 * X1 ** 2 + 3 * X1 + 1
@@ -141,6 +188,46 @@ class TestArithmetic:
             assert coef == value and type(coef) is kind
 
 
+class TestSubtract:
+    @staticmethod
+    def pairs():
+        # the file's random polynomials, with Fraction coefficients and as
+        # their integral multiples
+        rng = random.Random(RNG_SEED + 12)
+        for _ in range(40):
+            f, g = (rand_poly(rng, ("x1", "x2", "y1")) for _ in range(2))
+            yield f, g
+            yield f.integral_multiple()[0], g.integral_multiple()[0]
+
+    def test_difference_is_the_sum_with_the_negation(self):
+        for f, g in self.pairs():
+            assert f - g == f + (-g)
+            assert is_stored_exactly(f - g)
+
+    def test_operands_are_not_changed(self):
+        for f, g in self.pairs():
+            f_items, g_items = sorted(f.items()), sorted(g.items())
+            f - g
+            g - f
+            assert sorted(f.items()) == f_items
+            assert sorted(g.items()) == g_items
+
+    def test_scalars_on_either_side(self):
+        half = Fraction(1, 2)
+        f = X1 - half * Y1 + 2
+        assert 3 - f == -X1 + half * Y1 + 1
+        assert f - half == X1 - half * Y1 + Fraction(3, 2)
+        assert half - f == -X1 + half * Y1 - Fraction(3, 2)
+        assert 2 - (X1 + 2) == -X1 and len(2 - (X1 + 2)) == 1
+        for d in (3 - f, f - half, half - f):
+            assert is_stored_exactly(d)
+        for bad in (0.5, "x1", None):
+            with pytest.raises(TypeError):
+                f - bad
+            with pytest.raises(TypeError):
+                bad - f
+
+
 class TestExactDivide:
     def test_difference_of_squares(self):
         assert exact_divide(X1 ** 2 - X2 ** 2, X1 - X2) == X1 + X2
@@ -155,6 +242,12 @@ class TestExactDivide:
         assert all(type(c) is int for _, c in q.items())
         half = exact_divide(X1 ** 2 - X2 ** 2, 2 * X1 - 2 * X2)
         assert half == Fraction(1, 2) * (X1 + X2)
+        # a Fraction leading coefficient, and a quotient that stays int
+        g = Fraction(1, 2) * X1 + Fraction(3, 2) * Y1 - MPoly.var("t1")
+        q = 2 * X1 ** 2 - 5 * X2 * Y1 + 7
+        assert exact_divide(q * g, g) == q
+        assert all(type(c) is int for _, c in exact_divide(q * g, g).items())
+        assert outcome(reference_divide, q * g, g) == q
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
@@ -199,6 +292,69 @@ class TestExactDivide:
             if g.is_zero():
                 continue
             assert exact_divide(f * g, g) == f
+
+    @staticmethod
+    def assert_matches_reference(f, g):
+        """exact_divide(f, g) gives the reference's quotient, stored exactly,
+        or the same NotDivisible; the reference's steps are returned."""
+        steps = []
+        expected = outcome(reference_divide, f, g, steps)
+        got = outcome(exact_divide, f, g)
+        assert got == expected
+        if isinstance(got, MPoly):
+            assert is_stored_exactly(got) and got * g == f
+        return steps
+
+    def test_tails_of_three_to_five_terms_match_the_reference(self):
+        # g (g's leading term - g's tail) is lead^2 - tail^2: the cross terms
+        # cancel, and the division puts them back as new keys below the
+        # remainder's leading key and above others of its keys
+        rng = random.Random(RNG_SEED + 10)
+        names = ("x1", "x2", "y1", "t1", "v")
+        interleaved = not_divisible = 0
+        for _ in range(40):
+            g = MPoly.zero()
+            while not 3 <= len(g) <= 5:
+                g = rand_poly(rng, names, max_deg=3, terms=rng.randint(3, 5))
+            lead = MPoly(dict([g.leading_term()]))
+            f = rand_poly(rng, names, max_deg=2, terms=3) * (2 * lead - g) * g
+            for dividend in (f, f + rand_poly(rng, names, max_deg=2, terms=2)):
+                steps = self.assert_matches_reference(dividend, g)
+                interleaved += "between" in steps
+                not_divisible += isinstance(outcome(exact_divide, dividend, g), str)
+        assert interleaved >= 70 and not_divisible >= 30
+
+    def test_a_monomial_divisor_has_an_empty_tail(self):
+        rng = random.Random(RNG_SEED + 11)
+        for g in (MPoly.monomial({"x1": 1, "y1": 2}, 3),
+                  MPoly.monomial({"t1": 1}, Fraction(-2, 5)), MPoly.const(7)):
+            for _ in range(10):
+                f = rand_poly(rng, ("x1", "x2", "y1", "t1"), max_deg=4, terms=5)
+                self.assert_matches_reference(f * g, g)
+                self.assert_matches_reference(f * g + X2, g)
+        assert exact_divide(6 * X1 ** 2 * Y1, 3 * X1) == 2 * X1 * Y1
+
+    def test_not_divisible_after_two_quotient_terms(self):
+        # x1^2 + x1 x2 - x1 y1 - x2 y1 + y1^2 by x1 - y1: the quotient terms
+        # x1 and x2 cancel x1 y1 and x2 y1 to zero sums, and x1 does not
+        # divide y1^2
+        f = X1 ** 2 + X1 * X2 - X1 * Y1 - X2 * Y1 + Y1 ** 2
+        g = X1 - Y1
+        steps = self.assert_matches_reference(f, g)
+        assert isinstance(outcome(exact_divide, f, g), str)
+        assert steps == ["q", "q", "zero", "zero"]
+
+    def test_zero_sums_in_the_middle_of_the_division(self):
+        # each quotient term cancels a key that a later one reaches, in int
+        # and in Fraction arithmetic; the zero sums are popped between the
+        # quotient terms
+        for c in (1, Fraction(1, 3)):
+            f = c * (X1 ** 3 - X2 ** 3) * (X1 + Y1)
+            g = X1 - X2
+            steps = self.assert_matches_reference(f, g)
+            first, last = steps.index("zero"), len(steps) - 1 - steps[::-1].index("q")
+            assert first < last
+            assert exact_divide(f, g) == c * (X1 ** 2 + X1 * X2 + X2 ** 2) * (X1 + Y1)
 
 
 class TestSubstitute:
@@ -260,8 +416,12 @@ class TestCanonicalForm:
         assert parse_poly(str(f)) == f
 
     def test_coefficient_growth_is_refused_before_it_is_computed(self):
+        # MPoly.__pow__ bounds only the exponent; the parser charges the
+        # coefficient growth of a power of one term as of any other
         for text, pos in [("x1^7*3^9999999", 7), ("(2^60000)^2", 10),
-                          ("(3^40000 + x1)^3", 15), ("2^50000 * 2^40000", 8)]:
+                          ("(3^40000 + x1)^3", 15), ("2^50000 * 2^40000", 8),
+                          ("(1/2)^1099511627776", 6),
+                          ("(2*x1)^1099511627776", 7)]:
             with pytest.raises(PolySyntaxError, match="coefficient bits") as err:
                 parse_poly(text)
             assert err.value.pos == pos
