@@ -5,6 +5,7 @@ from .scalars import GaussRat, Rational, exact, integral_multiple, quotient
 from .mpoly import (
     MPoly,
     NotDivisible,
+    Substitution,
     UnboundVariable,
     VARIABLES,
     exact_divide,
@@ -23,7 +24,8 @@ from .lp import LpInfeasible, LpPoint, lp_feasible
 
 __all__ = [
     "GaussRat", "Rational", "exact", "integral_multiple", "quotient",
-    "MPoly", "NotDivisible", "UnboundVariable", "VARIABLES", "exact_divide",
+    "MPoly", "NotDivisible", "Substitution", "UnboundVariable", "VARIABLES",
+    "exact_divide",
     "PolySyntaxError", "UnknownVariable", "parse_poly",
     "LinInconsistency", "LinSolution",
     "determinant", "matrix_inverse", "nullspace", "rank", "solve_linear",

@@ -8,7 +8,11 @@ float, which is never exact.  Dividing two coefficients read out of a
 polynomial needs scalars.quotient, since int / int is a float, and
 integral_multiple clears the denominators of the coefficients: it gives
 (L f, L), with L their lcm, so that a computation can run on ints and
-divide by L once; subs substitutes into L f that way.  The variable
+divide by L once.  A Substitution substitutes into L f that way; it holds
+its images and the powers of them it has built, each power built from the
+highest one held below it, and keeps those up to a degree of its own
+between calls (the divided-difference operators each own one), while
+subs is a one-shot Substitution that keeps nothing.  The variable
 universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
@@ -417,42 +421,9 @@ class MPoly:
 
     def subs(self, assignment: Mapping[str, "MPoly | Fraction | int"]) -> "MPoly":
         """Substitute polynomials for variables; variables not mentioned in
-        `assignment` are left alone.
-
-        The substitution runs on L self, the integral multiple of self
-        (integral_multiple), and multiplies the result by 1/L once, so the
-        terms are scaled and summed with int coefficients unless the images
-        carry denominators."""
-        images: Dict[int, MPoly] = {}
-        for name, val in assignment.items():
-            if name not in VAR_INDEX:
-                raise UnboundVariable(f"unknown variable {name!r}")
-            img = self._lift(val)
-            if img is None:
-                raise TypeError(f"cannot use {val!r} as a substitution value")
-            images[VAR_INDEX[name]] = img
-        power_cache: Dict[Tuple[int, int], MPoly] = {}
-
-        def power(i: int, e: int) -> MPoly:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
-
-        touched = [(i, _SHIFT[i]) for i in sorted(images)]
-        whole, scale = self.integral_multiple()
-        out = _ZERO
-        for exp, coef in whole._t.items():
-            term = MPoly.const(coef)
-            for i, shift in touched:
-                e = exp >> shift & _MASK
-                if e:
-                    term = term * power(i, e)
-                    exp -= (e << shift) + (e << _DEG_SHIFT)
-            if exp:  # the untouched variables
-                term = term * MPoly({exp: 1})
-            out = out + term
-        return out if scale == 1 else out * Fraction(1, scale)
+        `assignment` are left alone.  A one-shot Substitution: the image
+        powers it builds are dropped with it."""
+        return Substitution(assignment)(self)
 
     # ---- printing ----
 
@@ -483,6 +454,96 @@ class MPoly:
 _ZERO = MPoly()
 _ONE = MPoly({ONE_KEY: 1})
 _VAR_CACHE = {name: MPoly({_exponent((name,), (1,)): 1}) for name in VARIABLES}
+
+
+class Substitution:
+    """Polynomials substituted for variables, applied by a call:
+    Substitution(assignment)(f) is f.subs(assignment).
+
+    It holds the image of each substituted variable and a table of the
+    powers of each image it has built.  A call builds each power it needs,
+    in increasing order, from the highest power held below it: one product
+    by the image when that is the power just below, else one ** of the
+    gap, so a dense input costs one product per exponent and a lone high
+    exponent one power.  Powers up to kept_degree stay in the table for
+    later calls; higher ones are built for one call and dropped, so a
+    substitution applied again and again (a divided-difference operator)
+    holds a bounded table.  The default 0 keeps nothing but the images.
+    """
+
+    __slots__ = ("_touched", "_kept", "_kept_degree")
+
+    def __init__(self, assignment: Mapping[str, "MPoly | Fraction | int"],
+                 kept_degree: int = 0):
+        images: Dict[int, MPoly] = {}
+        for name, val in assignment.items():
+            if name not in VAR_INDEX:
+                raise UnboundVariable(f"unknown variable {name!r}")
+            img = MPoly._lift(val)
+            if img is None:
+                raise TypeError(f"cannot use {val!r} as a substitution value")
+            images[VAR_INDEX[name]] = img
+        self._touched = [(i, _SHIFT[i]) for i in sorted(images)]
+        # per variable index, {e: image ** e}, the image itself at e = 1
+        self._kept = {i: {1: img} for i, img in images.items()}
+        self._kept_degree = kept_degree
+
+    def __call__(self, f: MPoly) -> MPoly:
+        """f with the images substituted.  The substitution runs on L f,
+        the integral multiple of f (MPoly.integral_multiple), and
+        multiplies the result by 1/L once, so the terms are scaled and
+        summed with int coefficients unless the images carry
+        denominators."""
+        whole, scale = f.integral_multiple()
+        out = self.expand(whole)
+        return out if scale == 1 else out * Fraction(1, scale)
+
+    def expand(self, f: MPoly) -> MPoly:
+        """f with the images substituted, term by term with f's own
+        coefficients: for an f that is already an integral multiple, the
+        substitution without a second scan of its coefficients."""
+        keys = f._t
+        touched = self._touched
+        powers = {i: self._powers(i, sorted({exp >> shift & _MASK for exp in keys}))
+                  for i, shift in touched}
+        out = _ZERO
+        for exp, coef in keys.items():
+            term = MPoly.const(coef)
+            for i, shift in touched:
+                e = exp >> shift & _MASK
+                if e:
+                    term = term * powers[i][e]
+                    exp -= (e << shift) + (e << _DEG_SHIFT)
+            if exp:  # the untouched variables
+                term = term * MPoly({exp: 1})
+            out = out + term
+        return out
+
+    def _powers(self, i: int, needs: Sequence[int]) -> Dict[int, MPoly]:
+        """{e: image ** e} for the exponents needs (increasing) of the
+        variable of index i.  Each missing power is built from the highest
+        power held below it, kept or built earlier in this loop; those up
+        to the kept degree join the table."""
+        kept = self._kept[i]
+        image = kept[1]
+        held = sorted(kept)
+        out: Dict[int, MPoly] = {}
+        j, k, low = 0, 1, image  # low = image ** k, the highest held so far
+        for e in needs:
+            if not e:
+                continue
+            while j < len(held) and held[j] <= e:
+                k = held[j]
+                low = kept[k]
+                j += 1
+            if k != e:
+                gap = e - k
+                low = low * (image if gap == 1 else image ** gap)
+                k = e
+                if e <= self._kept_degree:
+                    kept[e] = low
+            out[e] = low
+        return out
 
 
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:

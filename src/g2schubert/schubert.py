@@ -17,9 +17,12 @@ table is built along the divided-difference chain: writing w0 w^-1 = c.W
 with c a letter, P_w = d_c of the entry whose operator word is W, so the
 12 entries take 11 operator steps.  Every operator runs on L times its
 input, with L the lcm of the input's denominators (MPoly.integral_multiple),
-and divides by L once (div_diff_generic); a family's chain runs on L times
-the top class and divides each entry by L once at the end, so no step of
-the chain meets a Fraction.
+and divides by L once; a family's chain runs on L times the top class and
+divides each entry by L once at the end, so no step of the chain meets a
+Fraction.  Each of s, t and tv owns one Substitution of its action, which
+keeps the powers of its image up to a fixed x-degree from call to call;
+div_diff_generic builds a fresh Substitution per call, and stays the
+independent path the divdiff suite compares the operators against.
 Only P_id depends on the reduced word chosen for w0, so the table for the
 second longest word is the first one with P_id recomputed: one step.
 """
@@ -37,6 +40,7 @@ from .exactalg import (
     LpInfeasible,
     MPoly,
     Rational,
+    Substitution,
     exact_divide,
     lp_feasible,
     solve_linear,
@@ -68,25 +72,40 @@ _ROOTS = {
 }
 _ACTIONS = {"s": _S_ACTION, "t": _T_ACTION, "tv": _TV_ACTION}
 
+# Each operator owns one Substitution of its action, which keeps the powers
+# of its image up to this x-degree between calls: the highest the library's
+# callers reach (8 on the divdiff benchmark's chains; 6 for the top classes
+# and the verify suites' random polynomials).  Higher powers are built per
+# call and dropped, so the tables stay bounded (224 terms in all three).
+_KEPT_DEGREE = 8
+_SUBSTITUTIONS = {kind: Substitution(action, _KEPT_DEGREE)
+                  for kind, action in _ACTIONS.items()}
+
 
 def div_diff(kind: str, f: MPoly) -> MPoly:
     """Apply one divided difference operator; kind is "s", "t" or "tv"."""
     if kind not in _ROOTS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return div_diff_generic(f, _ROOTS[kind], _ACTIONS[kind])
+    return _divided_difference(f, _ROOTS[kind], _SUBSTITUTIONS[kind])
 
 
 def div_diff_generic(f: MPoly, root: MPoly, action: Mapping[str, MPoly]) -> MPoly:
     """The general form (f - w.f) / root for a reflection acting by the given
     substitution.  With weyl.simple_root and weyl.action in (x1, x2) it is
     the explicit operator of that letter, which the divdiff suite checks.
+    It builds a fresh Substitution per call, so that check shares no
+    image power with the operators of div_diff."""
+    return _divided_difference(f, root, Substitution(action))
 
-    It runs on L f, the integral multiple of f (MPoly.integral_multiple),
-    and multiplies the quotient by 1/L once.  Each root here has leading
-    coefficient +-1, so the substitution and the division stay in int
-    arithmetic."""
+
+def _divided_difference(f: MPoly, root: MPoly, w: Substitution) -> MPoly:
+    """(f - w.f) / root, run on L f, the integral multiple of f
+    (MPoly.integral_multiple): w expands L f as it stands, with no second
+    scan of its coefficients, and the quotient is multiplied by 1/L once.
+    Each root here has leading coefficient +-1, so the substitution and the
+    division stay in int arithmetic."""
     g, scale = f.integral_multiple()
-    numerator = g - g.subs(action)
+    numerator = g - w.expand(g)
     if numerator.is_zero():
         return MPoly.zero()
     q = exact_divide(numerator, root)

@@ -12,6 +12,7 @@ from g2schubert.exactalg import (
     MPoly,
     NotDivisible,
     PolySyntaxError,
+    Substitution,
     UnboundVariable,
     UnknownVariable,
     exact_divide,
@@ -66,6 +67,21 @@ def naive_power(f, n):
         if n:
             f = naive_mul(f, f)
     return result
+
+
+def naive_subs(f, assignment):
+    # independent oracle: each term's images multiplied out by naive_power
+    # and naive_mul, the untouched variables kept as one monomial
+    index = {name: VARIABLES.index(name) for name in assignment}
+    total = MPoly.zero()
+    for exp, coef in f.items():
+        rest = list(exp)
+        term = MPoly.const(coef)
+        for name, i in index.items():
+            term = naive_mul(term, naive_power(assignment[name], exp[i]))
+            rest[i] = 0
+        total = total + naive_mul(term, MPoly({tuple(rest): 1}))
+    return total
 
 
 def reference_divide(f, g, steps=None):
@@ -386,6 +402,100 @@ class TestSubstitute:
         for _ in range(20):
             f = rand_poly(rng)
             assert f.subs(fwd).subs(back) == f
+
+
+# the three images of the divided-difference operators, and one with a
+# denominator
+IMAGES = [{"x1": X2, "x2": X1}, {"x2": X1 - X2}, {"x2": X1 - X2 - MPoly.var("v")},
+          {"x1": Fraction(1, 3) * (2 * X1 - X2) + Y1}]
+
+
+def sparse_inputs():
+    # lone high exponents, above and below any kept degree
+    return [X2 ** 40 * Y1, X1 ** 17 * X2 ** 3 - 2 * Y1, Fraction(1, 5) * X1 ** 12,
+            X2 ** 9 + X2 ** 2 + MPoly.var("v") ** 3, MPoly.const(7), MPoly.zero()]
+
+
+class TestSubstitution:
+    @staticmethod
+    def inputs():
+        # the file's random polynomials, with Fraction coefficients and as
+        # their integral multiples, then the sparse inputs
+        rng = random.Random(RNG_SEED + 13)
+        for _ in range(30):
+            f = rand_poly(rng, ("x1", "x2", "y1"), max_deg=8, terms=8)
+            yield f
+            yield f.integral_multiple()[0]
+        yield from sparse_inputs()
+
+    @pytest.mark.parametrize("assignment", IMAGES)
+    def test_subs_against_naive_expansion(self, assignment):
+        for f in self.inputs():
+            assert f.subs(assignment) == naive_subs(f, assignment), f
+
+    @pytest.mark.parametrize("kept_degree", [0, 1, 3, 8])
+    @pytest.mark.parametrize("assignment", IMAGES)
+    def test_kept_powers_give_the_fresh_result(self, assignment, kept_degree):
+        # one substitution applied to every input in turn, its table
+        # growing as it goes, against a fresh one-shot subs each time
+        kept = Substitution(assignment, kept_degree)
+        for f in self.inputs():
+            assert kept(f) == f.subs(assignment), f
+            assert is_stored_exactly(kept(f))
+        for table in kept._kept.values():
+            assert max(table) <= max(kept_degree, 1)
+
+    def test_expand_runs_on_the_coefficients_as_they_stand(self):
+        sub = Substitution(IMAGES[2])
+        for f in self.inputs():
+            assert sub.expand(f) == f.subs(IMAGES[2]), f
+
+    def test_each_power_built_from_the_one_below(self, monkeypatch):
+        # a dense input costs one product by the image per exponent and no
+        # power; a lone high exponent costs one power of the gap
+        powers = []
+        real = MPoly.__pow__
+
+        def counting(self, n):
+            powers.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(MPoly, "__pow__", counting)
+        sub = Substitution({"x2": X1 - X2}, 8)
+        dense = sum((X1 ** a * X2 ** (8 - a) for a in range(9)), MPoly.zero())
+        lone = X2 ** 40 * Y1
+        powers.clear()
+        sub(dense)
+        assert powers == []
+        sub(lone)
+        assert powers == [32]
+        powers.clear()
+        Substitution({"x2": X1 - X2})(lone)
+        assert powers == [39]
+
+    def test_deep_power_without_recursion(self):
+        assert (X2 ** 5000).subs({"x2": X1}) == X1 ** 5000
+
+    def test_one_shot_substitutions_share_nothing(self):
+        # the same powers of x2 under two images, in either order
+        f = X2 ** 5 + 3 * X2 ** 2 * Y1 - X2
+        a, b = {"x2": X1 + 1}, {"x2": X1 - Y1}
+        first = (f.subs(a), f.subs(b))
+        assert first == (naive_subs(f, a), naive_subs(f, b))
+        assert (f.subs(b), f.subs(a)) == first[::-1]
+        one, two = Substitution(a), Substitution(b)
+        one(f)
+        two(f)
+        assert list(one._kept[1]) == list(two._kept[1]) == [1]
+        assert one._kept[1][1] == X1 + 1 and two._kept[1][1] == X1 - Y1
+
+    def test_validation_messages(self):
+        with pytest.raises(UnboundVariable, match="unknown variable 'zz'"):
+            Substitution({"zz": X1})
+        with pytest.raises(TypeError, match="cannot use 0.5 as a substitution value"):
+            Substitution({"x1": 0.5})
+        with pytest.raises(TypeError, match="cannot use 0.5 as a substitution value"):
+            X1.subs({"x1": 0.5})
 
 
 class TestCanonicalForm:

@@ -83,6 +83,36 @@ def test_operator_runs_on_the_integral_multiple(kind):
     assert 54 in denominators
 
 
+def _sparse_polys():
+    """Lone high exponents, above and below the operators' kept degree."""
+    return [X2 ** 40 * Y1, X1 ** 40 * Y1, Fraction(3, 7) * X1 ** 13 * X2 ** 2 * V,
+            X2 ** 9 - X1 ** 9 + Y2, MPoly.const(5)]
+
+
+@pytest.mark.parametrize("kind", HAND_OPERATORS)
+def test_kept_and_fresh_substitutions_agree(kind):
+    # div_diff applies the operator's own substitution, its table of image
+    # powers growing as the inputs go by; div_diff_generic builds a fresh
+    # one per call
+    action, root = HAND_OPERATORS[kind]
+    kept = s._SUBSTITUTIONS[kind]
+    for f in _fraction_polys() + _sparse_polys():
+        for g in (f, f.integral_multiple()[0]):
+            assert kept(g) == g.subs(action), g
+            assert s.div_diff(kind, g) == s.div_diff_generic(g, root, action), g
+
+
+# x2^200 costs tv one power of its three-term image, (x1 - x2 - v)^192 by
+# repeated squaring (about 17 s, as a fresh subs); x2^40 shows the same bound
+@pytest.mark.parametrize("kind, exponent", [("s", 200), ("t", 200), ("tv", 40)])
+def test_operators_keep_no_power_above_the_kept_degree(kind, exponent):
+    f = X2 ** exponent * Y1
+    action, root = HAND_OPERATORS[kind]
+    assert s.div_diff(kind, f) * root == f - f.subs(action)
+    for table in s._SUBSTITUTIONS[kind]._kept.values():
+        assert max(table) <= s._KEPT_DEGREE
+
+
 class TestTopClasses:
     def test_point(self):
         assert s.top_class("point") == Fraction(1, 2) * X1 ** 5 * X2
