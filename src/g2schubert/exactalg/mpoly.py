@@ -8,12 +8,11 @@ float, which is never exact.  Dividing two coefficients read out of a
 polynomial needs scalars.quotient, since int / int is a float, and
 integral_multiple clears the denominators of the coefficients: it gives
 (L f, L), with L their lcm, so that a computation can run on ints and
-divide by L once.  A Substitution substitutes into L f that way; it holds
-its images and the powers of them it has built, each power built from the
-highest one held below it, and keeps those up to a degree of its own
-between calls (the divided-difference operators each own one), while
-subs is a one-shot Substitution that keeps nothing.  The variable
-universe is closed and fixed:
+divide by L once; subs substitutes into L f that way, through a one-shot
+Substitution.  A Substitution holds its images and the powers of them it
+has built, each built from the highest one held below it, and keeps those
+up to a fixed degree between calls (the divided-difference operators each
+own one).  The variable universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
 
@@ -421,9 +420,15 @@ class MPoly:
 
     def subs(self, assignment: Mapping[str, "MPoly | Fraction | int"]) -> "MPoly":
         """Substitute polynomials for variables; variables not mentioned in
-        `assignment` are left alone.  A one-shot Substitution: the image
-        powers it builds are dropped with it."""
-        return Substitution(assignment)(self)
+        `assignment` are left alone.
+
+        A one-shot Substitution, run on L self, the integral multiple of
+        self (integral_multiple), with the result multiplied by 1/L once,
+        so the terms are scaled and summed with int coefficients unless
+        the images carry denominators."""
+        whole, scale = self.integral_multiple()
+        out = Substitution(assignment)(whole)
+        return out if scale == 1 else out * Fraction(1, scale)
 
     # ---- printing ----
 
@@ -456,25 +461,35 @@ _ONE = MPoly({ONE_KEY: 1})
 _VAR_CACHE = {name: MPoly({_exponent((name,), (1,)): 1}) for name in VARIABLES}
 
 
+# The degree up to which a Substitution keeps the image powers it builds,
+# from call to call: the highest x-degree the divided-difference operators
+# meet in the library's own callers (8 on the divdiff benchmark's chains; 6
+# for the top classes and the verify suites' random polynomials).  Higher
+# powers are built for one call and dropped, so an operator's table stays
+# bounded (224 terms in all three).
+_KEPT_DEGREE = 8
+
+
 class Substitution:
     """Polynomials substituted for variables, applied by a call:
-    Substitution(assignment)(f) is f.subs(assignment).
+    Substitution(assignment)(f) is f.subs(assignment), computed term by
+    term with f's coefficients as they stand (subs runs it on the integral
+    multiple of f, so an f that already is one is not scanned again).
 
     It holds the image of each substituted variable and a table of the
     powers of each image it has built.  A call builds each power it needs,
     in increasing order, from the highest power held below it: one product
     by the image when that is the power just below, else one ** of the
     gap, so a dense input costs one product per exponent and a lone high
-    exponent one power.  Powers up to kept_degree stay in the table for
+    exponent one power.  Powers up to _KEPT_DEGREE stay in the table for
     later calls; higher ones are built for one call and dropped, so a
     substitution applied again and again (a divided-difference operator)
-    holds a bounded table.  The default 0 keeps nothing but the images.
+    holds a bounded table.
     """
 
-    __slots__ = ("_touched", "_kept", "_kept_degree")
+    __slots__ = ("_touched", "_kept")
 
-    def __init__(self, assignment: Mapping[str, "MPoly | Fraction | int"],
-                 kept_degree: int = 0):
+    def __init__(self, assignment: Mapping[str, "MPoly | Fraction | int"]):
         images: Dict[int, MPoly] = {}
         for name, val in assignment.items():
             if name not in VAR_INDEX:
@@ -486,22 +501,8 @@ class Substitution:
         self._touched = [(i, _SHIFT[i]) for i in sorted(images)]
         # per variable index, {e: image ** e}, the image itself at e = 1
         self._kept = {i: {1: img} for i, img in images.items()}
-        self._kept_degree = kept_degree
 
     def __call__(self, f: MPoly) -> MPoly:
-        """f with the images substituted.  The substitution runs on L f,
-        the integral multiple of f (MPoly.integral_multiple), and
-        multiplies the result by 1/L once, so the terms are scaled and
-        summed with int coefficients unless the images carry
-        denominators."""
-        whole, scale = f.integral_multiple()
-        out = self.expand(whole)
-        return out if scale == 1 else out * Fraction(1, scale)
-
-    def expand(self, f: MPoly) -> MPoly:
-        """f with the images substituted, term by term with f's own
-        coefficients: for an f that is already an integral multiple, the
-        substitution without a second scan of its coefficients."""
         keys = f._t
         touched = self._touched
         powers = {i: self._powers(i, sorted({exp >> shift & _MASK for exp in keys}))
@@ -523,7 +524,7 @@ class Substitution:
         """{e: image ** e} for the exponents needs (increasing) of the
         variable of index i.  Each missing power is built from the highest
         power held below it, kept or built earlier in this loop; those up
-        to the kept degree join the table."""
+        to _KEPT_DEGREE join the table."""
         kept = self._kept[i]
         image = kept[1]
         held = sorted(kept)
@@ -540,7 +541,7 @@ class Substitution:
                 gap = e - k
                 low = low * (image if gap == 1 else image ** gap)
                 k = e
-                if e <= self._kept_degree:
+                if e <= _KEPT_DEGREE:
                     kept[e] = low
             out[e] = low
         return out

@@ -72,14 +72,9 @@ _ROOTS = {
 }
 _ACTIONS = {"s": _S_ACTION, "t": _T_ACTION, "tv": _TV_ACTION}
 
-# Each operator owns one Substitution of its action, which keeps the powers
-# of its image up to this x-degree between calls: the highest the library's
-# callers reach (8 on the divdiff benchmark's chains; 6 for the top classes
-# and the verify suites' random polynomials).  Higher powers are built per
-# call and dropped, so the tables stay bounded (224 terms in all three).
-_KEPT_DEGREE = 8
-_SUBSTITUTIONS = {kind: Substitution(action, _KEPT_DEGREE)
-                  for kind, action in _ACTIONS.items()}
+# each operator owns one Substitution of its action, which keeps the low
+# powers of its image from call to call
+_SUBSTITUTIONS = {kind: Substitution(action) for kind, action in _ACTIONS.items()}
 
 
 def div_diff(kind: str, f: MPoly) -> MPoly:
@@ -100,12 +95,12 @@ def div_diff_generic(f: MPoly, root: MPoly, action: Mapping[str, MPoly]) -> MPol
 
 def _divided_difference(f: MPoly, root: MPoly, w: Substitution) -> MPoly:
     """(f - w.f) / root, run on L f, the integral multiple of f
-    (MPoly.integral_multiple): w expands L f as it stands, with no second
-    scan of its coefficients, and the quotient is multiplied by 1/L once.
-    Each root here has leading coefficient +-1, so the substitution and the
-    division stay in int arithmetic."""
+    (MPoly.integral_multiple): w substitutes into L f as it stands, with no
+    second scan of its coefficients, and the quotient is multiplied by 1/L
+    once.  Each root here has leading coefficient +-1, so the substitution
+    and the division stay in int arithmetic."""
     g, scale = f.integral_multiple()
-    numerator = g - w.expand(g)
+    numerator = g - w(g)
     if numerator.is_zero():
         return MPoly.zero()
     q = exact_divide(numerator, root)

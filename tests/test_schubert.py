@@ -7,6 +7,7 @@ import pytest
 from g2schubert import schubert as s
 from g2schubert import octonion, weyl
 from g2schubert.exactalg import MPoly, exact_divide
+from g2schubert.exactalg.mpoly import _KEPT_DEGREE
 from g2schubert.weyl import NonReducedWord
 
 X1, X2, Y1, Y2, V = s.X1, s.X2, s.Y1, s.Y2, s.VV
@@ -110,7 +111,7 @@ def test_operators_keep_no_power_above_the_kept_degree(kind, exponent):
     action, root = HAND_OPERATORS[kind]
     assert s.div_diff(kind, f) * root == f - f.subs(action)
     for table in s._SUBSTITUTIONS[kind]._kept.values():
-        assert max(table) <= s._KEPT_DEGREE
+        assert max(table) <= _KEPT_DEGREE
 
 
 class TestTopClasses:
