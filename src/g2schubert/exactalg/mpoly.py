@@ -12,7 +12,9 @@ divide by L once; subs substitutes into L f that way, through a one-shot
 Substitution.  A Substitution holds its images and the powers of them it
 has built, each built from the highest one held below it, and keeps those
 up to a fixed degree between calls (the divided-difference operators each
-own one).  The variable universe is closed and fixed:
+own one); its moved method picks out the terms it can change, by one mask
+over the packed keys, so an operator substitutes only those.  The variable
+universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
 
@@ -485,9 +487,14 @@ class Substitution:
     later calls; higher ones are built for one call and dropped, so a
     substitution applied again and again (a divided-difference operator)
     holds a bounded table.
+
+    moved(f) is the part of f that a call can change: its terms with a
+    positive exponent in some substituted variable.  Every other term is
+    its own image, so f - self(f) = m - self(m) with m = moved(f); a
+    divided-difference operator substitutes only m.
     """
 
-    __slots__ = ("_touched", "_kept")
+    __slots__ = ("_touched", "_kept", "_moving")
 
     def __init__(self, assignment: Mapping[str, "MPoly | Fraction | int"]):
         images: Dict[int, MPoly] = {}
@@ -499,6 +506,9 @@ class Substitution:
                 raise TypeError(f"cannot use {val!r} as a substitution value")
             images[VAR_INDEX[name]] = img
         self._touched = [(i, _SHIFT[i]) for i in sorted(images)]
+        # the fields of the substituted variables: a key meets this mask
+        # exactly when its term has one of them
+        self._moving = sum(_MASK << shift for _, shift in self._touched)
         # per variable index, {e: image ** e}, the image itself at e = 1
         self._kept = {i: {1: img} for i, img in images.items()}
 
@@ -519,6 +529,13 @@ class Substitution:
                 term = term * MPoly({exp: 1})
             out = out + term
         return out
+
+    def moved(self, f: MPoly) -> MPoly:
+        """The terms of f with a positive exponent in a substituted
+        variable; f itself when that is every term."""
+        moving = self._moving
+        t = {exp: coef for exp, coef in f._t.items() if exp & moving}
+        return f if len(t) == len(f._t) else MPoly(t)
 
     def _powers(self, i: int, needs: Sequence[int]) -> Dict[int, MPoly]:
         """{e: image ** e} for the exponents needs (increasing) of the

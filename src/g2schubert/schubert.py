@@ -23,8 +23,15 @@ Fraction.  Each of s, t and tv owns one Substitution of its action, which
 keeps the powers of its image up to a fixed x-degree from call to call;
 div_diff_generic builds a fresh Substitution per call, and stays the
 independent path the divdiff suite compares the operators against.
+An operator is linear over the invariants of its reflection, so a term
+with no variable the reflection substitutes (y1^2 y2 under any of them;
+x1^3 y1 or x1^2 v under t and tv) cancels in f - w.f: both paths take the
+numerator over the moved terms only (Substitution.moved), and never
+substitute, subtract or divide a fixed one.
 Only P_id depends on the reduced word chosen for w0, so the table for the
-second longest word is the first one with P_id recomputed: one step.
+second longest word is the first one with P_id recomputed: one step, for
+every kind, the eq-* kinds too, since y -> t substitutes only inert
+variables and so commutes with every operator.
 """
 
 from __future__ import annotations
@@ -94,12 +101,18 @@ def div_diff_generic(f: MPoly, root: MPoly, action: Mapping[str, MPoly]) -> MPol
 
 
 def _divided_difference(f: MPoly, root: MPoly, w: Substitution) -> MPoly:
-    """(f - w.f) / root, run on L f, the integral multiple of f
-    (MPoly.integral_multiple): w substitutes into L f as it stands, with no
+    """(f - w.f) / root, taken over m = w.moved(f), the terms of f with a
+    variable that w substitutes.  Each other term h is fixed by w, so it
+    cancels in f - w.f, and the numerator is exactly m - w.m: a term the
+    reflection fixes is never substituted, subtracted or divided.  The
+    operator runs on L m, the integral multiple of m
+    (MPoly.integral_multiple): w substitutes into L m as it stands, with no
     second scan of its coefficients, and the quotient is multiplied by 1/L
     once.  Each root here has leading coefficient +-1, so the substitution
     and the division stay in int arithmetic."""
-    g, scale = f.integral_multiple()
+    g, scale = w.moved(f).integral_multiple()
+    if g.is_zero():
+        return MPoly.zero()
     numerator = g - w(g)
     if numerator.is_zero():
         return MPoly.zero()
@@ -201,8 +214,11 @@ def generate_family(kind: str, w0_word: Optional[str] = None) -> SchubertFamily:
     gives the one ambiguous entry (w = id); the tables agree either way.
     The default (None) is "ststst", and both spellings share one table.  For
     "tststs" only P_id is recomputed, as d_t of the entry whose operator
-    word is "ststs", from the default table: one operator step.  The eq-*
-    kinds substitute t for y in the base family of the same word.
+    word is "ststs", from the default table: one operator step, for all six
+    kinds.  The eq-* kinds substitute t for y in the default base family;
+    y -> t touches no x, so it commutes with every operator, and d_t of
+    the substituted entry is the substituted P_id of the base kind's
+    "tststs" table.
     """
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -211,16 +227,16 @@ def generate_family(kind: str, w0_word: Optional[str] = None) -> SchubertFamily:
         return generate_family(kind, default)
     if w0_word not in weyl.LONGEST_WORDS:
         raise ValueError(f"{w0_word!r} is not a reduced word for the longest element")
-    if kind in ("eq-paper", "eq-graham"):
-        base = generate_family(kind.removeprefix("eq-"), w0_word)
-        table = {w: p.subs({"y1": T1, "y2": T2}) for w, p in base.table.items()}
-        return SchubertFamily(kind, table)
     w0 = weyl.longest()
     if w0_word != default:
         base = generate_family(kind, default).table
         rest = weyl.element(w0_word[1:]).inverse() * w0
         table = dict(base)
         table[weyl.identity()] = div_diff(_operator(kind, w0_word[0]), base[rest])
+        return SchubertFamily(kind, table)
+    if kind in ("eq-paper", "eq-graham"):
+        base = generate_family(kind.removeprefix("eq-"), w0_word)
+        table = {w: p.subs({"y1": T1, "y2": T2}) for w, p in base.table.items()}
         return SchubertFamily(kind, table)
     words = {u: (w0_word if u is w0 else u.word) for u in weyl.all_elements()}
     top, scale = top_class(kind).integral_multiple()

@@ -6,7 +6,7 @@ import pytest
 
 from g2schubert import schubert as s
 from g2schubert import octonion, weyl
-from g2schubert.exactalg import MPoly, exact_divide
+from g2schubert.exactalg import MPoly, Substitution, exact_divide
 from g2schubert.exactalg.mpoly import _KEPT_DEGREE
 from g2schubert.weyl import NonReducedWord
 
@@ -103,6 +103,45 @@ def test_kept_and_fresh_substitutions_agree(kind):
             assert s.div_diff(kind, g) == s.div_diff_generic(g, root, action), g
 
 
+# terms each reflection fixes: no variable it substitutes
+FIXED_TERMS = {
+    "s": [7 * Y1 ** 2 * Y2],
+    "t": [7 * Y1 ** 2 * Y2, X1 ** 3 * Y1, X1 ** 2 * V],
+    "tv": [7 * Y1 ** 2 * Y2, X1 ** 3 * Y1, X1 ** 2 * V],
+}
+
+
+@pytest.mark.parametrize("kind", HAND_OPERATORS)
+def test_fixed_terms_do_not_change_the_operator(kind):
+    # d(f + h) = d(f) for h fixed by the reflection, and d still agrees
+    # with the fresh path and with the numerator over the root
+    action, root = HAND_OPERATORS[kind]
+    for h in FIXED_TERMS[kind]:
+        assert h.subs(action) == h
+        for f in _fraction_polys() + _sparse_polys():
+            for g in (f, f + h, h):
+                q = s.div_diff(kind, g)
+                assert q == s.div_diff_generic(g, root, action), (g, h)
+                assert q == exact_divide(g - g.subs(action), root), (g, h)
+            assert s.div_diff(kind, f + h) == s.div_diff(kind, f), (f, h)
+
+
+@pytest.mark.parametrize("kind", HAND_OPERATORS)
+def test_fixed_terms_alone_are_never_substituted(kind, monkeypatch):
+    calls = []
+    real = Substitution.__call__
+
+    def counting(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(Substitution, "__call__", counting)
+    fixed = sum(FIXED_TERMS[kind], MPoly.const(Fraction(5, 3)))
+    assert s._SUBSTITUTIONS[kind].moved(fixed).is_zero()
+    assert s.div_diff(kind, fixed).is_zero()
+    assert calls == []
+
+
 # x2^200 costs tv one power of its three-term image, (x1 - x2 - v)^192 by
 # repeated squaring (about 17 s, as a fresh subs); x2^40 shows the same bound
 @pytest.mark.parametrize("kind, exponent", [("s", 200), ("t", 200), ("tv", 40)])
@@ -173,36 +212,79 @@ class TestFamilies:
             assert fam.table[w] == s.div_diff_word(
                 word, top, twisted=kind == "twisted"), (kind, w0_word, w.name)
 
-    @pytest.mark.parametrize("kind", BASE_KINDS)
+    @pytest.mark.parametrize("kind", s.FAMILY_KINDS)
     @pytest.mark.parametrize("w0_word", weyl.LONGEST_WORDS)
     def test_one_operator_step_per_nonempty_word(self, kind, w0_word, monkeypatch):
-        # the default word runs the chain, 11 steps; the other word reuses
-        # that table and recomputes only P_id, in one step
+        # the default word runs the chain, 11 steps (an eq-* kind runs its
+        # base kind's chain and substitutes); the other word reuses that
+        # table and recomputes only P_id, in one step with no substitution
         calls = []
+        subs_calls = []
         real = s.div_diff
+        real_subs = MPoly.subs
 
         def counting(op, f):
             calls.append(op)
             return real(op, f)
 
+        def counting_subs(f, assignment):
+            subs_calls.append(assignment)
+            return real_subs(f, assignment)
+
         monkeypatch.setattr(s, "div_diff", counting)
+        monkeypatch.setattr(MPoly, "subs", counting_subs)
         s.generate_family.cache_clear()
         s.generate_family(kind)
         assert len(calls) == 11
         assert ("tv" in calls) == (kind == "twisted")
         calls.clear()
+        subs_calls.clear()
         s.generate_family(kind, w0_word)
         if w0_word == weyl.LONGEST_WORDS[0]:
             assert calls == []
         else:
             assert calls == ["tv" if kind == "twisted" else "t"]
+        assert subs_calls == []
 
-    def test_equivariant_substitution(self):
-        eq = s.generate_family("eq-paper")
-        plain = s.generate_family("paper")
+    @pytest.mark.parametrize("kind", ["eq-paper", "eq-graham"])
+    @pytest.mark.parametrize("w0_word", weyl.LONGEST_WORDS)
+    def test_equivariant_substitution(self, kind, w0_word):
+        # the reference substitutes t for y in each entry of the base
+        # family of the same word; y -> t commutes with the operators
+        eq = s.generate_family(kind, w0_word)
+        default = s.generate_family(kind)
+        plain = s.generate_family(kind.removeprefix("eq-"), w0_word)
         t1, t2 = MPoly.var("t1"), MPoly.var("t2")
         for w in weyl.all_elements():
             assert eq.table[w] == plain.table[w].subs({"y1": t1, "y2": t2})
+            if w is not weyl.identity():
+                assert eq.table[w] is default.table[w]
+
+    # the terms passed to the operators' substitutions for both longest
+    # words of a base kind, from a cleared cache; before the operators
+    # skipped the terms their reflection fixes they were 218, 360, 31, 571
+    FAMILY_SUBSTITUTED_TERMS = {"paper": 141, "graham": 262, "point": 27,
+                                "twisted": 338}
+
+    @pytest.mark.parametrize("kind", BASE_KINDS)
+    def test_family_substitution_work_is_pinned(self, kind, monkeypatch):
+        # term counts are exact and repeatable where times are not; a change
+        # that lowers a count lowers its pin
+        terms = []
+        real = Substitution.__call__
+        operators = list(s._SUBSTITUTIONS.values())
+
+        def counting(self, f):
+            if any(self is w for w in operators):
+                terms.append(len(f))
+            return real(self, f)
+
+        monkeypatch.setattr(Substitution, "__call__", counting)
+        s.generate_family.cache_clear()
+        for w0_word in weyl.LONGEST_WORDS:
+            s.generate_family(kind, w0_word)
+        assert len(terms) == 12
+        assert sum(terms) == self.FAMILY_SUBSTITUTED_TERMS[kind]
 
 
 class TestLocalization:
