@@ -261,8 +261,7 @@ class TestFamilies:
                 assert eq.table[w] is default.table[w]
 
     # the terms passed to the operators' substitutions for both longest
-    # words of a base kind, from a cleared cache; before the operators
-    # skipped the terms their reflection fixes they were 218, 360, 31, 571
+    # words of a base kind, from a cleared cache
     FAMILY_SUBSTITUTED_TERMS = {"paper": 141, "graham": 262, "point": 27,
                                 "twisted": 338}
 
