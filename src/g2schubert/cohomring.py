@@ -68,6 +68,7 @@ NonIntegralReduction rather than silently rescaled.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
@@ -526,7 +527,8 @@ PRESENTATION_FACTORIES = {
 
 
 def get_presentation(name: str) -> Presentation:
-    key = name.replace("(", "").replace(")", "")
+    # only a quadric bundle's rank may be parenthesized: QuadricBundle(3)Y
+    key = re.sub(r"^QuadricBundle\((\d+)\)", r"QuadricBundle\1", name)
     if key not in PRESENTATION_FACTORIES:
         raise ValueError(f"unknown presentation {name!r}; "
                          f"known: {', '.join(sorted(PRESENTATION_FACTORIES))}")

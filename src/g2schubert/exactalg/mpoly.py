@@ -9,12 +9,12 @@ polynomial needs scalars.quotient, since int / int is a float, and
 integral_multiple clears the denominators of the coefficients: it gives
 (L f, L), with L their lcm, so that a computation can run on ints and
 divide by L once; subs substitutes into L f that way, through a one-shot
-Substitution.  A Substitution holds its images and the powers of them it
-has built, each built from the highest one held below it, and keeps those
-up to a fixed degree between calls (the divided-difference operators each
-own one); its moved method picks out the terms it can change, by one mask
-over the packed keys, so an operator substitutes only those.  The variable
-universe is closed and fixed:
+Substitution.  A Substitution holds, per variable, the list of the powers
+of its image, each built by one product from the one below (never by
+squaring), and keeps that list up to a fixed degree between calls (the
+divided-difference operators each own one); its moved method picks out
+the terms it can change, by one mask over the packed keys, so an operator
+substitutes only those.  The variable universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
 
@@ -466,9 +466,9 @@ _VAR_CACHE = {name: MPoly({_exponent((name,), (1,)): 1}) for name in VARIABLES}
 # The degree up to which a Substitution keeps the image powers it builds,
 # from call to call: the highest x-degree the divided-difference operators
 # meet in the library's own callers (8 on the divdiff benchmark's chains; 6
-# for the top classes and the verify suites' random polynomials).  Higher
-# powers are built for one call and dropped, so an operator's table stays
-# bounded (224 terms in all three).
+# for the top classes and the verify suites' random polynomials).  A call
+# that needs higher powers builds them on a copy of the list and drops them,
+# so an operator's table stays bounded (224 terms in all three).
 _KEPT_DEGREE = 8
 
 
@@ -478,15 +478,14 @@ class Substitution:
     term with f's coefficients as they stand (subs runs it on the integral
     multiple of f, so an f that already is one is not scanned again).
 
-    It holds the image of each substituted variable and a table of the
-    powers of each image it has built.  A call builds each power it needs,
-    in increasing order, from the highest power held below it: one product
-    by the image when that is the power just below, else one ** of the
-    gap, so a dense input costs one product per exponent and a lone high
-    exponent one power.  Powers up to _KEPT_DEGREE stay in the table for
-    later calls; higher ones are built for one call and dropped, so a
-    substitution applied again and again (a divided-difference operator)
-    holds a bounded table.
+    It holds, per substituted variable, the list [1, image, image^2, ...]
+    of the powers of its image built so far.  A call reads the highest
+    exponent of each variable in f and extends its list to it, one product
+    by the image per power, so a power is never built by squaring and a
+    lone exponent n costs n products.  The list stays for later calls up to
+    _KEPT_DEGREE; higher powers are built on a copy for one call and
+    dropped, so a substitution applied again and again (a divided-
+    difference operator) holds a bounded table.
 
     moved(f) is the part of f that a call can change: its terms with a
     positive exponent in some substituted variable.  Every other term is
@@ -509,13 +508,14 @@ class Substitution:
         # the fields of the substituted variables: a key meets this mask
         # exactly when its term has one of them
         self._moving = sum(_MASK << shift for _, shift in self._touched)
-        # per variable index, {e: image ** e}, the image itself at e = 1
-        self._kept = {i: {1: img} for i, img in images.items()}
+        # per variable index, [image ** e for e = 0, 1, ...]
+        self._kept = {i: [_ONE, img] for i, img in images.items()}
 
     def __call__(self, f: MPoly) -> MPoly:
         keys = f._t
         touched = self._touched
-        powers = {i: self._powers(i, sorted({exp >> shift & _MASK for exp in keys}))
+        powers = {i: self._powers(i, max((exp >> shift & _MASK for exp in keys),
+                                         default=0))
                   for i, shift in touched}
         out = _ZERO
         for exp, coef in keys.items():
@@ -537,31 +537,19 @@ class Substitution:
         t = {exp: coef for exp, coef in f._t.items() if exp & moving}
         return f if len(t) == len(f._t) else MPoly(t)
 
-    def _powers(self, i: int, needs: Sequence[int]) -> Dict[int, MPoly]:
-        """{e: image ** e} for the exponents needs (increasing) of the
-        variable of index i.  Each missing power is built from the highest
-        power held below it, kept or built earlier in this loop; those up
-        to _KEPT_DEGREE join the table."""
-        kept = self._kept[i]
-        image = kept[1]
-        held = sorted(kept)
-        out: Dict[int, MPoly] = {}
-        j, k, low = 0, 1, image  # low = image ** k, the highest held so far
-        for e in needs:
-            if not e:
-                continue
-            while j < len(held) and held[j] <= e:
-                k = held[j]
-                low = kept[k]
-                j += 1
-            if k != e:
-                gap = e - k
-                low = low * (image if gap == 1 else image ** gap)
-                k = e
-                if e <= _KEPT_DEGREE:
-                    kept[e] = low
-            out[e] = low
-        return out
+    def _powers(self, i: int, top: int) -> Sequence[MPoly]:
+        """[image ** e for e = 0 .. top] or longer, for the variable of
+        index i: the kept list, extended up to _KEPT_DEGREE, or past it a
+        copy extended to top for this call only."""
+        powers = self._kept[i]
+        image = powers[1]
+        while len(powers) <= min(top, _KEPT_DEGREE):
+            powers.append(powers[-1] * image)
+        if top >= len(powers):
+            powers = powers[:]
+            while len(powers) <= top:
+                powers.append(powers[-1] * image)
+        return powers
 
 
 def exact_divide(f: MPoly, g: MPoly) -> MPoly:

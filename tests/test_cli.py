@@ -219,10 +219,19 @@ class TestReduce:
         assert code == 0
         assert out.strip() == "2 alpha"
 
-    def test_parenthesized_name(self, capsys):
-        code, out, _ = run(capsys, "reduce", "--presentation",
-                           "QuadricBundle(3)", "f^2")
-        assert code == 0
+    # a quadric bundle's rank may be parenthesized, and nothing else
+    @pytest.mark.parametrize("name, same_as", [
+        ("QuadricBundle(3)", "QuadricBundle3"), ("QuadricBundle(3)Y", "QuadricBundle3Y"),
+        ("QuadricBundle(3)Fiber", "QuadricBundle3Fiber"),
+        ("(FlHalfPoint)", None), ("Fl(Integral)Point", None), ("QuadricBundle(3", None)])
+    def test_parenthesized_name(self, capsys, name, same_as):
+        code, out, err = run(capsys, "reduce", "--presentation", name, "f^2")
+        if same_as is None:
+            assert code == 2
+            assert err.startswith(f"error: unknown presentation {name!r}; known: ")
+        else:
+            assert code == 0
+            assert out == run(capsys, "reduce", "--presentation", same_as, "f^2")[1]
 
     def test_unknown_presentation(self, capsys):
         code, _, err = run(capsys, "reduce", "--presentation", "Junk", "x1")

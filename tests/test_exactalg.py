@@ -410,6 +410,10 @@ IMAGES = [{"x1": X2, "x2": X1}, {"x2": X1 - X2}, {"x2": X1 - X2 - MPoly.var("v")
           {"x1": Fraction(1, 3) * (2 * X1 - X2) + Y1}]
 
 
+# every monomial of degree 8 in x1, x2: it fills a kept list to _KEPT_DEGREE
+DENSE = sum((X1 ** a * X2 ** (8 - a) for a in range(9)), MPoly.zero())
+
+
 def sparse_inputs():
     # lone high exponents, above and below any kept degree
     return [X2 ** 40 * Y1, X1 ** 17 * X2 ** 3 - 2 * Y1, Fraction(1, 5) * X1 ** 12,
@@ -443,11 +447,11 @@ class TestSubstitution:
             assert kept(f) == f.subs(assignment), f
             assert is_stored_exactly(kept(f))
         for table in kept._kept.values():
-            assert max(table) <= _KEPT_DEGREE
+            assert len(table) <= _KEPT_DEGREE + 1
 
-    def test_each_power_built_from_the_one_below(self, monkeypatch):
-        # a dense input costs one product by the image per exponent and no
-        # power; a lone high exponent costs one power of the gap
+    @staticmethod
+    def count_powers(monkeypatch):
+        """The exponents of every MPoly ** from here on, in call order."""
         powers = []
         real = MPoly.__pow__
 
@@ -456,17 +460,37 @@ class TestSubstitution:
             return real(self, n)
 
         monkeypatch.setattr(MPoly, "__pow__", counting)
-        sub = Substitution({"x2": X1 - X2})
-        dense = sum((X1 ** a * X2 ** (8 - a) for a in range(9)), MPoly.zero())
+        return powers
+
+    def test_each_power_built_from_the_one_below(self, monkeypatch):
+        # a dense input and a lone high exponent both cost one product by
+        # the image per exponent and no power, on a used substitution or a
+        # fresh one
         lone = X2 ** 40 * Y1
-        powers.clear()
-        sub(dense)
+        powers = self.count_powers(monkeypatch)
+        sub = Substitution({"x2": X1 - X2})
+        sub(DENSE)
         assert powers == []
         sub(lone)
-        assert powers == [32]
-        powers.clear()
+        assert powers == []
         Substitution({"x2": X1 - X2})(lone)
-        assert powers == [39]
+        assert powers == []
+
+    def test_lone_power_of_a_multi_term_image_is_not_squared(self, monkeypatch):
+        # x2^60 under tv's three-term image, on a fresh substitution and on
+        # one that a dense input has filled to the kept degree: the same
+        # result, no ** of the image, and the kept list is image^0..image^8
+        image = X1 - X2 - MPoly.var("v")
+        f = X2 ** 60 * Y1
+        expected = naive_subs(f, {"x2": image})
+        powers = self.count_powers(monkeypatch)
+        fresh, filled = Substitution({"x2": image}), Substitution({"x2": image})
+        filled(DENSE)
+        for sub in (fresh, filled):
+            assert sub(f) == expected
+            assert powers == []
+            assert sub._kept[1] == [naive_power(image, e)
+                                    for e in range(_KEPT_DEGREE + 1)]
 
     def test_deep_power_without_recursion(self):
         assert (X2 ** 5000).subs({"x2": X1}) == X1 ** 5000
@@ -481,8 +505,8 @@ class TestSubstitution:
         one, two = Substitution(a), Substitution(b)
         one(f)
         two(f)
-        assert one._kept[1] == {e: (X1 + 1) ** e for e in (1, 2, 5)}
-        assert two._kept[1] == {e: (X1 - Y1) ** e for e in (1, 2, 5)}
+        assert one._kept[1] == [(X1 + 1) ** e for e in range(6)]
+        assert two._kept[1] == [(X1 - Y1) ** e for e in range(6)]
 
     def test_validation_messages(self):
         with pytest.raises(UnboundVariable, match="unknown variable 'zz'"):
