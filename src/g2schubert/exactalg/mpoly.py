@@ -9,12 +9,13 @@ polynomial needs scalars.quotient, since int / int is a float, and
 integral_multiple clears the denominators of the coefficients: it gives
 (L f, L), with L their lcm, so that a computation can run on ints and
 divide by L once; subs substitutes into L f that way, through a one-shot
-Substitution.  A Substitution holds, per variable, the list of the powers
-of its image, each built by one product from the one below (never by
-squaring), and keeps that list up to a fixed degree between calls (the
-divided-difference operators each own one); its moved method picks out
-the terms it can change, by one mask over the packed keys, so an operator
-substitutes only those.  The variable universe is closed and fixed:
+Substitution.  A power of more than one term is built by one product with
+its base at a time, never by squaring: MPoly.__pow__ makes n - 1 of them,
+and a Substitution keeps, per variable, the list of its image's powers,
+up to a fixed degree between calls (the divided-difference operators each
+own one); its moved method picks out the terms it can change, by one mask
+over the packed keys, so an operator substitutes only those.  The variable
+universe is closed and fixed:
 
     x1 x2 y1 y2 t1 t2 v alpha h f c1F c2F c3F c1Q c2Q c3Q a b c d e g
 
@@ -387,23 +388,27 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """self ** n.  Only the exponent is bounded (the 2**63 guard); the
-        coefficients may grow without limit, so a library caller pays for
-        what it asks.  parse charges coefficient growth against its budget
-        before computing it, which bounds parsed and CLI input."""
+        """self ** n: one multiply of the key and one power of the
+        coefficient for one term; otherwise the base times itself n - 1
+        times, never a square (Fateman 1974: fewer term pairs on three or
+        more terms, about three times as many on a binomial), and 0 at once
+        for the zero polynomial.  Only the exponent is bounded (the 2**63
+        guard), so a library caller pays for the coefficients it asks;
+        parse charges their growth and the term products first, which
+        bounds parsed and CLI input."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if len(self._t) == 1:  # a power of one term: one multiply
             (exp, c), = self._t.items()
             exp = _checked(exp * n)  # before c ** n, which may be huge
             return MPoly({exp: c ** n})
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if not n:
+            return _ONE
+        if not self._t:
+            return _ZERO
+        result = self
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def __eq__(self, other):

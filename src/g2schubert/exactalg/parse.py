@@ -22,8 +22,8 @@ two 500-term polynomials with 33 000-bit coefficients on one side or on
 both, are refused before they are computed.  Printing
 (MPoly.__str__) emits canonical graded-lex form, and parse(print(f)) == f:
 a printed term is a literal coefficient times powers of variables, so it
-grows no coefficient, and no power of one term spends more than 7 term
-products per character it is written with.  An INT of more digits than
+grows no coefficient, and each power of one term in it is charged one
+term product, whatever its exponent.  An INT of more digits than
 Python's int-string conversion limit (sys.get_int_max_str_digits, 4300 by
 default) raises PolySyntaxError at its offset; no printable coefficient has
 that many, since printing it would hit the same limit.
@@ -39,8 +39,8 @@ from .mpoly import MPoly, UnboundVariable, addmul, key_terms
 
 # one parse may spend at most this many term products, or _PRODUCTS_PER_CHAR
 # per character of its input if that is more: a product charges
-# len(a) * len(b), a power _power_products (a power of a single term is one
-# term, whatever its exponent), each weighted by _pair_cost
+# len(a) * len(b), a power _power_products (n - 1 products by its base, or
+# one for a single term), each weighted by _pair_cost
 _MAX_TERM_PRODUCTS = 300_000
 _PRODUCTS_PER_CHAR = 7
 # and at most this many bits of coefficient growth, or _BITS_PER_CHAR per
@@ -84,27 +84,19 @@ def _pair_cost(a: int, b: int) -> int:
 
 def _power_products(k: int, height: int, n: int, limit: int) -> int:
     """An upper bound on the term products MPoly.__pow__ spends on the n-th
-    power of a k-term polynomial of the given height, following its
-    square-and-multiply steps.  The e-th power has at most
-    comb(e + k - 1, k - 1) terms, of height at most e (height + log2 k).
-    Counting stops once the bound passes limit.  For k = 1 and height 0 it
-    is popcount(n) + bitlength(n) - 1, at most 7 per decimal digit of n,
-    although MPoly.__pow__ takes a power of one term in one step; for the
-    zero polynomial, k = 0, it is 0."""
-    def terms(e):
-        return comb(e + k - 1, k - 1) if k else 0
-
+    power of a k-term polynomial of the given height: none for k = 0, one
+    for k = 1, whatever n, and otherwise its n - 1 products with the base,
+    the e-th power having at most comb(e + k - 1, k - 1) terms, of height
+    at most e (height + log2 k); exact in term pairs for a dense base.
+    Counting stops once the bound passes limit."""
+    if k <= 1:
+        return k
     step = height + _log2_ceil(k)
-    products, done, square = 0, 0, 1
-    while n and products <= limit:
-        if n & 1:
-            products += (terms(done) * terms(square)
-                         * _pair_cost(done * step, square * step))
-            done += square
-        if n > 1:
-            products += terms(square) ** 2 * _pair_cost(square * step, square * step)
-            square *= 2
-        n >>= 1
+    products = 0
+    for e in range(1, n):
+        if products > limit:
+            break
+        products += comb(e + k - 1, k - 1) * k * _pair_cost(e * step, height)
     return products
 
 

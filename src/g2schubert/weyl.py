@@ -131,7 +131,8 @@ def element(key) -> WeylElt:
             raise NonReducedWord(f"{text!r} is not reduced (element is {elt.name})")
         return elt
     parts = text.replace(",", " ").split()
-    if len(parts) == 2 and all(p.isdigit() for p in parts):
+    # ASCII digits only: str.isdigit would take '²' and '٥' too
+    if len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
         return element((int(parts[0]), int(parts[1])))
     raise ValueError(f"cannot parse Weyl element {key!r}")
 

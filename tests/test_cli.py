@@ -290,10 +290,12 @@ class TestReduce:
         assert "power ^3000 of a 2-term polynomial" in err
 
     @pytest.mark.parametrize("text,culprit", [
-        # each power is within budget alone, the two together are not
-        ("(x1+x2)^800 (x1+x2)^800", "power ^800 of a 2-term polynomial"),
-        ("(x1+x2)^500 * (y1+y2)^500",
-         "product of a 501-term and a 501-term polynomial"),
+        # each power is within budget alone, the input as a whole is not: a
+        # binomial's ^400 charges 160 398 term products, and its ^350
+        # 122 848, which the 351 x 351 product takes to 368 897
+        ("(x1+x2)^400 (x1+x2)^400", "power ^400 of a 2-term polynomial"),
+        ("(x1+x2)^350 * (y1+y2)^350",
+         "product of a 351-term and a 351-term polynomial"),
     ], ids=["powers", "product"])
     def test_products_share_one_term_budget(self, capsys, text, culprit):
         start = time.perf_counter()
@@ -546,6 +548,13 @@ class TestWeylVerb:
         code, out, _ = run(capsys, "weyl", "sts")
         assert code == 0
         assert "pair:    5 2" in out
+
+    @pytest.mark.parametrize("text", ["\u00b2 1", "\u0665 \u0662"],
+                             ids=["superscript", "arabic-indic"])
+    def test_pair_of_non_ascii_digits_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "weyl", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse Weyl element {text!r}\n"
 
 
 def test_stdout_closed_early_is_exit_1_without_traceback():

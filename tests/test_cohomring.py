@@ -213,6 +213,46 @@ class TestVerifyPresentations:
         assert len(signatures) == 12
 
 
+# the point ring that each bundle presentation reduces to, rule for rule, at
+# base variables 0, for those that verify_presentation does not compare
+# (cohomring._SPECIALIZATIONS names none for them)
+POINT_RINGS = {"FlHalfBundle": "FlHalfPoint", "FlHalfBundleT": "FlHalfPoint",
+               "Equivariant": "FlIntegralPoint",
+               "FlIntegralBundleY": "FlIntegralPoint"}
+
+
+def _rules_differing_at_base_zero(name):
+    """The main variables whose rule in `name`, with every base variable
+    set to 0, is not the rule of its point ring."""
+    p = c.get_presentation(name)
+    special = p.specialize(name, dict.fromkeys(p.base_vars, 0)).rules
+    point = c.get_presentation(POINT_RINGS[name]).rules
+    assert len(special) == len(point)
+    return [r.var for r, q in zip(special, point) if r != q]
+
+
+@pytest.mark.parametrize("name", sorted(POINT_RINGS))
+def test_ring_at_base_zero_is_the_point_ring(name):
+    assert _rules_differing_at_base_zero(name) == []
+
+
+def test_ring_at_base_zero_sees_a_wrong_bundle_rule(monkeypatch):
+    # x2^2 -> x1 x2 - 2 x1^2 + ... is a ring of its own, which
+    # verify_presentation passes; at y = 0 its x2 rule is not FlHalfPoint's
+    real = c.PRESENTATION_FACTORIES["FlHalfBundle"]
+
+    def mutant():
+        p = real()
+        rules = [c.Rule(r.var, r.power, r.rhs - X1 ** 2 if r.var == "x2" else r.rhs)
+                 for r in p.rules]
+        return c.Presentation(p.name, p.main_vars, p.base_vars, rules, p.ring,
+                              p.expected_rank, p.degrees)
+
+    monkeypatch.setitem(c.PRESENTATION_FACTORIES, "FlHalfBundle", mutant)
+    assert c.verify_presentation(c.get_presentation("FlHalfBundle")) == []
+    assert _rules_differing_at_base_zero("FlHalfBundle") == ["x2"]
+
+
 class TestDerivedRules:
     """Rules that the constructor inter-reduces and solves."""
 

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 import time
 from fractions import Fraction
@@ -58,7 +59,7 @@ def naive_mul(f, g):
 
 
 def naive_power(f, n):
-    # square-and-multiply over naive_mul, the generic path of a power
+    # square-and-multiply over naive_mul: a method other than MPoly.__pow__'s
     result = MPoly.one()
     while n:
         if n & 1:
@@ -186,6 +187,64 @@ class TestArithmetic:
         for f, n in [(X1, 2 ** 63 - 1), (-X1 * X2, 2 ** 62 - 1),
                      (MPoly.const(-1), 2 ** 70 + 1)]:
             assert f ** n == naive_power(f, n)
+
+    @pytest.mark.parametrize("base", [
+        X1 - 2 * X2, 3 * X1 * Y1 - X2 + 5, X1 + X2 + Y1 - 7,
+        Fraction(1, 2) * X1 + Fraction(1, 3) * X2,
+        Fraction(-2, 3) * X1 ** 2 + X2 * Y1 - Fraction(1, 4),
+        X1 ** 3 + Fraction(5, 2) * X2 - Y1 * MPoly.var("v") + Fraction(1, 6),
+    ], ids=["2-int", "3-int", "4-int", "2-fraction", "3-fraction", "4-fraction"])
+    def test_power_is_a_product_loop(self, base):
+        expected = MPoly.one()
+        for n in range(13):
+            power = base ** n
+            assert power == expected and is_stored_exactly(power), n
+            expected = naive_mul(expected, base)
+
+    @staticmethod
+    def count_products(monkeypatch):
+        """(len(a), len(b), b) for every MPoly product a * b from here on."""
+        seen = []
+        real = MPoly.__mul__
+
+        def counting(a, b):
+            seen.append((len(a), len(b), b))
+            return real(a, b)
+
+        monkeypatch.setattr(MPoly, "__mul__", counting)
+        return seen
+
+    def test_power_multiplies_by_the_base(self, monkeypatch):
+        # 119 products with the base, where squaring spent 4 075 365 term
+        # pairs in 10 products; parse charges exactly these pairs, since
+        # the base is dense and its coefficients small
+        base = X1 - X2 - MPoly.var("v")
+        seen = self.count_products(monkeypatch)
+        power = base ** 120
+        monkeypatch.undo()
+        assert len(seen) == 119 and all(b is base for _, _, b in seen)
+        pairs = sum(a * b for a, b, _ in seen)
+        assert pairs == 885_717 == parse._power_products(3, 0, 120, math.inf)
+        assert len(power) == 7381
+        assert power.coeff({"x1": 60, "v": 60}) == math.comb(120, 60)
+
+    def test_power_charge_bounds_its_term_pairs(self, monkeypatch):
+        # parse charges a power before computing it, so the charge must be
+        # at least the term pairs MPoly.__pow__ then spends, on sparse and
+        # dense bases, with small and large coefficients
+        bases = [MPoly.zero(), X1, -3 * X1 ** 2 * Y1, X1 + X2, 2 * X1 - X2,
+                 X1 ** 5 + X2 ** 3 * Y1, X1 - X2 - MPoly.var("v"),
+                 X1 ** 2 + X1 * X2 + 1, Fraction(1, 2) * X1 + Fraction(1, 3) * X2,
+                 2 ** 40 * X1 + Fraction(3, 7) * X2 ** 2 * Y1 - 1,
+                 X1 + X2 + Y1 + MPoly.var("y2"), (X1 + X2) * (X1 - Y1) - 3]
+        seen = self.count_products(monkeypatch)
+        for base in bases:
+            for n in (0, 1, 2, 3, 4, 7, 12, 20):
+                seen.clear()
+                base ** n
+                pairs = sum(a * b for a, b, _ in seen)
+                assert pairs <= parse._power_products(
+                    len(base), parse._height(base), n, math.inf), (base, n)
 
     @pytest.mark.parametrize("build", [
         lambda c: MPoly({(0,) * len(VARIABLES): c}),
@@ -640,6 +699,11 @@ class TestCanonicalForm:
         # the zero polynomial has no terms, so its powers cost nothing
         for text, value in [("0^2", 0), ("(x1 - x1)^3", 0), ("0^0", 1), ("(0)^0 x1", X1)]:
             assert parse_poly(text) == value
+        # and are 0 at once, where a loop of n products would never end
+        start = time.perf_counter()
+        assert MPoly.zero() ** 10 ** 18 == 0 and MPoly.zero() ** 0 == 1
+        assert parse_poly("0^" + "9" * 30) == 0
+        assert time.perf_counter() - start < 1
 
     def test_parse_errors_carry_position(self):
         with pytest.raises(PolySyntaxError) as err:

@@ -41,6 +41,14 @@ class TestElements:
         assert weyl.element("s").pair == (2, 1)
         assert weyl.element("t").pair == (1, 3)
 
+    @pytest.mark.parametrize("text", ["\u00b2 1", "\u0665 \u0662", "5 \uff12"],
+                             ids=["superscript", "arabic-indic", "fullwidth"])
+    def test_pair_of_non_ascii_digits_is_refused(self, text):
+        # str.isdigit takes each of these, and int() reads the last two as
+        # 5 2; a pair is ASCII digits, as in the polynomial grammar
+        with pytest.raises(ValueError, match="cannot parse Weyl element"):
+            weyl.element(text)
+
 
 class TestGroupLaw:
     def test_involutions(self):
