@@ -5,15 +5,18 @@ identities are checked exactly (tolerance zero), and randomized checks draw
 from a seeded generator so runs are reproducible.  A randomized check of the
 octonion, divdiff or families suite draws rationals, then runs on the
 integral multiple d * u of its draw u, with d the lcm of the draw's
-denominators (exactalg's integral_multiple, or MPoly.integral_multiple for
-a polynomial), so its arithmetic is on ints.  That keeps
-the evidence: each identity it tests is homogeneous in the drawn octonions
-(norm composition, the minimal equation, adjointness), scale-invariant (the
-rank of a left multiplication, the norm-zero quadric) or linear in the drawn
-polynomial (the divided differences, a ring substitution), so it holds at u
-exactly when it holds at d * u.  The ring suite's embedding classes are x1
-times random integral combinations of the basis, and their two sides are
-the same combinations of the sides of the basis products (embedding_sides).
+denominators (exactalg's integral_multiple, or MPoly.integral_multiple for a
+polynomial), so its arithmetic is on ints.  A random octonion is built as
+that multiple from the drawn numerators and denominators, as ints, with no
+Fraction per coordinate (random_oct, by integral_multiple_of_ratios).  That
+keeps the evidence: each identity it tests is homogeneous in the drawn
+octonions (norm composition, the minimal equation, adjointness),
+scale-invariant (the rank of a left multiplication, the norm-zero quadric)
+or linear in the drawn polynomial (the divided differences, a ring
+substitution), so it holds at u exactly when it holds at d * u.  The ring
+suite's embedding classes are x1 times random integral combinations of the
+basis, and their two sides are the same combinations of the sides of the
+basis products (embedding_sides).
 The library's helpers
 return values or failing witnesses, and the suites here are the one place
 where those become verdicts.  The CLI `verify` verb is a thin wrapper
@@ -36,6 +39,7 @@ from .exactalg import (
     MPoly,
     determinant,
     integral_multiple,
+    integral_multiple_of_ratios,
     lp_feasible,
     rank,
     solve_linear,
@@ -105,9 +109,11 @@ def random_isotropic_vec(rng: random.Random) -> octonion.VecV:
 
 
 def random_oct(rng: random.Random) -> octonion.Oct:
-    """The integral multiple of an octonion with 8 rational coordinates,
-    drawn scalar part first."""
-    (re, *im), _ = integral_multiple([random_fraction(rng) for _ in range(8)])
+    """The integral multiple of an octonion with 8 rational coordinates n/d,
+    drawn scalar part first by the generator calls of random_fraction, and
+    built from the drawn ints (integral_multiple_of_ratios)."""
+    (re, *im), _ = integral_multiple_of_ratios(
+        (rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(8))
     return octonion.Oct(re, octonion.VecV(im))
 
 

@@ -379,6 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     out(p)
     p.set_defaults(func=cmd_weyl)
 
+    # argparse reads an argument that begins with "-" as an option unless it
+    # looks like a negative number.  The one single-dash option of these
+    # verbs is -h, which argparse matches before this test, so here every
+    # "-" followed by a non-dash passes it: -x1 and -1,0,0,0,0,0,0 are
+    # operands.  An operand that begins with -h still needs "--" before it.
+    operand = re.compile(r"-[^-]")
+    for verb in ("reduce", "expand", "oct-mul", "kernel"):
+        sub.choices[verb]._negative_number_matcher = operand
     return parser
 
 

@@ -53,7 +53,11 @@ MPoly.split, and the exponent layout of MPoly stays inside mpoly.  The memo
 maps a main key to its normal form as an MPoly, a rewrite carries each main
 key's base coefficient {base part: coef} as one group, and reduce_poly calls
 reduce_monomial once per distinct main key and adds its normal form, shifted
-by each base part, with addmul (_apply).  One rewrite may produce at most
+by each base part, with addmul (_apply).  Reduction is linear, so
+reduce_poly runs on the integral multiple L f of its input
+(MPoly.integral_multiple), sums the base coefficients as ints, and scales
+the result by 1/L once: a class with denominators, such as the 1/54 of
+Graham's, is reduced on ints.  One rewrite may produce at most
 MAX_REWRITE_TERMS terms; past that it raises RewriteBudgetExceeded.
 
 A total Chern class 1 + c_1 + ... + c_n is the tuple (1, c_1, ..., c_n) of
@@ -327,8 +331,13 @@ class Presentation:
 
     def reduce_poly(self, poly: MPoly) -> MPoly:
         """Rewrite to the (unique) irreducible representative: the normal
-        form of each main key times its base coefficient."""
-        return _apply(self.reduce_monomial, poly.split(self.main_vars))
+        form of each main key times its base coefficient.  Reduction is
+        linear, so it runs on L poly, the integral multiple of poly
+        (MPoly.integral_multiple), and multiplies the result by 1/L once:
+        the base coefficients are summed as ints."""
+        whole, scale = poly.integral_multiple()
+        out = _apply(self.reduce_monomial, whole.split(self.main_vars))
+        return out if scale == 1 else out * Fraction(1, scale)
 
     def check_variables(self, poly: MPoly):
         bad = ", ".join(v for v in poly.variables() if v not in self._allowed)

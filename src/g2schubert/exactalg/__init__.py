@@ -1,7 +1,8 @@
 """Exact arithmetic substrate: rationals, sparse polynomials, linear solving,
 and small LP feasibility, all over int and fractions.Fraction."""
 
-from .scalars import GaussRat, Rational, exact, integral_multiple, quotient
+from .scalars import (GaussRat, Rational, exact, integral_multiple,
+                      integral_multiple_of_ratios, quotient)
 from .mpoly import (
     MPoly,
     NotDivisible,
@@ -23,7 +24,8 @@ from .linsolve import (
 from .lp import LpInfeasible, LpPoint, lp_feasible
 
 __all__ = [
-    "GaussRat", "Rational", "exact", "integral_multiple", "quotient",
+    "GaussRat", "Rational", "exact", "integral_multiple",
+    "integral_multiple_of_ratios", "quotient",
     "MPoly", "NotDivisible", "Substitution", "UnboundVariable", "VARIABLES",
     "exact_divide",
     "PolySyntaxError", "UnknownVariable", "parse_poly",

@@ -6,11 +6,12 @@ MPoly coefficients follow too; `exact` puts a value in that form.  Integral
 arithmetic then never pays for Fraction.  Python's `/` on two ints returns a
 float, so every division of rationals goes through `quotient`, which is
 exact and gives an int when the quotient is integral.  `integral_multiple`
-is the one place that clears denominators: it scales rationals by L, the
-lcm of their denominators, and keeps L, so that exact work can run on ints
-and divide by L once (MPoly.integral_multiple does the same for a
-polynomial's coefficients).  `GaussRat` adjoins a
-square root of -1; it is only needed for the change of basis between the
+is the one place that clears denominators: it scales rationals by L, the lcm
+of their denominators, and keeps L, so that exact work can run on ints and
+divide by L once (MPoly.integral_multiple does the same for a polynomial's
+coefficients, and integral_multiple_of_ratios for rationals given as
+numerator and denominator ints, such as a random draw).  `GaussRat` adjoins
+a square root of -1; it is only needed for the change of basis between the
 orthonormal and isotropic octonion bases.  Both of its parts follow the
 int-or-Fraction rule, and its division is exact.
 """
@@ -18,7 +19,7 @@ int-or-Fraction rule, and its division is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -59,6 +60,15 @@ def integral_multiple(values) -> Tuple[List[int], int]:
         values = [x * scale if type(x) is int
                   else x.numerator * (scale // x.denominator) for x in values]
     return values, scale
+
+
+def integral_multiple_of_ratios(ratios) -> Tuple[List[int], int]:
+    """integral_multiple of the rationals n/d given as int pairs (n, d) with
+    d > 0, computed on the ints with no Fraction built: L is the lcm of the
+    reduced denominators d / gcd(n, d), and L n/d is n L // d."""
+    ratios = list(ratios)
+    scale = lcm(*(d // gcd(n, d) for n, d in ratios))
+    return [n * scale // d for n, d in ratios], scale
 
 
 class GaussRat:

@@ -137,17 +137,19 @@ def div_diff_word(word: str, f: MPoly, twisted: bool = False) -> MPoly:
 # top classes
 
 def top_class(kind: str) -> MPoly:
-    """The closed top-degree class that seeds each family."""
+    """The closed top-degree class that seeds each family.  Its integral
+    factors are multiplied first, so their products sum ints, and its
+    rational constant (1/2, or 1/54 for graham) scales the result once."""
     if kind == "paper":
         f1 = (X1 ** 3 - 2 * X1 ** 2 * Y1 + X1 * Y1 ** 2 - X1 * Y2 ** 2
               + X1 * Y1 * Y2 - Y1 ** 2 * Y2 + Y1 * Y2 ** 2)
         f2 = X1 ** 2 + X1 * Y1 + Y1 * Y2 - Y2 ** 2
         f3 = X2 - X1 - Y2
-        poly = Fraction(1, 2) * f1 * f2 * f3
+        poly = f1 * f2 * f3 * Fraction(1, 2)
     elif kind == "graham":
         poly = _graham_class(MPoly.zero())
     elif kind == "point":
-        poly = Fraction(1, 2) * X1 ** 5 * X2
+        poly = X1 ** 5 * X2 * Fraction(1, 2)
     elif kind == "twisted":
         t1 = (X1 ** 3 - 2 * X1 ** 2 * Y1 + X1 * Y1 ** 2 - X1 * Y2 ** 2
               + X1 * Y1 * Y2 - Y1 ** 2 * Y2 + Y1 * Y2 ** 2
@@ -157,7 +159,7 @@ def top_class(kind: str) -> MPoly:
               + 4 * VV ** 3)
         t2 = X1 ** 2 + X1 * Y1 + Y1 * Y2 - Y2 ** 2 + X1 * VV + Y2 * VV
         t3 = X2 - X1 - Y2 + VV
-        poly = Fraction(1, 2) * t1 * t2 * t3
+        poly = t1 * t2 * t3 * Fraction(1, 2)
     elif kind == "chern":
         # the same top class written in the Chern classes of the rank-3
         # subbundle: substituting c(F3) = (1+y1)(1+y2)(1+y1-y2) recovers
@@ -166,7 +168,7 @@ def top_class(kind: str) -> MPoly:
         f1 = X1 ** 3 - c1f * X1 ** 2 + c2f * X1 - c3f
         f2 = X1 ** 2 + Y1 * X1 + c2f - Y1 ** 2
         f3 = X2 - X1 - Y2
-        poly = Fraction(1, 2) * f1 * f2 * f3
+        poly = f1 * f2 * f3 * Fraction(1, 2)
     else:
         raise ValueError(f"unknown top class kind {kind!r}")
     return poly
@@ -318,14 +320,14 @@ def graham_integrality_identity() -> Tuple[MPoly, Dict[str, MPoly]]:
 
 def _graham_class(twist: MPoly) -> MPoly:
     """Graham's degree-6 class (1/54) g1 g2 g3 g4, with twist added to the
-    cubic factor g4."""
+    cubic factor g4; the 1/54 multiplies the integral product last."""
     g1 = 2 * X1 - X2 - Y1 + 2 * Y2
     g2 = 2 * X1 - X2 - Y1 - Y2
     g3 = X1 - 2 * X2 + Y1 + Y2
     g4 = (2 * X1 ** 3 - 3 * X1 ** 2 * X2 - 3 * X1 * X2 ** 2 + 2 * X2 ** 3
           - 2 * Y1 ** 3 + 3 * Y1 ** 2 * Y2 + 3 * Y1 * Y2 ** 2 - 2 * Y2 ** 3
           + twist)
-    return Fraction(1, 54) * g1 * g2 * g3 * g4
+    return g1 * g2 * g3 * g4 * Fraction(1, 54)
 
 
 def remark_triple_cover_class() -> MPoly:

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from g2schubert import checks, cohomring, octonion, schubert, weyl
-from g2schubert.exactalg import MPoly
+from g2schubert.exactalg import MPoly, mpoly, parse
+from g2schubert.exactalg.mpoly import addmul
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_all.json"
 
@@ -271,3 +272,33 @@ def test_integral_draw_is_the_multiple_of_the_rational_draw(draw):
             assert all(type(x) is int for _, x in got)
             d = lcm(*(Fraction(x).denominator for _, x in rational))
             assert got == [(k, x * d) for k, x in rational]
+
+
+# Fraction-valued terms passed to addmul (in mpoly, cohomring and parse) by
+# each suite at the default seed, run in order from a cleared family cache:
+# a term counts when its coefficient, or the coefficient addmul scales it by,
+# is a Fraction.  Counts are exact and repeatable where times are not.  Most
+# of what is left in ring and equivariant is the Fraction(1) seed of
+# Presentation._rewrite; seeding it with the int 1 lowers these pins, and a
+# change that lowers a count lowers its pin and says so in CHANGES.md.
+FRACTION_TERMS = {"octonion": 0, "weyl": 0, "divdiff": 148, "families": 2088,
+                  "ring": 5284, "equivariant": 2876, "impossibility": 5,
+                  "positivity": 105, "quadric": 804}
+
+
+def test_fraction_work_is_pinned(monkeypatch):
+    counts = dict.fromkeys(checks.SUITE_NAMES, 0)
+    suite = None
+
+    def counting(acc, terms, coef=None, shift=mpoly.ONE_KEY):
+        values = mpoly.key_terms(terms).values()
+        counts[suite] += (len(values) if type(coef) is Fraction else
+                          sum(type(x) is Fraction for x in values))
+        addmul(acc, terms, coef, shift)
+
+    for module in (mpoly, cohomring, parse):
+        monkeypatch.setattr(module, "addmul", counting)
+    schubert.generate_family.cache_clear()
+    for suite in checks.SUITE_NAMES:
+        assert checks.run_suite(suite).passed, suite
+    assert counts == FRACTION_TERMS

@@ -524,6 +524,54 @@ class TestOctVerbs:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+class TestLeadingMinus:
+    """A polynomial or vector that begins with "-" is an operand, as it
+    stands, before the options or after them, and still after "--"."""
+
+    CASES = [
+        (["reduce", "--presentation", "FlHalfPoint", "-x1"], "-x1\n"),
+        (["expand", "-x1"], "s        -1\n"),
+        (["oct-mul", "-1,0,0,0,0,0,0,0", "0,1,0,0,0,0,0,0"], "0,-1,0,0,0,0,0,0\n"),
+        (["kernel", "-1,0,0,0,0,0,0"],
+         "1,0,0,0,0,0,0\n0,1,0,0,0,0,0\n0,0,1,0,0,0,0\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,out", CASES, ids=[a[0] for a, _ in CASES])
+    def test_an_operand_may_begin_with_minus(self, capsys, argv, out):
+        assert run(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "-x1", "--presentation", "FlHalfPoint"],
+        ["reduce", "--presentation", "FlHalfPoint", "--", "-x1"],
+    ])
+    def test_options_after_it_and_the_double_dash_still_work(self, capsys, argv):
+        assert run(capsys, *argv) == (0, "-x1\n", "")
+
+    def test_operands_keep_their_order(self, capsys):
+        # f2 f3 = f1 = -f3 f2, so a swap of u and v would flip the sign
+        assert run(capsys, "oct-mul", "0,0,-1,0,0,0,0,0", "0,0,0,1,0,0,0,0") == (
+            0, "0,-1,0,0,0,0,0,0\n", "")
+        assert run(capsys, "oct-mul", "0,0,0,1,0,0,0,0", "0,0,-1,0,0,0,0,0") == (
+            0, "0,1,0,0,0,0,0,0\n", "")
+
+    def test_an_unknown_double_dash_option_is_still_refused(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--presentation", "FlHalfPoint", "--x1"])
+        assert exc.value.code == 2
+
+
+def test_graham_top_class_reduces_and_expands_as_the_golden(capsys):
+    # coefficients over 54, the normal form's integral multiple scaled once
+    _, table, _ = run(capsys, "table", "--family", "graham")
+    top = table.splitlines()[-1].split("7 6", 1)[1].strip()
+    outs = [run(capsys, *argv, top) for argv in (
+        ["reduce", "--presentation", "FlHalfBundle"],
+        ["expand", "--family", "graham", "--presentation", "FlHalfBundle"])]
+    assert all(code == 0 for code, _, _ in outs)
+    assert "".join(out for _, out, _ in outs) == (
+        GOLDEN / "graham_top_FlHalfBundle.txt").read_text()
+
+
 @pytest.mark.parametrize("argv", [["oct-mul", "1,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
                                   ["kernel", "1,0,0,0,0,0,0"], ["bryant"],
                                   ["cell"], ["weyl"]])

@@ -76,6 +76,60 @@ def _rand(rng, names, max_deg=5, terms=5):
     return total
 
 
+def _fraction_sum(p, f):
+    """The normal form of f summed term by term in f's own coefficients,
+    Fractions included: reduce_poly without the integral multiple."""
+    return c._apply(p.reduce_monomial, f.split(p.main_vars))
+
+
+class TestIntegralReduction:
+    """reduce_poly runs on the integral multiple L f and scales by 1/L once;
+    the result is the Fraction sum's, term for term and in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(c.PRESENTATION_FACTORIES))
+    def test_the_integral_multiple_gives_the_fraction_sum(self, name):
+        p = c.get_presentation(name)
+        # the twisting class v is inert in every presentation
+        names = p.main_vars + (p.base_vars or ("v",))
+        rng = random.Random(f"{SEED}-integral-{name}")
+        for _ in range(6):
+            f = MPoly.zero()
+            for _ in range(5):
+                exps = {v: rng.randint(0, 2) for v in rng.sample(names, 2)}
+                coef = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 54)))
+                f = f + MPoly.monomial(exps, coef)
+            got, want = p.reduce_poly(f), _fraction_sum(p, f)
+            assert list(mpoly.key_terms(got).items()) == list(
+                mpoly.key_terms(want).items())
+
+    @pytest.mark.parametrize("text", ["1/2*x1 + 1/3*x2", "1/3*x2 + 1/2*x1"])
+    def test_a_non_integral_reduction_names_the_same_coefficient(self, text):
+        p = c.fl_integral_point()
+        f = parse_poly(text)
+        with pytest.raises(c.NonIntegralReduction) as want:
+            p._on_basis(_fraction_sum(p, f))
+        with pytest.raises(c.NonIntegralReduction) as got:
+            p.normal_form(f)
+        assert str(got.value) == str(want.value)
+
+    def test_eq_graham_classes_are_reduced_on_ints(self, monkeypatch):
+        # the classes' denominators reach 54; once the memo holds their keys,
+        # every addmul of cohomring is one of _apply's
+        p = c.fl_equivariant()
+        assert c.verify_presentation(p) == []
+        classes = list(s.generate_family("eq-graham").table.values())
+        forms = [p.normal_form(f) for f in classes]
+        scales = []
+
+        def recording(acc, terms, coef=None, shift=mpoly.ONE_KEY):
+            scales.append(coef)
+            addmul(acc, terms, coef, shift)
+
+        monkeypatch.setattr(c, "addmul", recording)
+        assert [p.normal_form(f) for f in classes] == forms
+        assert scales and all(type(x) is int for x in scales)
+
+
 class TestVerifyPresentations:
     def test_memo_is_keyed_by_main_part(self):
         # the base variables t1, t2 stay out of the keys; the ring golden

@@ -18,6 +18,7 @@ from g2schubert.exactalg import (
     UnknownVariable,
     exact_divide,
     integral_multiple,
+    integral_multiple_of_ratios,
     lp_feasible,
     parse_poly,
     solve_linear,
@@ -863,6 +864,15 @@ class TestIntegralMultiple:
     def test_integral_values_keep_scale_one(self):
         assert integral_multiple([3, Fraction(4, 2), 0]) == ([3, 2, 0], 1)
         assert integral_multiple([]) == ([], 1)
+
+    def test_ratios_give_the_multiple_of_their_fractions(self):
+        rng = random.Random(RNG_SEED)
+        for _ in range(200):
+            ratios = [(rng.randint(-9, 9), rng.randint(1, 12))
+                      for _ in range(rng.randint(0, 8))]
+            got = integral_multiple_of_ratios(ratios)
+            assert got == integral_multiple([Fraction(n, d) for n, d in ratios])
+            assert all(type(n) is int for n in got[0])
 
     @pytest.mark.parametrize("draw", [[1, 0.5], [Fraction(1, 3), 2.0]])
     def test_a_float_raises(self, draw):
