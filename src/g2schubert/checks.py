@@ -19,9 +19,14 @@ basis, and their two sides are the same combinations of the sides of the
 basis products (embedding_sides).
 The library's helpers
 return values or failing witnesses, and the suites here are the one place
-where those become verdicts.  The CLI `verify` verb is a thin wrapper
-around run_suite.  A suite that raises keeps the checks it
-recorded and gains one failed check naming the exception.
+where those become verdicts.  A check that ranges over cases (random draws,
+group elements, pairs of them, the classes of a family) is recorded by
+SuiteReport.check: it fails at the first case that does not hold, names
+that case in its detail and draws no case past it, and a case that raises
+fails that check alone.  A check with one verdict is recorded by
+SuiteReport.add.  The CLI `verify` verb is a thin wrapper around run_suite.
+A suite that raises outside a check keeps the checks it recorded and gains
+one failed check naming the exception.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ import random
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import prod
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from . import cohomring, octonion, schubert, weyl
 from .exactalg import (
@@ -63,6 +69,24 @@ class SuiteReport:
 
     def add(self, name: str, passed: bool, detail: str = ""):
         self.results.append(CheckResult(name, passed, detail))
+
+    def check(self, name: str, cases: Iterable, holds: Callable[[Any], bool]):
+        """Record name as passed when holds(case) is true for every case, in
+        order, and otherwise as failed at the first case that is not, with
+        no case drawn past it.  A case that raises, or the drawing of one,
+        fails this check alone, naming the exception and the case."""
+        case, drawing = None, True
+        try:
+            for case in cases:
+                drawing = False
+                if not holds(case):
+                    return self.add(name, False, f"fails at {case}")
+                drawing = True
+        except Exception as exc:
+            where = "while drawing a case" if drawing else f"at {case}"
+            return self.add(name, False,
+                            f"raised {type(exc).__name__}: {exc} {where}")
+        self.add(name, True)
 
     @property
     def passed(self) -> bool:
@@ -148,55 +172,40 @@ def suite_octonion(report: SuiteReport, rng: random.Random):
     prod = ctx.mul_imag(f(2), f(3))
     report.add("f2*f3 = f1", prod == octonion.Oct.imag(f(1)))
 
-    ok = all(ctx.mul(octonion.Oct.unit(), octonion.Oct.imag(f(i)))
-             == octonion.Oct.imag(f(i))
-             and ctx.mul(octonion.Oct.imag(f(i)), octonion.Oct.unit())
-             == octonion.Oct.imag(f(i)) for i in range(1, 8))
-    report.add("e is a two-sided identity", ok)
+    one = octonion.Oct.unit()
+    report.check("e is a two-sided identity",
+                 (octonion.Oct.imag(f(i)) for i in range(1, 8)),
+                 lambda x: ctx.mul(one, x) == x and ctx.mul(x, one) == x)
 
-    ok = True
-    for _ in range(200):
-        u, v = random_oct(rng), random_oct(rng)
-        if ctx.norm(ctx.mul(u, v)) != ctx.norm(u) * ctx.norm(v):
-            ok = False
-            break
-    report.add("norm composition on 200 random pairs", ok)
+    report.check("norm composition on 200 random pairs",
+                 ((random_oct(rng), random_oct(rng)) for _ in range(200)),
+                 lambda uv: ctx.norm(ctx.mul(*uv))
+                 == ctx.norm(uv[0]) * ctx.norm(uv[1]))
 
-    ok = True
-    for _ in range(100):
-        u = random_oct(rng)
-        lhs = (ctx.mul(u, u) - u.scale(ctx.bprime(u, octonion.Oct.unit()))
-               + octonion.Oct.unit().scale(ctx.norm(u)))
-        if not lhs.is_zero():
-            ok = False
-            break
-    report.add("minimal equation on 100 random octonions", ok)
+    report.check("minimal equation on 100 random octonions",
+                 (random_oct(rng) for _ in range(100)),
+                 lambda u: (ctx.mul(u, u) - u.scale(ctx.bprime(u, one))
+                            + one.scale(ctx.norm(u))).is_zero())
 
-    ok = True
-    for _ in range(50):
-        u, v, w = random_oct(rng), random_oct(rng), random_oct(rng)
-        ub, vb = ctx.conjugate(u), ctx.conjugate(v)
+    def adjoint(uvw):
+        u, v, w = uvw
         a = ctx.bprime(ctx.mul(u, v), w)
-        b = ctx.bprime(v, ctx.mul(ub, w))
-        c = ctx.bprime(u, ctx.mul(w, vb))
-        if a != b or a != c:
-            ok = False
-            break
-    report.add("adjointness of multiplication on 50 random triples", ok)
+        return (a == ctx.bprime(v, ctx.mul(ctx.conjugate(u), w))
+                == ctx.bprime(u, ctx.mul(w, ctx.conjugate(v))))
+    report.check("adjointness of multiplication on 50 random triples",
+                 ((random_oct(rng), random_oct(rng), random_oct(rng))
+                  for _ in range(50)), adjoint)
 
-    ok = True
-    for _ in range(25):
-        iso = random_isotropic_vec(rng)
-        mat = octonion.left_mult_matrix(ctx, octonion.Oct.imag(iso))
-        if rank(mat) >= 8:
-            ok = False
-            break
-        reg = random_oct(rng)
-        if ctx.norm(reg) != 0:
-            if rank(octonion.left_mult_matrix(ctx, reg)) != 8:
-                ok = False
-                break
-    report.add("zero divisors exactly at norm zero (rank check)", ok)
+    def zero_divisors(case):
+        # an isotropic imaginary octonion, and one that is regular unless its
+        # norm is zero
+        iso, reg = case
+        return (rank(octonion.left_mult_matrix(ctx, octonion.Oct.imag(iso))) < 8
+                and (ctx.norm(reg) == 0
+                     or rank(octonion.left_mult_matrix(ctx, reg)) == 8))
+    report.check("zero divisors exactly at norm zero (rank check)",
+                 ((random_isotropic_vec(rng), random_oct(rng)) for _ in range(25)),
+                 zero_divisors)
 
     bil = octonion.bryant_form(ctx.gamma)
     report.add("Bryant form recovers the standard bilinear form",
@@ -246,9 +255,9 @@ def suite_octonion(report: SuiteReport, rng: random.Random):
              ectx.mul(octonion.Oct.imag(a), octonion.Oct.imag(c)),
              ectx.mul(octonion.Oct.imag(b), octonion.Oct.imag(c)),
              ectx.mul(ectx.mul_imag(a, b), octonion.Oct.imag(c))]
-    ok = all(ectx.bprime(eight[i], eight[j]) == 0
-             for i in range(8) for j in range(i + 1, 8))
-    report.add("basic triple e1, e2, e5 gives an orthogonal basis", ok)
+    report.check("basic triple e1, e2, e5 gives an orthogonal basis",
+                 ((i, j) for i in range(8) for j in range(i + 1, 8)),
+                 lambda ij: ectx.bprime(eight[ij[0]], eight[ij[1]]) == 0)
 
     pushed_gamma, pushed_beta = octonion.push_forms_to_f()
     report.add("orthonormal-basis forms push to the isotropic-basis forms",
@@ -263,22 +272,17 @@ def suite_weyl(report: SuiteReport, rng: random.Random):
                lengths == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6])
     report.add("pair map is injective",
                len({e.pair for e in els}) == 12)
-    ok = all((u * w).perm == tuple(u.perm[w.perm[i] - 1] for i in range(7))
-             for u in els for w in els)
-    report.add("S7 embedding is a homomorphism (144 products)", ok)
-    ok = all(e.perm[i] + e.perm[6 - i] == 8 for e in els for i in range(7))
-    report.add("w(i) + w(8-i) = 8 for all elements", ok)
-    ok = True
-    for u in els:
-        for w in els:
-            expected = (u is w) or (u.length < w.length)
-            if weyl.bruhat_leq(u, w) != expected:
-                ok = False
-    report.add("Bruhat order matches the full dihedral Hasse diagram", ok)
+    report.check("S7 embedding is a homomorphism (144 products)", product(els, els),
+                 lambda uw: (uw[0] * uw[1]).perm
+                 == tuple(uw[0].perm[uw[1].perm[i] - 1] for i in range(7)))
+    report.check("w(i) + w(8-i) = 8 for all elements", els,
+                 lambda e: all(e.perm[i] + e.perm[6 - i] == 8 for i in range(7)))
+    report.check("Bruhat order matches the full dihedral Hasse diagram",
+                 product(els, els), lambda uw: weyl.bruhat_leq(*uw)
+                 == (uw[0] is uw[1] or uw[0].length < uw[1].length))
     triples = octonion.fixed_point_triples()
-    ok = all(weyl.extend_pair(e.pair[0], e.pair[1], triples) == e.perm
-             for e in els)
-    report.add("pair extension agrees with the S7 embedding (12 elements)", ok)
+    report.check("pair extension agrees with the S7 embedding (12 elements)", els,
+                 lambda e: weyl.extend_pair(*e.pair, triples) == e.perm)
     w63 = weyl.element((6, 3))
     report.add("element 6 3 extends to 6 3 7 4 1 5 2",
                w63.perm == (6, 3, 7, 4, 1, 5, 2)
@@ -298,53 +302,44 @@ def suite_divdiff(report: SuiteReport, rng: random.Random):
     polys = _random_x_polys(rng, 50)
     # d_s f and d_t f, shared by the three checks that apply one operator
     images = [{r: schubert.div_diff(r, f) for r in "st"} for f in polys]
-    ok = all(schubert.div_diff(r, image[r]).is_zero()
-             for image in images for r in "st")
-    report.add("both operators square to zero (50 random polynomials)", ok)
+    report.check("both operators square to zero (50 random polynomials)",
+                 ((r, image[r]) for image in images for r in "st"),
+                 lambda c: schubert.div_diff(*c).is_zero())
 
-    ok = True
-    for image in images:
+    def braid(image):
         # the first operator of each chain is read from images
         lhs, rhs = image["s"], image["t"]
         for ch in "tstst":
             lhs = schubert.div_diff(ch, lhs)
         for ch in "ststs":
             rhs = schubert.div_diff(ch, rhs)
-        if lhs != rhs:
-            ok = False
-            break
-    report.add("length-6 braid relation (50 random polynomials)", ok)
+        return lhs == rhs
+    report.check("length-6 braid relation (50 random polynomials)", images, braid)
 
     xs = ("x1", "x2")
-    ok = all(schubert.div_diff_generic(f, weyl.simple_root(r, xs),
-                                       weyl.action(weyl.element(r), xs))
-             == image[r] for f, image in zip(polys, images) for r in "st")
-    report.add("root-dictionary operator matches the explicit ones", ok)
+    report.check("root-dictionary operator matches the explicit ones",
+                 ((r, f, image[r]) for f, image in zip(polys, images) for r in "st"),
+                 lambda c: schubert.div_diff_generic(
+                     c[1], weyl.simple_root(c[0], xs),
+                     weyl.action(weyl.element(c[0]), xs)) == c[2])
 
-    ok = all(schubert.div_diff("tv", f).subs({"v": MPoly.zero()}) == image["t"]
-             for f, image in zip(polys, images))
-    report.add("twisted operator at v = 0 is the untwisted one", ok)
+    report.check("twisted operator at v = 0 is the untwisted one",
+                 ((f, image["t"]) for f, image in zip(polys, images)),
+                 lambda c: schubert.div_diff("tv", c[0]).subs({"v": MPoly.zero()})
+                 == c[1])
 
-    ok = True
-    for image in images[:20]:
-        # the rightmost letter acts first, on a value held by images
-        if (schubert.div_diff_word("ststs", image["t"])
-                != schubert.div_diff_word("tstst", image["s"])):
-            ok = False
-            break
-    report.add("the two longest words give one operator (20 random)", ok)
+    # the rightmost letter acts first, on a value held by images
+    report.check("the two longest words give one operator (20 random)", images[:20],
+                 lambda image: schubert.div_diff_word("ststs", image["t"])
+                 == schubert.div_diff_word("tstst", image["s"]))
 
-    ok = True
-    for f in polys:
-        for d in range(f.degree() + 1):
-            part = f.homogeneous_part(d)
-            if part.is_zero():
-                continue
-            for kind in ("s", "t"):
-                g = schubert.div_diff(kind, part)
-                if not g.is_zero() and g.degree() != d - 1:
-                    ok = False
-    report.add("degree drops by exactly one (homogeneous inputs)", ok)
+    parts = (part for f in polys
+             for part in map(f.homogeneous_part, range(f.degree() + 1))
+             if not part.is_zero())
+    report.check("degree drops by exactly one (homogeneous inputs)",
+                 ((kind, part) for part in parts for kind in "st"),
+                 lambda c: (g := schubert.div_diff(*c)).is_zero()
+                 or g.degree() == c[1].degree() - 1)
 
     report.add("examples: ds x1 = 1, ds x2 = -1, ds x1x2 = 0",
                schubert.div_diff("s", schubert.X1) == MPoly.one()
@@ -358,9 +353,9 @@ def suite_divdiff(report: SuiteReport, rng: random.Random):
 def suite_families(report: SuiteReport, rng: random.Random):
     for kind in ("paper", "graham", "point"):
         fam = schubert.generate_family(kind)
-        ok_deg = all(p.degree() == w.length and p.is_homogeneous()
-                     for w, p in fam.table.items())
-        report.add(f"{kind}: deg P_w = l(w), homogeneous", ok_deg)
+        report.check(f"{kind}: deg P_w = l(w), homogeneous", fam.table.items(),
+                     lambda wp: wp[1].degree() == wp[0].length
+                     and wp[1].is_homogeneous())
         broken = schubert.length_rule_violation(fam.table)
         report.add(f"{kind}: divided differences act by the length rule "
                    "(all 12 x 2 cases)", broken is None,
@@ -377,21 +372,19 @@ def suite_families(report: SuiteReport, rng: random.Random):
 
     fam = schubert.generate_family("point")
     half = cohomring.fl_half_point()
-    chain_ok = all(half.reduce_poly(fam[word] - poly).is_zero()
-                   for word, poly in schubert.FORCED_CHAIN.items())
-    report.add("point family entries and the positivity-forced chain agree "
-               "as classes", chain_ok)
+    report.check("point family entries and the positivity-forced chain agree "
+                 "as classes", schubert.FORCED_CHAIN.items(),
+                 lambda wp: half.reduce_poly(fam[wp[0]] - wp[1]).is_zero())
 
     twisted = schubert.twist_substitution(schubert.top_class("paper"))
     report.add("twisting the top class matches the twisted closed form, "
                "monomial for monomial",
                twisted == schubert.top_class("twisted"))
-    samples = [random_mpoly(rng, ("x1", "x2", "y1", "y2"), 5, 8).integral_multiple()[0]
-               for _ in range(20)]
-    report.add("twist then untwist is the identity",
-               all(schubert.twist_substitution(
-                   schubert.twist_substitution(f), "inverse") == f
-                   for f in samples))
+    report.check("twist then untwist is the identity",
+                 (random_mpoly(rng, ("x1", "x2", "y1", "y2"), 5, 8)
+                  .integral_multiple()[0] for _ in range(20)),
+                 lambda f: schubert.twist_substitution(
+                     schubert.twist_substitution(f), "inverse") == f)
 
     diff = schubert.graham_product_form() - schubert.top_class("graham")
     report.add("product form of the alternative top class", diff.is_zero(),
@@ -435,18 +428,17 @@ def suite_ring(report: SuiteReport, rng: random.Random):
     halfb = cohomring.fl_half_bundle()
     paper = schubert.generate_family("paper")
     graham = schubert.generate_family("graham")
-    ok = all(halfb.reduce_poly(paper.table[w] - graham.table[w]).is_zero()
-             for w in weyl.all_elements())
-    report.add("both degeneracy-locus families agree in the half bundle ring "
-               "(12 classes)", ok)
+    report.check("both degeneracy-locus families agree in the half bundle ring "
+                 "(12 classes)", weyl.all_elements(),
+                 lambda w: halfb.reduce_poly(paper.table[w] - graham.table[w])
+                 .is_zero())
 
     point_fam = schubert.generate_family("point")
-    ok = all(half.normal_form(paper.table[w].subs({"y1": MPoly.zero(),
-                                                   "y2": MPoly.zero()}))
-             == half.normal_form(point_fam.table[w])
-             for w in weyl.all_elements())
-    report.add("bundle family at y = 0 reduces to the point family "
-               "(12 classes)", ok)
+    report.check("bundle family at y = 0 reduces to the point family "
+                 "(12 classes)", weyl.all_elements(),
+                 lambda w: half.normal_form(paper.table[w].subs(
+                     {"y1": MPoly.zero(), "y2": MPoly.zero()}))
+                 == half.normal_form(point_fam.table[w]))
 
     bundle = cohomring.fl_integral_bundle()
     c1s3 = -(MPoly.var("x1") + MPoly.var("x2")
@@ -462,12 +454,8 @@ def suite_ring(report: SuiteReport, rng: random.Random):
     sides = embedding_sides(cohomring.get_presentation("FlIntegralBundleY"),
                             halfb, "x1")
     diffs = [direct - via_nf for _, direct, via_nf in sides]
-    ok = True
-    for _ in range(50):
-        coeffs = [rng.randint(-3, 3) for _ in diffs]
-        if not sum((c * d for c, d in zip(coeffs, diffs)), MPoly.zero()).is_zero():
-            ok = False
-            break
+    ok = all(sum((rng.randint(-3, 3) * d for d in diffs), MPoly.zero()).is_zero()
+             for _ in range(50))
     detail = "" if ok else next(
         f"x1 * {b}: {direct} directly, {via_nf} via its normal form"
         for b, direct, via_nf in sides if direct != via_nf)
@@ -475,29 +463,18 @@ def suite_ring(report: SuiteReport, rng: random.Random):
                "(50 random classes)", ok, detail)
 
     fam = schubert.generate_family("point")
-    pairing = cohomring.duality_pairing(fam)
     w0 = weyl.longest()
-    ok = True
-    for u in weyl.all_elements():
-        for w in weyl.all_elements():
-            expected = Fraction(1) if (w0 * u) is w else Fraction(0)
-            if u.length + w.length == 6 and pairing[(u, w)] != expected:
-                ok = False
-            if u.length + w.length != 6 and pairing[(u, w)] != 0:
-                ok = False
-    report.add("Poincare pairing is the w -> w0 w permutation matrix", ok)
+    # entry (u, w) is 1 when w = w0 u, and 0 otherwise
+    report.check("Poincare pairing is the w -> w0 w permutation matrix",
+                 cohomring.duality_pairing(fam).items(),
+                 lambda c: c[1] == int(w0 * c[0][0] is c[0][1]))
 
-    expand = cohomring.schubert_expand(MPoly.var("x1"), fam,
-                                       cohomring.fl_half_point())
-    s = weyl.element("s")
-    ok = expand[s] == MPoly.one() and all(
-        v.is_zero() for w, v in expand.items() if w is not s)
-    report.add("x1 expands as the length-1 class of the first reflection", ok)
-    expand = cohomring.schubert_expand(x1 + x2, fam, cohomring.fl_half_point())
-    t = weyl.element("t")
-    ok = expand[t] == MPoly.one() and all(
-        v.is_zero() for w, v in expand.items() if w is not t)
-    report.add("x1 + x2 expands as the other length-1 class", ok)
+    for cls, word, name in (
+            (x1, "s", "x1 expands as the length-1 class of the first reflection"),
+            (x1 + x2, "t", "x1 + x2 expands as the other length-1 class")):
+        w = weyl.element(word)
+        expand = cohomring.schubert_expand(cls, fam, cohomring.fl_half_point())
+        report.check(name, expand.items(), lambda c: c[1] == int(c[0] is w))
 
 
 def suite_equivariant(report: SuiteReport, rng: random.Random):
@@ -507,10 +484,11 @@ def suite_equivariant(report: SuiteReport, rng: random.Random):
                "; ".join(failures))
 
     fam = schubert.generate_family("eq-paper")
+    els = weyl.all_elements()
     nfs = {}
     ok_int = True
     try:
-        for w in weyl.all_elements():
+        for w in els:
             nfs[w] = eq.normal_form(fam.table[w])
     except cohomring.NonIntegralReduction:
         ok_int = False
@@ -523,10 +501,9 @@ def suite_equivariant(report: SuiteReport, rng: random.Random):
                    distinct == 12)
         # triangular basis test: the degree-d coefficient block is the
         # identity once each family member is normalized
-        ok = True
         dets = []
         for d in range(7):
-            layer = [w for w in weyl.all_elements() if w.length == d]
+            layer = [w for w in els if w.length == d]
             keys = [k for k in eq.basis if eq.key_degree(k) == d]
             mat = [[nfs[w].coeffs.get(k, MPoly.zero()).constant_value()
                     for w in layer] for k in keys]
@@ -565,36 +542,28 @@ def suite_equivariant(report: SuiteReport, rng: random.Random):
     # fixed point of v vanishes unless w <= v, and the diagonal value is the
     # signed product of the inversion roots; neither fact is used anywhere
     # in generating the tables, so this cross-validates the whole pipeline
-    ok_vanish = True
-    diagonal = {}
-    for w in weyl.all_elements():
-        for v in weyl.all_elements():
-            value = schubert.equivariant_restriction(fam.table[w], v)
-            if w is v:
-                diagonal[w] = value
-            if weyl.bruhat_leq(w, v):
-                if w is v and value.is_zero():
-                    ok_vanish = False
-            elif not value.is_zero():
-                ok_vanish = False
-    report.add("fixed-point restrictions are Bruhat-triangular "
-               "(all 144 pairs)", ok_vanish)
-    ok_diag = all(value == prod(weyl.inversion_roots(w),
-                                start=MPoly.const((-1) ** w.length))
-                  for w, value in diagonal.items())
-    report.add("diagonal restrictions are signed inversion-root products",
-               ok_diag)
+    restriction = {(w, v): schubert.equivariant_restriction(fam.table[w], v)
+                   for w, v in product(els, els)}
+
+    def triangular(case):
+        (w, v), value = case
+        if weyl.bruhat_leq(w, v):
+            return w is not v or not value.is_zero()
+        return value.is_zero()
+    report.check("fixed-point restrictions are Bruhat-triangular "
+                 "(all 144 pairs)", restriction.items(), triangular)
+    report.check("diagonal restrictions are signed inversion-root products", els,
+                 lambda w: restriction[w, w] == prod(
+                     weyl.inversion_roots(w), start=MPoly.const((-1) ** w.length)))
 
     if ok_int:
-        combo = MPoly.zero()
         coeffs = {w: random_mpoly(rng, ("t1", "t2"), 2, 2, integer=True)
-                  for w in weyl.all_elements()[:4]}
-        for w, cw in coeffs.items():
-            combo = combo + cw * fam.table[w]
+                  for w in els[:4]}
+        combo = sum((cw * fam.table[w] for w, cw in coeffs.items()), MPoly.zero())
         expansion = cohomring.schubert_expand(combo, fam, eq)
-        ok = all(expansion.get(w, MPoly.zero()) == coeffs.get(w, MPoly.zero())
-                 for w in weyl.all_elements())
-        report.add("expansion recovers random equivariant combinations", ok)
+        report.check("expansion recovers random equivariant combinations", els,
+                     lambda w: expansion.get(w, MPoly.zero())
+                     == coeffs.get(w, MPoly.zero()))
 
 
 def suite_impossibility(report: SuiteReport, rng: random.Random):
@@ -629,14 +598,9 @@ def suite_impossibility(report: SuiteReport, rng: random.Random):
 
 def suite_positivity(report: SuiteReport, rng: random.Random):
     fam = schubert.generate_family("point")
-    ok = True
-    for w, poly in fam.table.items():
-        res = schubert.positive_rewrite(poly, w.length)
-        if not res.feasible:
-            ok = False
-            report.add(f"point class for {w.name} is positive in "
-                       "(x1, x2, x1-x2)", False)
-    report.add("all 12 point-family classes rewrite positively", ok)
+    report.check("all 12 point-family classes rewrite positively", fam.table,
+                 lambda w: schubert.positive_rewrite(fam.table[w], w.length)
+                 .feasible)
 
     x1, x2 = schubert.X1, schubert.X2
     neg = schubert.positive_rewrite(x1 * x2 - x1 ** 2, 2)
@@ -684,17 +648,16 @@ def suite_quadric(report: SuiteReport, rng: random.Random):
     report.add("c(V/F3) = (1-y1)(1-y2)(1-(y1-y2)) with c4 = 0",
                quot[:4] == direct[:4] and quot[4].is_zero())
 
-    ok = True
-    for _ in range(10):
-        base = cohomring.chern_classes(
-            [random_mpoly(rng, ("y1", "y2"), 1, 2) for _ in range(2)])
-        line = random_mpoly(rng, ("y1", "y2"), 1, 2)
+    def round_trips(case):
+        base, line = case
         total = (MPoly.one(), base[1] + line, base[2] + base[1] * line,
                  base[2] * line)
-        if cohomring.chern_quotient(total, line) != base:
-            ok = False
-            break
-    report.add("quotient Chern classes round-trip (10 random)", ok)
+        return cohomring.chern_quotient(total, line) == base
+    report.check("quotient Chern classes round-trip (10 random)",
+                 ((cohomring.chern_classes([random_mpoly(rng, ("y1", "y2"), 1, 2)
+                                            for _ in range(2)]),
+                   random_mpoly(rng, ("y1", "y2"), 1, 2)) for _ in range(10)),
+                 round_trips)
 
 
 _SUITES: Dict[str, Callable[[SuiteReport, random.Random], None]] = {

@@ -326,6 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         out(p)
 
+    def operand_verb(name, summary):
+        # argparse reads an argument that begins with "-" as an option unless
+        # it looks like a negative number.  A verb with an operand has no
+        # single-dash option (its help is --help alone), so here every "-"
+        # followed by a non-dash passes that test: -x1, -h^2 and
+        # -1,0,0,0,0,0,0 are operands.
+        p = sub.add_parser(name, help=summary, add_help=False)
+        p.add_argument("--help", action="help",
+                       help="show this help message and exit")
+        p._negative_number_matcher = re.compile(r"-[^-]")
+        return p
+
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=checks.SUITE_NAMES + ("all",))
@@ -338,27 +350,27 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("reduce", help="normal form in a ring presentation")
+    p = operand_verb("reduce", "normal form in a ring presentation")
     p.add_argument("--presentation", required=True)
     p.add_argument("poly")
     common(p)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("expand", help="expand in the Schubert basis")
+    p = operand_verb("expand", "expand in the Schubert basis")
     p.add_argument("--family", default="point", choices=schubert.FAMILY_KINDS)
     p.add_argument("--presentation", default=None)
     p.add_argument("poly")
     common(p)
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("oct-mul", help="octonion product")
+    p = operand_verb("oct-mul", "octonion product")
     p.add_argument("--basis", choices=("f", "e"), default="f")
     p.add_argument("u")
     p.add_argument("v")
     out(p)
     p.set_defaults(func=cmd_oct_mul)
 
-    p = sub.add_parser("kernel", help="isotropic kernel of a vector")
+    p = operand_verb("kernel", "isotropic kernel of a vector")
     p.add_argument("--basis", choices=("f", "e"), default="f")
     p.add_argument("u")
     out(p)
@@ -378,15 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("element", nargs="?", default=None)
     out(p)
     p.set_defaults(func=cmd_weyl)
-
-    # argparse reads an argument that begins with "-" as an option unless it
-    # looks like a negative number.  The one single-dash option of these
-    # verbs is -h, which argparse matches before this test, so here every
-    # "-" followed by a non-dash passes it: -x1 and -1,0,0,0,0,0,0 are
-    # operands.  An operand that begins with -h still needs "--" before it.
-    operand = re.compile(r"-[^-]")
-    for verb in ("reduce", "expand", "oct-mul", "kernel"):
-        sub.choices[verb]._negative_number_matcher = operand
     return parser
 
 

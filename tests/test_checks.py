@@ -108,10 +108,10 @@ def _failed(name):
     return [r.name for r in checks.run_suite(name).results if not r.passed]
 
 
-def test_octonion_suite_sees_a_wrong_gamma_sign(monkeypatch):
-    # gamma of the f-basis with (1,5,6) = 1 instead of -1: still alternating,
-    # so the minimal equation and adjointness hold, but it is no longer
-    # compatible with beta
+def _wrong_gamma_sign(monkeypatch):
+    """gamma of the f-basis with (1,5,6) = 1 instead of -1: still
+    alternating, so the minimal equation and adjointness hold, but it is no
+    longer compatible with beta.  Returns the mutant f-basis algebra."""
     real = octonion.standard_forms
 
     def mutant(basis_kind="f"):
@@ -122,6 +122,11 @@ def test_octonion_suite_sees_a_wrong_gamma_sign(monkeypatch):
         return octonion.AlgebraCtx(gamma, ctx.beta, "f")
 
     monkeypatch.setattr(octonion, "standard_forms", mutant)
+    return mutant()
+
+
+def test_octonion_suite_sees_a_wrong_gamma_sign(monkeypatch):
+    _wrong_gamma_sign(monkeypatch)
     assert _failed("octonion") == [
         "norm composition on 200 random pairs",
         "Bryant form recovers the standard bilinear form",
@@ -131,15 +136,138 @@ def test_octonion_suite_sees_a_wrong_gamma_sign(monkeypatch):
     ]
 
 
-def test_divdiff_suite_sees_a_wrong_root_sign(monkeypatch):
+def _wrong_root_sign(monkeypatch):
     # ds divides by x2 - x1: -ds still squares to zero, and both braid words
     # hold three s letters, so only the root dictionary and the worked
     # examples can tell
     monkeypatch.setitem(schubert._ROOTS, "s", schubert.X2 - schubert.X1)
+
+
+def test_divdiff_suite_sees_a_wrong_root_sign(monkeypatch):
+    _wrong_root_sign(monkeypatch)
     assert _failed("divdiff") == [
         "root-dictionary operator matches the explicit ones",
         "examples: ds x1 = 1, ds x2 = -1, ds x1x2 = 0",
     ]
+
+
+def _details(name):
+    return {r.name: r.detail for r in checks.run_suite(name).results if not r.passed}
+
+
+def test_a_failed_check_names_its_first_failing_case(monkeypatch):
+    # the norm check draws first in its suite, so its pairs are the first
+    # draws at the seed; the first of them that breaks the mutant's norm
+    # composition is the witness
+    ctx = _wrong_gamma_sign(monkeypatch)
+    rng = random.Random(checks.DEFAULT_SEED)
+    pairs = ((checks.random_oct(rng), checks.random_oct(rng)) for _ in range(200))
+    first = next((u, v) for u, v in pairs
+                 if ctx.norm(ctx.mul(u, v)) != ctx.norm(u) * ctx.norm(v))
+    assert _details("octonion")["norm composition on 200 random pairs"] == (
+        f"fails at {first}")
+
+
+def test_the_root_dictionary_check_names_its_case(monkeypatch):
+    # its first case is ds of the suite's first random polynomial
+    _wrong_root_sign(monkeypatch)
+    f = checks._random_x_polys(random.Random(checks.DEFAULT_SEED), 1)[0]
+    detail = _details("divdiff")["root-dictionary operator matches the explicit ones"]
+    assert detail == f"fails at {('s', f, schubert.div_diff('s', f))}"
+
+
+def test_positivity_names_the_first_class_without_a_positive_rewrite(monkeypatch):
+    # -P_s = -x1 has no positive rewrite: one failed check, which names s
+    real = schubert.generate_family
+
+    def mutant(kind, w0_word=None):
+        fam = real(kind, w0_word)
+        if kind != "point":
+            return fam
+        s = weyl.element("s")
+        return schubert.SchubertFamily(kind, {**fam.table, s: -fam.table[s]})
+
+    monkeypatch.setattr(schubert, "generate_family", mutant)
+    assert _details("positivity") == {
+        "all 12 point-family classes rewrite positively": "fails at WeylElt(s, 2 1)"}
+
+
+BRUHAT = "Bruhat order matches the full dihedral Hasse diagram"
+
+
+def test_a_case_that_raises_fails_its_check_alone(monkeypatch):
+    # the seventh comparison is (id, tst), the seventh element in order
+    real, calls = weyl.bruhat_leq, []
+
+    def raising(u, w):
+        calls.append((u, w))
+        if len(calls) == 7:
+            raise ZeroDivisionError("seventh comparison")
+        return real(u, w)
+
+    monkeypatch.setattr(weyl, "bruhat_leq", raising)
+    results = checks.run_suite("weyl").results
+    assert len(results) == len(_golden()["weyl"]["results"])
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        (BRUHAT, "raised ZeroDivisionError: seventh comparison "
+                 f"at {(weyl.identity(), weyl.element('tst'))}")]
+
+
+def test_a_check_draws_no_case_past_its_first_failure(monkeypatch):
+    # with the twist broken, the first of the 20 random samples fails, and
+    # the other 19 are never drawn
+    real_draw, draws = checks.random_mpoly, []
+
+    def counting(*args, **kwargs):
+        draws.append(real_draw(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(checks, "random_mpoly", counting)
+    monkeypatch.setattr(schubert, "twist_substitution",
+                        lambda f, direction="forward": f + 1)
+    details = _details("families")
+    assert len(draws) == 1
+    sample = draws[0].integral_multiple()[0]
+    assert details["twist then untwist is the identity"] == f"fails at {sample}"
+
+
+class TestCheck:
+    """SuiteReport.check on its own: a verdict over cases, in order."""
+
+    def _run(self, cases, holds):
+        report = checks.SuiteReport("test", 0)
+        report.check("c", cases, holds)
+        (result,) = report.results
+        return result.passed, result.detail
+
+    def test_passes_when_every_case_holds(self):
+        assert self._run(range(5), lambda n: n < 5) == (True, "")
+
+    def test_names_the_first_case_that_does_not_hold(self):
+        assert self._run(range(5), lambda n: n < 2) == (False, "fails at 2")
+
+    def test_draws_nothing_past_the_first_failure(self):
+        drawn = []
+
+        def cases():
+            for n in range(5):
+                drawn.append(n)
+                yield n
+
+        self._run(cases(), lambda n: n != 1)
+        assert drawn == [0, 1]
+
+    def test_a_case_that_raises_fails_the_check(self):
+        assert self._run([1, 0, 2], lambda n: 1 // n) == (
+            False, "raised ZeroDivisionError: integer division or modulo by zero at 0")
+
+    def test_a_draw_that_raises_fails_the_check(self):
+        def cases():
+            yield 1
+            raise KeyError("x")
+
+        assert self._run(cases(), lambda n: True) == (
+            False, "raised KeyError: 'x' while drawing a case")
 
 
 EMBEDDING = ("integral bundle ring embeds consistently in the half ring "

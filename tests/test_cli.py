@@ -559,6 +559,25 @@ class TestLeadingMinus:
             main(["reduce", "--presentation", "FlHalfPoint", "--x1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("poly", ["-h^2", "-h^2 + f", "-h"])
+    def test_an_operand_may_begin_with_h(self, capsys, poly):
+        # these verbs have no -h option, so h is a variable here
+        assert run(capsys, "reduce", "--presentation", "QuadricBundle3", poly) == (
+            0, f"{poly}\n", "")
+
+    @pytest.mark.parametrize("verb", ["reduce", "expand", "oct-mul", "kernel"])
+    def test_help_is_the_long_option(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: g2sc {verb} [--help]")
+
+    def test_the_program_keeps_its_short_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: g2sc [-h]")
+
 
 def test_graham_top_class_reduces_and_expands_as_the_golden(capsys):
     # coefficients over 54, the normal form's integral multiple scaled once
