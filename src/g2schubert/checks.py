@@ -50,6 +50,7 @@ from .exactalg import (
     rank,
     solve_linear,
 )
+from .exactalg.mpoly import addmul
 
 DEFAULT_SEED = 20090
 
@@ -103,7 +104,7 @@ def random_fraction(rng: random.Random, span: int = 9) -> Fraction:
 
 def random_mpoly(rng: random.Random, names, max_deg: int, n_terms: int,
                  integer: bool = False) -> MPoly:
-    total = MPoly.zero()
+    acc = {}
     for _ in range(n_terms):
         exps = {}
         budget = rng.randint(0, max_deg)
@@ -115,8 +116,8 @@ def random_mpoly(rng: random.Random, names, max_deg: int, n_terms: int,
                 exps[name] = e
                 budget -= e
         coef = rng.randint(-9, 9) if integer else random_fraction(rng)
-        total = total + MPoly.monomial(exps, coef)
-    return total
+        addmul(acc, MPoly.monomial(exps, coef))
+    return MPoly(acc)
 
 
 def random_isotropic_vec(rng: random.Random) -> octonion.VecV:

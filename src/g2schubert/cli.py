@@ -104,17 +104,22 @@ def _fmt_oct(u: octonion.Oct) -> str:
     return ",".join([str(u.re)] + [str(c) for c in u.im.coords])
 
 
+# a seed: ASCII digits with an optional sign, where int() would also take
+# other scripts' digits, fullwidth ones and underscores
+_SEED = re.compile(r"[+-]?[0-9]+")
+
+
 def _seed(text: str) -> int:
-    """A seed given by --seed or G2SC_SEED.  One of more digits than Python
-    converts raises OverflowError: argparse passes that on to main, which
-    prints it in one line, where for a ValueError argparse would print its
-    usage and the whole value."""
+    """A seed given by --seed or G2SC_SEED, surrounding whitespace aside.
+    One of more digits than Python converts raises OverflowError: argparse
+    passes that on to main, which prints it in one line, where for a
+    ValueError argparse would print its usage and the whole value."""
+    if not _SEED.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     try:
         return int(text)
-    except ValueError as exc:
+    except ValueError as exc:  # the pattern matched: only the limit is left
         limit = _INT_STR_LIMIT.match(str(exc))
-        if limit is None:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         raise OverflowError(f"a seed of {len(text)} characters has more than "
                             f"the {limit[1]} digits Python converts") from None
 

@@ -51,6 +51,9 @@ opaque key), named_terms spells each term out, and addmul, the one kernel
 for sparse sums, accumulates scaled and shifted terms into a dict of opaque
 keys that the MPoly constructor then takes; key_terms reads an MPoly's
 terms with their opaque keys, and ONE_KEY is the key of the monomial 1.
+key_product and key_power give the key of a product and of a power of
+monomials, under the same exponent guard as MPoly's, so that the parser
+builds a product of one-term factors as one key, with no MPoly per factor.
 exact_divide keeps its remainder as one such dict, with a heap of its
 keys, and subtracts each quotient term's multiple of the divisor's tail
 from it in place: the one accumulation outside addmul, because the heap
@@ -138,6 +141,19 @@ def _checked(key: int) -> int:
     if key >= _LIMIT:
         raise OverflowError("exponent too large")
     return key
+
+
+def key_product(a: int, b: int) -> int:
+    """The key of the product of the monomials of keys a and b, as MPoly's
+    product of two one-term polynomials computes it: OverflowError if its
+    degree reaches 2**63."""
+    return _checked(a + b)
+
+
+def key_power(key: int, n: int) -> int:
+    """The key of the n-th power of the monomial of key, as MPoly.__pow__
+    computes it for one term: OverflowError if its degree reaches 2**63."""
+    return _checked(key * n)
 
 
 def key_terms(terms: "MPoly | Mapping[int, Coef]") -> Mapping[int, Coef]:

@@ -3,30 +3,45 @@
     expr    := [sign] term { ('+' | '-') term }
     term    := factor { ['*'] factor }          (juxtaposition multiplies)
     factor  := primary ['^' INT]
-    primary := RATIONAL | VARIABLE | '(' expr ')'
+    primary := ('+' | '-') primary | RATIONAL | VARIABLE | '(' expr ')'
     RATIONAL:= INT ['/' INT]
     INT     := ASCII digits 0-9
 
 Coefficients are integers or p/q rationals; '^' is the only power operator;
-'*' is optional.  A sum costs time linear in its terms.  One parse spends
-at most 100 000 bits of coefficient growth, or 16 per character of the
-input if that is more, and at most 300 000 term products, or 7 per
-character if that is more, a product of coefficients of heights a and b
-counting as 1 + a b / 2^21 + max(a, b) / 2^13 (_pair_cost): the product
-itself, and the carrying of the larger coefficient, which costs as much
-when the other is 1.  It raises PolySyntaxError past either budget, at the
-offset of the product or of the power's exponent.  Both are charged before
-each product and power, from the term counts and heights (see _height) of
-its factors, so 3^9999999, and the 250 000 term products of a product of
-two 500-term polynomials with 33 000-bit coefficients on one side or on
-both, are refused before they are computed.  Printing
-(MPoly.__str__) emits canonical graded-lex form, and parse(print(f)) == f:
-a printed term is a literal coefficient times powers of variables, so it
-grows no coefficient, and each power of one term in it is charged one
-term product, whatever its exponent.  An INT of more digits than
-Python's int-string conversion limit (sys.get_int_max_str_digits, 4300 by
-default) raises PolySyntaxError at its offset; no printable coefficient has
-that many, since printing it would hit the same limit.
+'*' is optional.  A sign where a primary is due is part of that primary,
+so x1*-2^2 is 4 x1, and 2 - -2^2 is -2; a sign before a term is the sum's.
+
+A sum costs time linear in its terms: each term goes into one dict by one
+addmul.  A term whose factors each have one term (an INT, a p/q, a
+variable, a power of one of these, any of them signed) is built as one
+coefficient and one monomial key, multiplied by mpoly's key_product and
+key_power, with no MPoly per factor; such a value's height (see _height)
+is its coefficient's.  Every printed term has that shape.  Only a
+parenthesized factor, which may have more terms, makes the rest of its
+term a product of MPolys.  Either way each product and power is charged,
+and raises, as if every factor were an MPoly: the same products and bits
+at the same offsets, and the exponent guard's OverflowError at the same
+step.
+
+One parse spends at most 100 000 bits of coefficient growth, or 16 per
+character of the input if that is more, and at most 300 000 term
+products, or 7 per character if that is more, a product of coefficients
+of heights a and b counting as 1 + a b / 2^21 + max(a, b) / 2^13
+(_pair_cost): the product itself, and the carrying of the larger
+coefficient, which costs as much when the other is 1.  It raises
+PolySyntaxError past either budget, at the offset of the product or of
+the power's exponent.  Both are charged before each product and power,
+from the term counts and heights of its factors, so 3^9999999, and the
+250 000 term products of a product of two 500-term polynomials with
+33 000-bit coefficients on one side or on both, are refused before they
+are computed.  Printing (MPoly.__str__) emits canonical graded-lex form,
+and parse(print(f)) == f: a printed term is a literal coefficient times
+powers of variables, so it grows no coefficient, and each power of one
+term in it is charged one term product, whatever its exponent.  An INT of
+more digits than Python's int-string conversion limit
+(sys.get_int_max_str_digits, 4300 by default) raises PolySyntaxError at
+its offset; no printable coefficient has that many, since printing it
+would hit the same limit.
 """
 
 from __future__ import annotations
@@ -35,7 +50,9 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .mpoly import MPoly, UnboundVariable, addmul, key_terms
+from .mpoly import (ONE_KEY, VARIABLES, MPoly, addmul, key_power, key_product,
+                    key_terms)
+from .scalars import exact
 
 # one parse may spend at most this many term products, or _PRODUCTS_PER_CHAR
 # per character of its input if that is more: a product charges
@@ -100,6 +117,13 @@ def _power_products(k: int, height: int, n: int, limit: int) -> int:
     return products
 
 
+def _coef_height(c) -> int:
+    """_height of a one-term polynomial with coefficient c: 0 for 0."""
+    bits = (c.bit_length() - 1 if type(c) is int  # its denominator 1 has 1 bit
+            else c.numerator.bit_length() + c.denominator.bit_length() - 2)
+    return bits if bits > 0 else 0
+
+
 def _height(f: MPoly) -> int:
     """About log2 |p q| for the largest coefficient p/q of f: 0 for 1 and
     for the zero polynomial.  A product of coefficients of heights a and b
@@ -107,13 +131,7 @@ def _height(f: MPoly) -> int:
     a product of polynomials charges the smaller height plus log2 of the
     shorter term count, and the n-th power of a k-term polynomial of height
     h charges n (h + log2 k) - h."""
-    bits = 2
-    for c in key_terms(f).values():  # a plain loop: this runs on every factor
-        b = (c.bit_length() + 1 if type(c) is int  # its denominator 1 has 1 bit
-             else c.numerator.bit_length() + c.denominator.bit_length())
-        if b > bits:
-            bits = b
-    return bits - 2
+    return max(map(_coef_height, key_terms(f).values()), default=0)
 
 
 def _log2_ceil(k: int) -> int:
@@ -156,9 +174,25 @@ def _tokenize(text: str):
     return tokens
 
 
+# a one-term value, or the zero polynomial, as (coefficient, key, height):
+# the coefficient is 0 for zero, and then the key is ONE_KEY
+_ZERO_TERM = (0, ONE_KEY, 0)
+_VAR_TERMS = {name: (1, key, 0) for name in VARIABLES
+              for key in key_terms(MPoly.var(name))}
+_PRODUCT = "product of a {}-term and a {}-term polynomial"
+_POWER = "power ^{} of a {}-term polynomial"
+
+
+def _as_poly(value) -> MPoly:
+    """A factor's value as an MPoly."""
+    if type(value) is MPoly:
+        return value
+    c, key, _ = value
+    return MPoly({key: c})
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.products = 0  # term products spent so far
@@ -166,101 +200,134 @@ class _Parser:
         self.bits = 0  # coefficient bits grown so far
         self.bit_budget = max(_MAX_COEF_BITS, _BITS_PER_CHAR * len(text))
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
+    def expect(self, kind: str):
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
         if tok[0] != kind:
             raise PolySyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
-    def charge(self, products: int, bits: int, pos: int, what):
+    def charge(self, products: int, bits: int, pos: int, what: str, *args):
         """Spend coefficient bits and term products on the step at pos,
-        which what() names."""
+        which what.format(*args) names."""
         self.bits += bits
         if self.bits > self.bit_budget:
-            raise PolySyntaxError(f"{what()} would take this input past "
-                                  f"{self.bit_budget} coefficient bits", pos)
+            raise PolySyntaxError(f"{what.format(*args)} would take this input "
+                                  f"past {self.bit_budget} coefficient bits", pos)
         self.products += products
         if self.products > self.budget:
-            raise PolySyntaxError(f"{what()} would take this input past "
-                                  f"{self.budget} term products", pos)
+            raise PolySyntaxError(f"{what.format(*args)} would take this input "
+                                  f"past {self.budget} term products", pos)
 
     def parse(self) -> MPoly:
         result = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise PolySyntaxError(f"unexpected {tok[1]!r}", tok[2])
+        kind, value, pos = self.tokens[self.pos]
+        if kind != "end":
+            raise PolySyntaxError(f"unexpected {value!r}", pos)
         return result
 
     def expr(self) -> MPoly:
         # accumulated in one dict: adding each term to an MPoly would copy
         # the sum so far
         acc = {}
-        op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
+        tokens = self.tokens
+        op = tokens[self.pos][0]
+        if op in ("+", "-"):
+            self.pos += 1
         while True:
-            addmul(acc, self.term(), -1 if op == "-" else None)
-            if self.peek()[0] not in ("+", "-"):
+            value = self.term()
+            if type(value) is tuple:  # one coefficient and one key
+                value = {value[1]: value[0]}
+            addmul(acc, value, -1 if op == "-" else None)
+            op = tokens[self.pos][0]
+            if op not in ("+", "-"):
                 return MPoly(acc)
-            op = self.advance()[0]
+            self.pos += 1
 
-    def term(self) -> MPoly:
-        result = self.factor()
+    def term(self):
+        """A product of factors: one (coefficient, key, height) while each
+        factor has one term or none, an MPoly from the first factor that
+        may have more.  Either way each product is charged as a product of
+        polynomials of those term counts and heights."""
+        tokens = self.tokens
+        value = self.factor()
         while True:
-            kind, _, pos = self.peek()
+            kind, _, pos = tokens[self.pos]
             if kind == "*":
-                self.advance()
+                self.pos += 1
             elif kind not in ("int", "name", "("):
-                return result
+                return value
             right = self.factor()
-            a, b = _height(result), _height(right)
-            self.charge(len(result) * len(right) * _pair_cost(a, b),
-                        min(a, b) + _log2_ceil(min(len(result), len(right))),
-                        pos, lambda: (f"product of a {len(result)}-term and "
-                                      f"a {len(right)}-term polynomial"))
-            result = result * right
+            if type(value) is tuple and type(right) is tuple:
+                c, key, h = value
+                rc, rkey, rh = right
+                if not (c and rc):  # a product with zero: 0 products, 0 bits
+                    value = _ZERO_TERM
+                    continue
+                self.charge(_pair_cost(h, rh), h if h < rh else rh, pos,
+                            _PRODUCT, 1, 1)
+                key = key_product(key, rkey)
+                if rc != 1:
+                    c *= rc
+                    h = _coef_height(c)
+                value = (c, key, h)
+                continue
+            value, right = _as_poly(value), _as_poly(right)
+            a, b = _height(value), _height(right)
+            self.charge(len(value) * len(right) * _pair_cost(a, b),
+                        min(a, b) + _log2_ceil(min(len(value), len(right))),
+                        pos, _PRODUCT, len(value), len(right))
+            value = value * right
 
-    def factor(self) -> MPoly:
+    def factor(self):
         base = self.primary()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("int")
-            n = int(tok[1])
-            height = _height(base)
-            self.charge(_power_products(len(base), height, n, self.budget),
-                        max(0, n * (height + _log2_ceil(len(base))) - height),
-                        tok[2], lambda: f"power ^{n} of a {len(base)}-term polynomial")
-            base = base ** n
-        return base
+        if self.tokens[self.pos][0] != "^":
+            return base
+        self.pos += 1
+        _, value, pos = self.expect("int")
+        n = int(value)
+        if type(base) is tuple:
+            c, key, h = base
+            if not c:  # the zero polynomial: 1 or itself, at no charge
+                return (1, ONE_KEY, 0) if n == 0 else base
+            self.charge(1, max(0, (n - 1) * h), pos, _POWER, n, 1)
+            key = key_power(key, n)  # before c ** n, which may be huge
+            if c == 1:  # a variable's power
+                return (c, key, 0)
+            c = c ** n
+            return (c, key, _coef_height(c))
+        height = _height(base)
+        self.charge(_power_products(len(base), height, n, self.budget),
+                    max(0, n * (height + _log2_ceil(len(base))) - height),
+                    pos, _POWER, n, len(base))
+        return base ** n
 
-    def primary(self) -> MPoly:
-        tok = self.advance()
-        kind, value, pos = tok
-        if kind == "-":
-            return -self.primary()
-        if kind == "+":
-            return self.primary()
+    def primary(self):
+        kind, value, pos = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "name":
+            term = _VAR_TERMS.get(value)
+            if term is None:
+                raise UnknownVariable(value, pos)
+            return term
         if kind == "int":
-            num = int(value)
-            if self.peek()[0] == "/":
-                self.advance()
+            c = int(value)
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
                 den_tok = self.expect("int")
                 den = int(den_tok[1])
                 if den == 0:
                     raise PolySyntaxError("zero denominator", den_tok[2])
-                return MPoly.const(Fraction(num, den))
-            return MPoly.const(num)
-        if kind == "name":
-            try:
-                return MPoly.var(value)
-            except UnboundVariable:
-                raise UnknownVariable(value, pos) from None
+                c = exact(Fraction(c, den))
+            return (c, ONE_KEY, _coef_height(c)) if c else _ZERO_TERM
+        if kind == "-":
+            base = self.primary()
+            if type(base) is MPoly:
+                return -base
+            c, key, h = base
+            return (-c, key, h)
+        if kind == "+":
+            return self.primary()
         if kind == "(":
             inner = self.expr()
             self.expect(")")

@@ -52,6 +52,7 @@ from .exactalg import (
     lp_feasible,
     solve_linear,
 )
+from .exactalg.mpoly import addmul
 from .weyl import NonReducedWord, WeylElt
 
 X1 = MPoly.var("x1")
@@ -466,10 +467,10 @@ class PositiveRewrite:
     def expansion(self) -> MPoly:
         if not self.feasible:
             raise ValueError("no expansion for an infeasible rewrite")
-        total = MPoly.zero()
+        acc = {}
         for (i, j, k), coef in self.coefficients.items():
-            total = total + coef * X1 ** i * X2 ** j * (X1 - X2) ** k
-        return total
+            addmul(acc, X1 ** i * X2 ** j * (X1 - X2) ** k, coef)
+        return MPoly(acc)
 
 
 def positive_rewrite(f: MPoly, d: int) -> PositiveRewrite:

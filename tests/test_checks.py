@@ -402,7 +402,7 @@ def test_integral_draw_is_the_multiple_of_the_rational_draw(draw):
             assert got == [(k, x * d) for k, x in rational]
 
 
-# Fraction-valued terms passed to addmul (in mpoly, cohomring and parse) by
+# Fraction-valued terms passed to addmul (in every module that calls it) by
 # each suite at the default seed, run in order from a cleared family cache:
 # a term counts when its coefficient, or the coefficient addmul scales it by,
 # is a Fraction.  Counts are exact and repeatable where times are not.  Most
@@ -411,7 +411,7 @@ def test_integral_draw_is_the_multiple_of_the_rational_draw(draw):
 # change that lowers a count lowers its pin and says so in CHANGES.md.
 FRACTION_TERMS = {"octonion": 0, "weyl": 0, "divdiff": 148, "families": 2088,
                   "ring": 5284, "equivariant": 2876, "impossibility": 5,
-                  "positivity": 105, "quadric": 804}
+                  "positivity": 63, "quadric": 804}
 
 
 def test_fraction_work_is_pinned(monkeypatch):
@@ -424,7 +424,7 @@ def test_fraction_work_is_pinned(monkeypatch):
                           sum(type(x) is Fraction for x in values))
         addmul(acc, terms, coef, shift)
 
-    for module in (mpoly, cohomring, parse):
+    for module in (mpoly, cohomring, parse, checks, schubert):
         monkeypatch.setattr(module, "addmul", counting)
     schubert.generate_family.cache_clear()
     for suite in checks.SUITE_NAMES:

@@ -80,6 +80,27 @@ class TestVerify:
         assert capsys.readouterr().err.endswith(
             "error: argument --seed: 'abc' is not an integer\n")
 
+    @pytest.mark.parametrize("seed", ["٣", "１２", "1_0", "３", "0x10", "+-1", ""])
+    def test_a_seed_is_ascii_digits(self, capsys, monkeypatch, seed):
+        # int() would take these, all but the last three, as 3, 12, 10, 3
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "weyl", "--seed", seed])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --seed: {seed!r} is not an integer\n")
+        monkeypatch.setenv("G2SC_SEED", seed)
+        code, out, err = run(capsys, "verify", "weyl")
+        assert (code, out) == (2, "")
+        assert err == f"error: G2SC_SEED must be an integer, got {seed!r}\n"
+
+    @pytest.mark.parametrize("seed,recorded", [("-3", "-3"), ("+3", "3"), (" 7 ", "7"),
+                                               ("007", "7")])
+    def test_a_seed_may_carry_a_sign(self, capsys, monkeypatch, seed, recorded):
+        monkeypatch.setenv("G2SC_SEED", seed)
+        code, out, _ = run(capsys, "verify", "weyl")
+        assert code == 0
+        assert f"seed: {recorded}\n" in out
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "impossibility", "--format", "json")
         assert code == 0
