@@ -104,17 +104,17 @@ def _fmt_oct(u: octonion.Oct) -> str:
     return ",".join([str(u.re)] + [str(c) for c in u.im.coords])
 
 
-# a seed: ASCII digits with an optional sign, where int() would also take
-# other scripts' digits, fullwidth ones and underscores
-_SEED = re.compile(r"[+-]?[0-9]+")
-
-
 def _seed(text: str) -> int:
-    """A seed given by --seed or G2SC_SEED, surrounding whitespace aside.
-    One of more digits than Python converts raises OverflowError: argparse
-    passes that on to main, which prints it in one line, where for a
-    ValueError argparse would print its usage and the whole value."""
-    if not _SEED.fullmatch(text.strip()):
+    """A seed given by --seed or G2SC_SEED: ASCII digits with an optional
+    sign, surrounding whitespace aside (int() would also take other
+    scripts' digits, fullwidth ones and underscores).  One of more digits
+    than Python converts raises OverflowError: argparse passes that on to
+    main, which prints it in one line, where for a ValueError argparse
+    would print its usage and the whole value."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     try:
         return int(text)

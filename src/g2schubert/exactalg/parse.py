@@ -292,7 +292,7 @@ class _Parser:
                 return (1, ONE_KEY, 0) if n == 0 else base
             self.charge(1, max(0, (n - 1) * h), pos, _POWER, n, 1)
             key = key_power(key, n)  # before c ** n, which may be huge
-            if c == 1:  # a variable's power
+            if c == 1:  # a variable's power, say: c ** n is 1
                 return (c, key, 0)
             c = c ** n
             return (c, key, _coef_height(c))
